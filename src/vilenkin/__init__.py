@@ -15,6 +15,7 @@ from .group import (
     build_number_system,
     coset_index,
     coset_rep,
+    coset_rep_cells,
     digits_of,
     element_of,
     index_of,

@@ -40,10 +40,12 @@ def cesaro_table(alpha: float, n_max: int) -> CesaroTable:
     _check_order(alpha)
     if n_max < 0:
         raise UsageError(f"table length {n_max} is negative")
+    # cumprod is a sequential left fold, so it rounds exactly as the
+    # recurrence A_n = A_{n-1} * ((alpha + n) / n) does term by term.
+    n = np.arange(1, n_max + 1, dtype=np.float64)
     values = np.empty(n_max + 1, dtype=np.float64)
     values[0] = 1.0
-    for n in range(1, n_max + 1):
-        values[n] = values[n - 1] * ((alpha + n) / n)
+    np.cumprod((alpha + n) / n, out=values[1:])
     values.setflags(write=False)
     return CesaroTable(alpha=alpha, values=values)
 

@@ -378,13 +378,17 @@ def _converge_group(job) -> list[list]:
     series = oscillation.oscillation_series(f, alpha)
     rows = []
     errors_at_scale = {}
+    conditions = {}  # the condition depends on (f, k_cond, alpha) only, not on n
     for n in values:
         mean = transform.cesaro_mean(f, n, alpha)
         err = sup_distance(mean, f)
         k = scale_of(ns, n) if n < ns.cell_count else ns.resolution
         k_cond = min(max(k, 1), ns.resolution - 1)
-        cond = difference_condition(f, k_cond, alpha)
-        partial = float(series.partials[min(k, len(series.partials)) - 1])
+        if k_cond not in conditions:
+            conditions[k_cond] = difference_condition(f, k_cond, alpha)
+        cond = conditions[k_cond]
+        # scale 0 (n = 1) sums no series terms: its partial is the empty sum
+        partial = float(series.partials[min(k, len(series.partials)) - 1]) if k else 0.0
         if n in ns.M:
             errors_at_scale[n] = err
         rows.append([n, err, partial, cond])

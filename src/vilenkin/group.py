@@ -228,6 +228,25 @@ def coset_rep(ns: NumberSystem, beta: int, k: int) -> GroupElement:
     return GroupElement(ns, tuple(digits))
 
 
+@functools.lru_cache(maxsize=None)
+def coset_rep_cells(ns: NumberSystem, k: int, resolution: int) -> np.ndarray:
+    """Resolution-r cell index of Z_beta^(k) for every beta = 0..M_k-1.
+
+    Vectorized coset_rep: digit j of Z_beta^(k) is (beta // (M_k/M_{j+1})) mod m_j
+    for j < k, and digits at or above the resolution are dropped.
+    """
+    if not 0 <= k <= ns.resolution:
+        raise UsageError(f"scale {k} outside 0..{ns.resolution}")
+    if not 0 <= resolution <= ns.resolution:
+        raise UsageError(f"resolution {resolution} outside 0..{ns.resolution}")
+    beta = np.arange(ns.M[k], dtype=np.int64)
+    cells = np.zeros(ns.M[k], dtype=np.int64)
+    for j in range(min(k, resolution)):
+        cells += (beta // (ns.M[k] // ns.M[j + 1])) % ns.radix.radices[j] * ns.M[j]
+    cells.setflags(write=False)
+    return cells
+
+
 def coset_index(ns: NumberSystem, x: GroupElement, k: int) -> int:
     """Inverse of coset_rep: which coset of I_k contains x."""
     if not 0 <= k <= ns.resolution:

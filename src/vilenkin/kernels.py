@@ -16,7 +16,7 @@ import numpy as np
 from . import binomials
 from .characters import character_block, root_table, vilenkin_on_cells
 from .errors import DomainError, UsageError
-from .group import NumberSystem, coset_rep, digit_matrix, digits_of, negate_indices, scale_of
+from .group import NumberSystem, coset_rep_cells, digit_matrix, digits_of, negate_indices, scale_of
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, convolve, synthesize
 
@@ -325,6 +325,9 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
     The decay estimate is sharp for orders n comparable to M_k; far above
     that the normalized kernel grows without bound.  The default n range is
     therefore the top admissible block [M_{k-1}, M_k].
+
+    Each kernel is read at the representatives through the cached cell
+    table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row.
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
@@ -332,19 +335,15 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
         raise UsageError(f"scale {k} outside 1..{ns.resolution}")
     if n_values is None:
         n_values = list(range(ns.M[k - 1], ns.M[k] + 1))
+    decay = np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - alpha)
     out = []
     for n in n_values:
         if not 1 <= n <= ns.cell_count:
             raise UsageError(f"order {n} outside 1..{ns.cell_count}")
         K = cesaro_kernel(ns, n, alpha)
         r = K.resolution
-        ratios = np.empty(ns.M[k] - 1)
-        cells_at = np.empty(ns.M[k] - 1, dtype=np.int64)
-        for beta in range(1, ns.M[k]):
-            z = coset_rep(ns, beta, k)
-            ci = z.cell_index(r)
-            cells_at[beta - 1] = ci
-            ratios[beta - 1] = abs(K.cells[ci]) * beta ** (1.0 - alpha) / ns.M[k]
+        cells_at = coset_rep_cells(ns, k, r)[1:]
+        ratios = np.abs(K.cells[cells_at]) * decay / ns.M[k]
         arg = int(np.argmax(ratios))
         out.append(BoundScanRecord(kind="coset_decay", n=n, alpha=alpha,
                                    sup_ratio=float(ratios[arg]),

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError, ValidationError
-from .group import basis_element, coset_key_table, coset_rep, translate_indices
-from .transform import StepFunction
+from .group import basis_element, coset_key_table, coset_rep_cells
+from .transform import StepFunction, convolve
 
 _IMAG_TOL = 1e-13
 
@@ -163,21 +163,24 @@ def young_oscillation_score(f: StepFunction, M: YoungFunction) -> float:
 
 
 def difference_condition(f: StepFunction, k: int, alpha: float) -> float:
-    """sup_x sum_{beta=1}^{M_k - 1} beta^{alpha-1} |f(x - Z_beta) - f(x - Z_beta - e_k)|."""
+    """sup_x sum_{beta=1}^{M_k - 1} beta^{alpha-1} |f(x - Z_beta) - f(x - Z_beta - e_k)|.
+
+    The sum is one group convolution: with d = |f - f(. - e_k)| and W the
+    weight beta^{alpha-1} placed on the cells of Z_beta^(k), it equals
+    M_r (d * W)(x). A vanishing d transforms to zero, so exact zeros stay exact.
+    """
     ns = f.ns
     if not 1 <= k < f.resolution:
         raise UsageError(f"scale {k} outside 1..{f.resolution - 1}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
-    ek = basis_element(ns, k)
-    shifted = f.translate(ek)
-    d = np.abs(f.cells - shifted.cells)  # d(y) = |f(y) - f(y - e_k)|
-    acc = np.zeros(len(d))
-    for beta in range(1, ns.M[k]):
-        z = coset_rep(ns, beta, k)
-        idx = translate_indices(ns, f.resolution, z)
-        acc += beta ** (alpha - 1.0) * d[idx]
-    return float(acc.max())
+    r = f.resolution
+    shifted = f.translate(basis_element(ns, k))
+    d = StepFunction(ns, r, np.abs(f.cells - shifted.cells))  # |f(y) - f(y - e_k)|
+    weight = np.zeros(ns.cells_at(r))
+    weight[coset_rep_cells(ns, k, r)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)
+    acc = convolve(d, StepFunction(ns, r, weight))
+    return float(ns.cells_at(r) * acc.cells.real.max())
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,30 @@ def ns(request, walsh, mixed):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Wrap a vilenkin.group function on every module that binds it.
+
+    Returns a function that installs the wrapper for one name and gives back
+    the list its calls are appended to.
+    """
+    from vilenkin import group
+
+    def install(name):
+        original = getattr(group, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            mod_name = getattr(mod, "__name__", "")
+            if (mod_name == "vilenkin" or mod_name.startswith("vilenkin.")) \
+                    and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

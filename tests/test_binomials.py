@@ -18,6 +18,14 @@ def test_known_values():
     assert binomials.cesaro_coefficient(0, -0.5) == 1.0
 
 
+def test_table_matches_recurrence_bitwise():
+    for alpha in (-0.75, -0.5, -0.25, 0.3, 1.5, -1.25):
+        want = [1.0]
+        for n in range(1, 5001):
+            want.append(want[-1] * ((alpha + n) / n))
+        assert np.array_equal(binomials.cesaro_table(alpha, 5000).values, np.array(want))
+
+
 def test_side_index_is_zero():
     t = binomials.cesaro_table(-0.5, 10)
     assert t.a(-1) == 0.0

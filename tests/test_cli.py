@@ -136,6 +136,43 @@ def test_converge_exact_for_constant(tmp_path):
     assert {line.split(",")[-1] for line in lines} <= {"converging", "exact"}
 
 
+def test_converge_n1_partial_is_empty_sum(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "radix": {"constant": 2, "length": 5},
+        "n_schedule": {"kind": "list", "values": [1, 2]},
+        "functions": [{"family": "lacunary", "decay": "inverse_scale"},
+                      {"family": "random_lipschitz"}],
+    }), encoding="utf-8")
+    rc = run(["converge", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert rc == 0
+    partial = {}
+    for line in (tmp_path / "c" / "converge.csv").read_text().splitlines()[1:]:
+        _, family, alpha, n, _, p, _, _ = line.split(",")
+        partial[family, alpha, int(n)] = float(p)
+    assert len(partial) == 2 * 3 * 2
+    for (family, alpha, n), p in partial.items():
+        if n == 1:
+            assert p == 0.0
+            assert p <= partial[family, alpha, 2]
+
+
+def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch):
+    calls = []
+    original = cli.difference_condition
+
+    def counted(f, k, alpha):
+        calls.append((id(f), k, alpha))
+        return original(f, k, alpha)
+
+    monkeypatch.setattr(cli, "difference_condition", counted)
+    rc = run(["converge", "--config", small_cfg, "--out", str(tmp_path / "c")])
+    assert rc == 0
+    assert len(calls) == len(set(calls))
+    # scales_and_neighbors at 2^5 spans k_cond = 1..4, for each of 3 alphas
+    assert len(calls) == 4 * 3
+
+
 def test_kernel_scan_artifacts(tmp_path, small_cfg):
     rc = run(["kernel-scan", "--config", small_cfg, "--out", str(tmp_path / "k")])
     assert rc == 0

@@ -113,6 +113,23 @@ def test_coset_rep_weight_bracket(ns):
             assert ns.M[k] // ns.M[q + 1] <= beta <= ns.M[k] // ns.M[q] - 1
 
 
+def test_coset_rep_cells_matches_coset_rep(ns):
+    for k in range(ns.resolution + 1):
+        for r in range(ns.resolution + 1):
+            table = vk.coset_rep_cells(ns, k, r)
+            want = [vk.coset_rep(ns, beta, k).cell_index(r) for beta in range(ns.M[k])]
+            assert table.dtype == np.int64
+            assert not table.flags.writeable
+            assert table.tolist() == want
+
+
+def test_coset_rep_cells_rejects_bad_args(ns):
+    with pytest.raises(UsageError):
+        vk.coset_rep_cells(ns, ns.resolution + 1, ns.resolution)
+    with pytest.raises(UsageError):
+        vk.coset_rep_cells(ns, 1, ns.resolution + 1)
+
+
 def test_translate_indices_is_group_translation(ns, rng):
     r = ns.resolution
     idx = np.arange(ns.cell_count)

@@ -129,6 +129,34 @@ def test_coset_decay_scan_shape_and_stability(ns):
             assert len(r.beta_ratios) == ns.M[k] - 1
 
 
+def _coset_decay_loop(ns, alpha, k, n):
+    """Per-beta oracle: build Z_beta^(k) as a GroupElement for every beta."""
+    K = kernels.cesaro_kernel(ns, n, alpha)
+    cells = np.array([vk.coset_rep(ns, beta, k).cell_index(K.resolution)
+                      for beta in range(1, ns.M[k])])
+    ratios = np.array([abs(K.cells[c]) * beta ** (1.0 - alpha) / ns.M[k]
+                       for beta, c in enumerate(cells, start=1)])
+    return ratios, cells
+
+
+def test_coset_decay_scan_matches_loop(ns):
+    for k in sorted({1, 2, ns.resolution - 1, ns.resolution}):
+        n_values = sorted({ns.M[k - 1], (ns.M[k - 1] + ns.M[k]) // 2, ns.M[k]})
+        for alpha in (0.25, 0.5, 0.75):
+            for rec in kernels.coset_decay_scan(ns, alpha, k, n_values):
+                want, cells = _coset_decay_loop(ns, alpha, k, rec.n)
+                np.testing.assert_allclose(rec.beta_ratios, want, rtol=1e-12, atol=0.0)
+                assert rec.sup_ratio == pytest.approx(want.max(), rel=1e-12)
+                # ratios agree to rounding, so a tie may break either way
+                assert rec.argmax_cell in cells[want >= want.max() * (1 - 1e-12)]
+
+
+def test_coset_decay_scan_builds_no_coset_reps(ns, count_calls):
+    calls = count_calls("coset_rep")
+    kernels.coset_decay_scan(ns, 0.5, ns.resolution - 1)
+    assert calls == []
+
+
 def test_coset_decay_rejects_bad_alpha(ns):
     with pytest.raises(UsageError):
         kernels.coset_decay_scan(ns, 1.5, 2)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import families, oscillation, transform
 from vilenkin.errors import UsageError, ValidationError
+from vilenkin.group import translate_indices
 from vilenkin.oscillation import YoungFunction
 
 
@@ -87,6 +88,40 @@ def test_difference_condition_scales_linearly(ns, rng):
     a = oscillation.difference_condition(f, 2, 0.5)
     b = oscillation.difference_condition(g, 2, 0.5)
     assert b == pytest.approx(3.0 * a, rel=1e-12)
+
+
+def _difference_condition_loop(f, k, alpha):
+    """Per-beta oracle: one translation of d = |f - f(. - e_k)| per coset."""
+    ns = f.ns
+    d = np.abs(f.cells - f.translate(vk.basis_element(ns, k)).cells)
+    acc = np.zeros(len(d))
+    for beta in range(1, ns.M[k]):
+        idx = translate_indices(ns, f.resolution, vk.coset_rep(ns, beta, k))
+        acc += beta ** (alpha - 1.0) * d[idx]
+    return float(acc.max())
+
+
+def test_difference_condition_matches_loop(ns, rng):
+    r = ns.resolution
+    coarse = transform.StepFunction(
+        ns, r - 1, rng.standard_normal(ns.cells_at(r - 1)))
+    fs = [families.random_cells(ns, rng), families.random_lipschitz(ns, rng),
+          families.lacunary(ns, families.inverse_scale_coeffs(ns)), coarse]
+    for f in fs:
+        for k in range(1, f.resolution):
+            for alpha in (0.25, 0.5, 0.75):
+                want = _difference_condition_loop(f, k, alpha)
+                got = oscillation.difference_condition(f, k, alpha)
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_difference_condition_translates_once(ns, rng, count_calls):
+    f = families.random_cells(ns, rng)
+    reps = count_calls("coset_rep")
+    shifts = count_calls("translate_indices")
+    oscillation.difference_condition(f, ns.resolution - 1, 0.5)
+    assert reps == []
+    assert len(shifts) <= 1  # the e_k shift
 
 
 def test_oscillation_series_terms(walsh):
