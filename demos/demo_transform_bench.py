@@ -5,7 +5,7 @@ import time
 import numpy as np
 
 import vilenkin as vk
-from vilenkin import families, transform
+from vilenkin import families, oracles, transform
 
 
 def bench(radices, repeats=3):
@@ -14,23 +14,22 @@ def bench(radices, repeats=3):
     f = families.random_cells(ns, rng)
 
     fast = transform.forward(f)
-    naive = transform.forward(f, strategy="naive")
+    naive = oracles.forward(f)
     diff = np.max(np.abs(fast.coeffs - naive.coeffs))
 
-    def med(strategy):
-        times = sorted(
-            _timed(transform.forward, f, strategy) for _ in range(repeats))
+    def med(fn):
+        times = sorted(_timed(fn, f) for _ in range(repeats))
         return times[repeats // 2]
 
-    t_fast, t_naive = med("fast"), med("naive")
+    t_fast, t_naive = med(transform.forward), med(oracles.forward)
     print(f"cells={ns.cell_count:5d} radices={radices}  diff={diff:.2e}  "
           f"fast={t_fast * 1e3:8.2f}ms  naive={t_naive * 1e3:8.2f}ms  "
           f"speedup={t_naive / t_fast:8.1f}x")
 
 
-def _timed(fn, f, strategy):
+def _timed(fn, f):
     t0 = time.perf_counter()
-    fn(f, strategy=strategy)
+    fn(f)
     return time.perf_counter() - t0
 
 

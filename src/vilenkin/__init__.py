@@ -55,6 +55,7 @@ from .transform import (
     inverse,
     load_coeffs,
     load_step,
+    multiplier,
     partial_sum,
     sup_distance,
     synthesize,

@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from . import binomials, kernels, oscillation, transform
+from . import binomials, kernels, oracles, oscillation, transform
 from .characters import character_block, character_shift_residual, unity_gap_residual
 from .errors import ConfigurationError, VilenkinError
 from .families import family_from_spec, random_cells
@@ -118,11 +117,24 @@ def resolve_ns(cfg: dict) -> NumberSystem:
 
 
 def _check_alphas(alphas) -> list[float]:
-    out = [float(a) for a in alphas]
+    try:
+        out = [float(a) for a in alphas]
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"alphas {alphas!r} must be a list of numbers")
     for a in out:
         if not 0.0 < a < 1.0:
             raise ConfigurationError(f"alpha={a} outside (0, 1)")
     return out
+
+
+def _check_int(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(f"{name}={value!r} is not an integer >= {minimum}")
+    return value
+
+
+def _rng(cfg: dict) -> np.random.Generator:
+    return np.random.default_rng(_check_int(cfg["seed"], "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +310,9 @@ def _suite_routes(ns: NumberSystem, rng: np.random.Generator) -> dict:
     n_top = min(64, ns.cell_count)
     for alpha in (0.25, 0.5, 0.75):
         for n in range(1, n_top + 1):
-            a = transform.cesaro_mean(f, n, alpha, route="coefficients")
-            b = transform.cesaro_mean(f, n, alpha, route="partial_sums")
-            c = transform.cesaro_mean(f, n, alpha, route="convolution")
+            a = transform.cesaro_mean(f, n, alpha)
+            b = oracles.cesaro_mean_partial_sums(f, n, alpha)
+            c = transform.convolve(f, kernels.cesaro_kernel(ns, n, alpha, resolution=f.resolution))
             res = max(sup_distance(a, b), sup_distance(a, c)) / n
             worst = max(worst, res)
     return {"passed": worst <= 1e-9, "max_residual": worst,
@@ -310,7 +322,7 @@ def _suite_routes(ns: NumberSystem, rng: np.random.Generator) -> dict:
 def _suite_transform(ns: NumberSystem, rng: np.random.Generator) -> dict:
     f = random_cells(ns, rng)
     cf = forward(f)
-    cn = forward(f, strategy="naive")
+    cn = oracles.forward(f)
     fast_vs_naive = float(np.max(np.abs(cf.coeffs - cn.coeffs)))
     roundtrip = sup_distance(inverse(cf), f)
     order = list(rng.permutation(ns.resolution))
@@ -350,7 +362,7 @@ def run_verify(cfg: dict) -> int:
     out = _out_dir(cfg, "verify")
     results, timings = {}, {}
     for name in names:
-        rng = np.random.default_rng(cfg["seed"])
+        rng = _rng(cfg)
         t0 = time.perf_counter()
         results[name] = SUITES[name](ns, rng)
         timings[name] = time.perf_counter() - t0
@@ -373,8 +385,8 @@ def run_verify(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # converge
 
-def _converge_group(job) -> list[list]:
-    ns, label, f, alpha, values, thresholds, seed = job
+def _converge_group(ns: NumberSystem, label: str, f, alpha: float, values: list[int],
+                    thresholds: dict) -> list[list]:
     series = oscillation.oscillation_series(f, alpha)
     rows = []
     errors_at_scale = {}
@@ -385,7 +397,8 @@ def _converge_group(job) -> list[list]:
         k = scale_of(ns, n) if n < ns.cell_count else ns.resolution
         k_cond = min(max(k, 1), ns.resolution - 1)
         if k_cond not in conditions:
-            conditions[k_cond] = difference_condition(f, k_cond, alpha)
+            # with one digit (N = 1) no scale 1 <= k < N exists: the sum is empty
+            conditions[k_cond] = difference_condition(f, k_cond, alpha) if k_cond else 0.0
         cond = conditions[k_cond]
         # scale 0 (n = 1) sums no series terms: its partial is the empty sum
         partial = float(series.partials[min(k, len(series.partials)) - 1]) if k else 0.0
@@ -409,16 +422,13 @@ def run_converge(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     alphas = _check_alphas(cfg["alphas"])
     values = n_schedule(ns, cfg["n_schedule"])
+    _check_int(cfg["thresholds"]["trailing_points"], "thresholds.trailing_points", 2)
     out = _out_dir(cfg, "converge")
-    jobs = []
+    rows = []
     for spec in cfg["functions"]:
-        rng = np.random.default_rng(cfg["seed"])
-        label, f = family_from_spec(ns, spec, rng)
+        label, f = family_from_spec(ns, spec, _rng(cfg))
         for alpha in alphas:
-            jobs.append((ns, label, f, alpha, values, cfg["thresholds"], cfg["seed"]))
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        blocks = list(pool.map(_converge_group, jobs))
-    rows = [row for block in blocks for row in block]
+            rows += _converge_group(ns, label, f, alpha, values, cfg["thresholds"])
     header = ["schema_version", "family", "alpha", "n", "sup_error",
               "oscillation_partial", "difference_condition", "verdict"]
     write_csv(os.path.join(out, "converge.csv"), header, rows)
@@ -431,8 +441,8 @@ def run_converge(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # kernel-scan
 
-def _scan_group(job) -> tuple[str, float, list]:
-    ns, kind, alpha, level, values = job
+def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
+                values: list[int]) -> tuple[str, float, list, list]:
     if kind == "majorant":
         records = kernels.majorant_ratio_scan(ns, alpha, values)
     else:
@@ -460,11 +470,9 @@ def run_kernel_scan(cfg: dict) -> int:
     coset_n = ([int(n) for n in sub["n"]] if sub["n"]
                else list(range(ns.M[level - 1], ns.M[level] + 1)))
     out = _out_dir(cfg, "kernel-scan")
-    jobs = [(ns, kind, alpha, level,
-             majorant_n if kind == "majorant" else coset_n)
-            for kind in kinds for alpha in alphas]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = list(pool.map(_scan_group, jobs))
+    results = [_scan_group(ns, kind, alpha, level,
+                           majorant_n if kind == "majorant" else coset_n)
+               for kind in kinds for alpha in alphas]
     rows = [row for (_, _, _, block) in results for row in block]
     header = ["schema_version", "radix", "kind", "alpha", "n", "sup_ratio",
               "argmax_cell", "resolution"]
@@ -508,8 +516,7 @@ def run_oscillation(cfg: dict) -> int:
     rows = []
     finite = True
     for spec in cfg["functions"]:
-        rng = np.random.default_rng(cfg["seed"])
-        label, f = family_from_spec(ns, spec, rng)
+        label, f = family_from_spec(ns, spec, _rng(cfg))
         prof = oscillation_profile(f)
         for alpha in alphas:
             for k in range(1, prof.resolution + 1):
@@ -532,7 +539,7 @@ def run_oscillation(cfg: dict) -> int:
 
 def run_bench(cfg: dict) -> int:
     out = _out_dir(cfg, "bench")
-    repeats = int(cfg["bench"]["repeats"])
+    repeats = _check_int(cfg["bench"]["repeats"], "bench.repeats", 1)
     report, timings = {}, {}
     failed = False
     for spec in cfg["bench"]["sizes"]:
@@ -540,18 +547,17 @@ def run_bench(cfg: dict) -> int:
         if ns.cell_count > cfg["max_cells"]:
             raise ConfigurationError(
                 f"bench size {ns.cell_count} over max_cells {cfg['max_cells']}")
-        rng = np.random.default_rng(cfg["seed"])
-        f = random_cells(ns, rng)
+        f = random_cells(ns, _rng(cfg))
         label = "-".join(map(str, ns.radix.radices))
         fast = forward(f)
-        naive = forward(f, strategy="naive")
+        naive = oracles.forward(f)
         diff = float(np.max(np.abs(fast.coeffs - naive.coeffs)))
         equal = diff <= 1e-10
         failed |= not equal
         report[label] = {"cells": ns.cell_count, "equal": equal,
                          "max_abs_diff": diff}
         t_fast = sorted(_time_once(forward, f) for _ in range(repeats))
-        t_naive = sorted(_time_once(forward, f, "naive") for _ in range(repeats))
+        t_naive = sorted(_time_once(oracles.forward, f) for _ in range(repeats))
         med_fast, med_naive = t_fast[repeats // 2], t_naive[repeats // 2]
         timings[label] = {"fast_s": med_fast, "naive_s": med_naive,
                           "speedup": med_naive / med_fast}
@@ -564,9 +570,9 @@ def run_bench(cfg: dict) -> int:
     return 1 if failed else 0
 
 
-def _time_once(fn, f, *args) -> float:
+def _time_once(fn, f) -> float:
     t0 = time.perf_counter()
-    fn(f, *args)
+    fn(f)
     return time.perf_counter() - t0
 
 

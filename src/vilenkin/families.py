@@ -66,11 +66,6 @@ def random_cells(ns: NumberSystem, rng: np.random.Generator,
     return StepFunction(ns, r, cells.astype(np.complex128))
 
 
-def from_cells(ns: NumberSystem, values, resolution: int | None = None) -> StepFunction:
-    r = ns.resolution if resolution is None else resolution
-    return StepFunction(ns, r, np.asarray(values, dtype=np.complex128))
-
-
 def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
     """Build (label, StepFunction) from a config fragment."""
     if not isinstance(spec, dict) or "family" not in spec:
@@ -97,8 +92,12 @@ def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
         path = spec.get("path")
         if not path:
             raise ConfigurationError("file spec needs a 'path'")
-        with open(path, "r", encoding="utf-8") as fh:
-            f = load_step(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ConfigurationError(f"cannot read function file {path}: {e}")
+        f = load_step(text)
         if f.ns != ns:
             raise ConfigurationError(f"function in {path} lives on a different group")
         return f"file-{path}", f

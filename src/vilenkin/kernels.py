@@ -18,7 +18,7 @@ from .characters import character_block, root_table, vilenkin_on_cells
 from .errors import DomainError, UsageError
 from .group import NumberSystem, coset_rep_cells, digit_matrix, digits_of, negate_indices, scale_of
 from .oscillation import modulus_of_continuity
-from .transform import StepFunction, convolve, synthesize
+from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
 
 _TABLE_CELL_CAP = 1 << 24
 
@@ -30,59 +30,47 @@ def _extended_digits(ns: NumberSystem, n: int) -> list[int]:
     return list(digits_of(ns, n))
 
 
-def dirichlet(ns: NumberSystem, n: int, strategy: str = "auto",
-              resolution: int | None = None) -> StepFunction:
-    """D_n via "naive" (literal character sum), "closed" (n = M_k only,
-    M_k times the I_k indicator), or "recursive" (digit product form)."""
-    if not 0 <= n <= ns.cell_count:
-        raise UsageError(f"kernel order {n} outside 0..{ns.cell_count}")
-    if n == 0:
-        scale = -1
-    elif n == ns.cell_count:
-        scale = ns.resolution
-    else:
-        scale = scale_of(ns, n)
-    # D_n is constant on I_{scale+1} cells; that is its natural grid.
-    r = min(scale + 1, ns.resolution) if resolution is None else resolution
-    if ns.M[r] < n:
+def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
+    """D_n: M_k times the I_k indicator when n = M_k, the digit product form otherwise."""
+    if n not in ns.M:
+        return dirichlet_product(ns, n, resolution)
+    k = ns.M.index(n)
+    # D_n is constant on I_{k+1} cells; that is its natural grid.
+    r = min(k + 1, ns.resolution) if resolution is None else resolution
+    if r < k:
         raise UsageError(f"resolution {r} cannot carry {n} frequencies")
     cells = ns.cells_at(r)
-    if strategy == "auto":
-        strategy = "closed" if n in ns.M else "recursive"
-    if strategy == "naive":
-        acc = np.zeros(cells, dtype=np.complex128)
-        for k in range(n):
-            acc += vilenkin_on_cells(ns, k, r)
-        return StepFunction(ns, r, acc)
-    if strategy == "closed":
-        if n not in ns.M:
-            raise UsageError(f"closed form needs n = M_k, got {n}")
-        out = np.zeros(cells, dtype=np.complex128)
-        if n == 0:
-            return StepFunction(ns, r, out)
-        out[np.arange(cells) % n == 0] = n
-        return StepFunction(ns, r, out)
-    if strategy == "recursive":
-        if n == ns.cell_count:
-            # No digit expansion at position N; the closed form is exact here.
-            return dirichlet(ns, n, "closed", r)
-        if r <= scale:
-            raise UsageError(f"recursive strategy needs resolution > {scale}")
-        dd = digits_of(ns, n)
-        D = digit_matrix(ns, r)
-        idx = np.arange(cells)
-        acc = np.zeros(cells, dtype=np.complex128)
-        for j, nj in enumerate(dd):
-            if nj == 0:
-                continue
-            m = ns.radix.radices[j]
-            roots = root_table(m)
-            gsum = np.zeros(cells, dtype=np.complex128)
-            for a in range(m - nj, m):
-                gsum += roots[(a * D[:, j]) % m]
-            acc += ns.M[j] * (idx % ns.M[j] == 0) * gsum
-        return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc)
-    raise UsageError(f"unknown Dirichlet strategy {strategy!r}")
+    out = np.zeros(cells, dtype=np.complex128)
+    out[np.arange(cells) % n == 0] = n
+    return StepFunction(ns, r, out)
+
+
+def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
+    """D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a over the digits n_j of n."""
+    if not 0 <= n <= ns.cell_count:
+        raise UsageError(f"kernel order {n} outside 0..{ns.cell_count}")
+    if n == ns.cell_count:
+        # No digit expansion at position N; the closed form is exact here.
+        return dirichlet(ns, n, resolution)
+    scale = scale_of(ns, n) if n else -1
+    r = scale + 1 if resolution is None else resolution
+    if r <= scale:
+        raise UsageError(f"resolution {r} cannot carry the digit product form of D_{n}")
+    cells = ns.cells_at(r)
+    dd = digits_of(ns, n)
+    D = digit_matrix(ns, r)
+    idx = np.arange(cells)
+    acc = np.zeros(cells, dtype=np.complex128)
+    for j, nj in enumerate(dd):
+        if nj == 0:
+            continue
+        m = ns.radix.radices[j]
+        roots = root_table(m)
+        gsum = np.zeros(cells, dtype=np.complex128)
+        for a in range(m - nj, m):
+            gsum += roots[(a * D[:, j]) % m]
+        acc += ns.M[j] * (idx % ns.M[j] == 0) * gsum
+    return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc)
 
 
 def dirichlet_table(ns: NumberSystem, n_max: int, resolution: int | None = None) -> np.ndarray:
@@ -108,8 +96,8 @@ def fejer_kernel(ns: NumberSystem, n: int, resolution: int | None = None) -> Ste
     """(1/n) sum_{k=1}^{n} D_k = sum_{nu<n} (n - nu)/n psi_nu."""
     if not 1 <= n <= ns.cell_count:
         raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
-    weights = (n - np.arange(n)) / n
-    return synthesize(ns, weights, resolution)
+    numerators, denominator = fejer_weights(n)
+    return synthesize(ns, numerators / denominator, resolution)
 
 
 def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
@@ -119,9 +107,8 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
         raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
-    t = binomials.cesaro_table(-alpha, n - 1)
-    weights = t.values[::-1] / t.a(n - 1)
-    return synthesize(ns, weights, resolution)
+    numerators, denominator = cesaro_weights(n, alpha)
+    return synthesize(ns, numerators / denominator, resolution)
 
 
 @dataclass(frozen=True)
@@ -225,7 +212,7 @@ def verify_dirichlet_recursions(ns: NumberSystem, n_max: int | None = None) -> R
                     np.abs(lhs - T[base] + psi * T[j].conj()).max()))
 
     for n in range(1, top + 1):
-        prod = dirichlet(ns, n, "recursive").lift(N)
+        prod = dirichlet_product(ns, n).lift(N)
         res["product_form"] = max(res["product_form"], float(
             np.abs(prod.cells - T[n]).max()))
 

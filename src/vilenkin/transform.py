@@ -2,10 +2,11 @@
 
 A StepFunction holds one complex value per I_r-cell, indexed by the mixed
 radix cell index. The character system is a pure tensor product, so analysis
-and synthesis factor into one small DFT per coordinate; the fast paths below
-run those stages explicitly against the shared root-of-unity tables.
+and synthesis factor into one small DFT per coordinate, run as explicit
+stages against the shared root-of-unity tables. Every mean, and convolution,
+is one spectral multiplier: forward, weight coefficient nu, inverse.
 
-Cesaro mean convention (all three routes implemented and cross-checked):
+Cesaro mean convention (the tests and the routes suite check all three):
 
     sigma_n^{-alpha} f
         = (1/A_{n-1}^{-alpha}) sum_{nu=0}^{n-1} A_{n-1-nu}^{-alpha} fhat(nu) psi_nu
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomials
-from .characters import analysis_matrix, character_block, synthesis_matrix
+from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
 from .group import (
     GroupElement,
@@ -29,8 +30,6 @@ from .group import (
     number_system,
     translate_indices,
 )
-
-_DIRECT_CONVOLUTION_CAP = 4096
 
 
 @dataclass
@@ -65,12 +64,6 @@ class StepFunction:
         """g with g(x) = f(x - t)."""
         idx = translate_indices(self.ns, self.resolution, t)
         return StepFunction(self.ns, self.resolution, self.cells[idx])
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.cells).max())
-
-    def cell_average(self) -> complex:
-        return complex(self.cells.mean())
 
     def _check_compatible(self, other: "StepFunction"):
         if self.ns != other.ns or self.resolution != other.resolution:
@@ -133,26 +126,11 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     return arr.reshape(-1)
 
 
-def forward(f: StepFunction, strategy: str = "fast", stage_order=None) -> CoefficientVector:
-    """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)).
-
-    "fast" runs the per-coordinate stages, O(M_r * sum m_j); "naive" is the
-    literal character sum, O(M_r^2), kept as the oracle.
-    """
-    ns, r = f.ns, f.resolution
-    cells = ns.cells_at(r)
-    if strategy == "fast":
-        coeffs = _staged(f.cells, ns, r, analysis=True, stage_order=stage_order) / cells
-    elif strategy == "naive":
-        coeffs = np.empty(cells, dtype=np.complex128)
-        chunk = max(1, min(cells, (1 << 22) // max(cells, 1)))
-        for start in range(0, cells, chunk):
-            stop = min(cells, start + chunk)
-            block = character_block(ns, start, stop, r)
-            coeffs[start:stop] = block.conj() @ f.cells / cells
-    else:
-        raise UsageError(f"unknown forward strategy {strategy!r}")
-    return CoefficientVector(ns, r, coeffs)
+def forward(f: StepFunction, stage_order=None) -> CoefficientVector:
+    """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)), in O(M_r * sum m_j)."""
+    cells = f.ns.cells_at(f.resolution)
+    coeffs = _staged(f.cells, f.ns, f.resolution, analysis=True, stage_order=stage_order) / cells
+    return CoefficientVector(f.ns, f.resolution, coeffs)
 
 
 def inverse(c: CoefficientVector, stage_order=None) -> StepFunction:
@@ -183,97 +161,59 @@ def synthesize(ns: NumberSystem, weights, resolution: int | None = None) -> Step
     return inverse(CoefficientVector(ns, r, padded))
 
 
+def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFunction:
+    """sum_{nu < len(weights)} fhat(nu) weights[nu] / denominator psi_nu.
+
+    Frequencies at or past len(weights) are dropped. The division follows
+    the product with fhat, so a mean rounds as (fhat w) / A, not fhat (w / A).
+    """
+    c = forward(f)
+    cut = min(len(weights), len(c.coeffs))
+    out = np.zeros_like(c.coeffs)
+    out[:cut] = c.coeffs[:cut] * weights[:cut] / denominator
+    return inverse(CoefficientVector(f.ns, f.resolution, out))
+
+
+def fejer_weights(n: int) -> tuple[np.ndarray, int]:
+    """(n - nu for nu < n, n): the Fejer weight of psi_nu is their quotient."""
+    return n - np.arange(n), n
+
+
+def cesaro_weights(n: int, alpha: float) -> tuple[np.ndarray, float]:
+    """(A_{n-1-nu}^{-alpha} for nu < n, A_{n-1}^{-alpha}): the order -alpha weights."""
+    t = binomials.cesaro_table(-alpha, n - 1)
+    return t.values[::-1], t.a(n - 1)
+
+
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
     """S_n f = sum_{nu < n} fhat(nu) psi_nu; S_0 f = 0."""
     if not 0 <= n <= f.ns.cell_count:
         raise UsageError(f"partial sum order {n} outside 0..{f.ns.cell_count}")
-    c = forward(f)
-    cut = min(n, len(c.coeffs))
-    kept = np.zeros_like(c.coeffs)
-    kept[:cut] = c.coeffs[:cut]
-    return inverse(CoefficientVector(f.ns, f.resolution, kept))
+    return multiplier(f, np.ones(n))
 
 
 def fejer_mean(f: StepFunction, n: int) -> StepFunction:
     """(1/n) sum_{k=1}^{n} S_k f."""
     if not 1 <= n <= f.ns.cell_count:
         raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
-    c = forward(f)
-    out = np.zeros_like(c.coeffs)
-    cut = min(n, len(c.coeffs))
-    nu = np.arange(cut)
-    out[:cut] = c.coeffs[:cut] * (n - nu) / n
-    return inverse(CoefficientVector(f.ns, f.resolution, out))
+    return multiplier(f, *fejer_weights(n))
 
 
-def cesaro_mean(f: StepFunction, n: int, alpha: float, route: str = "coefficients") -> StepFunction:
+def cesaro_mean(f: StepFunction, n: int, alpha: float) -> StepFunction:
     """sigma_n^{-alpha} f for 0 < alpha < 1; see the module docstring for the convention."""
-    ns = f.ns
-    if not 1 <= n <= ns.cell_count:
-        raise UsageError(f"mean order {n} outside 1..{ns.cell_count}")
+    if not 1 <= n <= f.ns.cell_count:
+        raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
-    if route == "coefficients":
-        t = binomials.cesaro_table(-alpha, n - 1)
-        c = forward(f)
-        out = np.zeros_like(c.coeffs)
-        cut = min(n, len(c.coeffs))
-        weights = t.values[n - 1 :: -1][:cut]
-        out[:cut] = c.coeffs[:cut] * weights / t.a(n - 1)
-        return inverse(CoefficientVector(ns, f.resolution, out))
-    if route == "partial_sums":
-        t0 = binomials.cesaro_table(-alpha, n - 1)
-        t1 = binomials.cesaro_table(-alpha - 1, n)
-        c = forward(f)
-        cells = ns.cells_at(f.resolution)
-        running = np.zeros(cells, dtype=np.complex128)  # S_nu f, updated in place
-        acc = np.zeros(cells, dtype=np.complex128)
-        chunk = 64
-        for base in range(0, n, chunk):
-            top = min(n, base + chunk)
-            hi = min(top, cells)
-            block = character_block(ns, base, hi, f.resolution) if base < cells else None
-            for nu in range(base + 1, top + 1):
-                if nu - 1 < cells:
-                    running = running + c.coeffs[nu - 1] * block[nu - 1 - base]
-                acc += t1.a(n - nu) * running
-        return StepFunction(ns, f.resolution, acc / t0.a(n - 1))
-    if route == "convolution":
-        from .kernels import cesaro_kernel
-
-        kernel = cesaro_kernel(ns, n, alpha, resolution=f.resolution)
-        return convolve(f, kernel, strategy="fast")
-    raise UsageError(f"unknown route {route!r}")
+    return multiplier(f, *cesaro_weights(n, alpha))
 
 
-def convolve(f: StepFunction, g: StepFunction, strategy: str = "auto") -> StepFunction:
+def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
     """(f * g)(x) = integral of f(x - t) g(t) over the normalized Haar measure."""
     if f.ns != g.ns:
         raise ValidationError("operands live on different groups")
     r = max(f.resolution, g.resolution)
-    ff, gg = f.lift(r), g.lift(r)
-    if strategy == "auto":
-        strategy = "fast"
-    if strategy == "fast":
-        cf, cg = forward(ff), forward(gg)
-        return inverse(CoefficientVector(f.ns, r, cf.coeffs * cg.coeffs))
-    if strategy == "direct":
-        cells = f.ns.cells_at(r)
-        if cells > _DIRECT_CONVOLUTION_CAP:
-            raise UsageError(f"direct convolution capped at {_DIRECT_CONVOLUTION_CAP} cells")
-        from .group import digit_matrix
-
-        D = digit_matrix(f.ns, r)
-        ms = np.array(f.ns.radix.radices[:r], dtype=np.int64)
-        weights = np.array(f.ns.M[:r], dtype=np.int64)
-        acc = np.zeros(cells, dtype=np.complex128)
-        for t in range(cells):
-            if gg.cells[t] == 0:
-                continue
-            idx = ((D - D[t]) % ms) @ weights
-            acc += gg.cells[t] * ff.cells[idx]
-        return StepFunction(f.ns, r, acc / cells)
-    raise UsageError(f"unknown convolution strategy {strategy!r}")
+    return multiplier(f.lift(r), forward(g.lift(r)).coeffs)
 
 
 def sup_distance(f: StepFunction, g: StepFunction) -> float:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -244,3 +246,46 @@ def test_n_schedule_kinds(small_cfg):
     from vilenkin.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         cli.n_schedule(ns, {"kind": "list", "values": [99]})
+
+
+def test_converge_on_a_length_one_radix(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radix": [4]}), encoding="utf-8")
+    rc = run(["converge", "--config", str(cfg), "--out", str(tmp_path / "c")])
+    assert rc == 0
+    rows = (tmp_path / "c" / "converge.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for row in rows:
+        _, _, _, _, err, partial, cond, _ = row.split(",")
+        assert np.isfinite([float(err), float(partial), float(cond)]).all()
+        # one digit leaves no scale 1 <= k < N: the condition is the empty sum
+        assert float(cond) == 0.0
+
+
+MALFORMED = {
+    "alpha_not_a_number": ("converge", {"alphas": ["x"]}),
+    "seed_not_an_integer": ("converge", {"seed": "abc"}),
+    "trailing_points_string": ("converge", {"thresholds": {"trailing_points": "4"}}),
+    "missing_function_file": ("converge", {"functions": [{"family": "file",
+                                                          "path": "no/such/file.json"}]}),
+    "zero_bench_repeats": ("bench", {"bench": {"sizes": [{"constant": 2, "length": 3}],
+                                               "repeats": 0}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(tmp_path, name):
+    command, body = MALFORMED[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radix": {"constant": 2, "length": 3}, **body}),
+                   encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vilenkin.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vilenkin as vk
-from vilenkin import binomials, families, kernels, transform
+from vilenkin import binomials, families, kernels, oracles, transform
 from vilenkin.errors import DomainError, UsageError
 
 
@@ -57,8 +57,8 @@ def test_recursion_report(ns):
 
 def test_dirichlet_strategies_agree(ns):
     for n in range(ns.cell_count + 1):
-        a = kernels.dirichlet(ns, n, strategy="recursive", resolution=ns.resolution)
-        b = kernels.dirichlet(ns, n, strategy="naive", resolution=ns.resolution)
+        a = kernels.dirichlet_product(ns, n, resolution=ns.resolution)
+        b = oracles.dirichlet(ns, n, ns.resolution)
         assert np.max(np.abs(a.cells - b.cells)) < 1e-11
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import families, transform
+from vilenkin import families, kernels, oracles, transform
 from vilenkin.errors import UsageError, ValidationError
 from vilenkin.transform import (StepFunction, dump_coeffs, dump_step, forward,
                                 inverse, load_coeffs, load_step, partial_sum,
@@ -18,7 +18,7 @@ def random_f(ns, rng, real=False):
 def test_fast_matches_naive(ns, rng):
     f = random_f(ns, rng)
     fast = forward(f)
-    naive = forward(f, strategy="naive")
+    naive = oracles.forward(f)
     assert np.max(np.abs(fast.coeffs - naive.coeffs)) < 1e-12
 
 
@@ -97,9 +97,9 @@ def test_cesaro_routes_agree(ns, rng):
     f = random_f(ns, rng)
     for alpha in (0.25, 0.5, 0.75):
         for n in (1, 2, 3, ns.M[1], ns.M[2] + 1, ns.cell_count):
-            a = transform.cesaro_mean(f, n, alpha, route="coefficients")
-            b = transform.cesaro_mean(f, n, alpha, route="partial_sums")
-            c = transform.cesaro_mean(f, n, alpha, route="convolution")
+            a = transform.cesaro_mean(f, n, alpha)
+            b = oracles.cesaro_mean_partial_sums(f, n, alpha)
+            c = transform.convolve(f, kernels.cesaro_kernel(ns, n, alpha, resolution=f.resolution))
             assert sup_distance(a, b) < 1e-9 * n
             assert sup_distance(a, c) < 1e-9 * n
 
@@ -121,8 +121,8 @@ def test_convolution_theorem(ns, rng):
 
 def test_convolve_direct_matches_fast(ns, rng):
     f, g = random_f(ns, rng), random_f(ns, rng)
-    fast = transform.convolve(f, g, strategy="fast")
-    direct = transform.convolve(f, g, strategy="direct")
+    fast = transform.convolve(f, g)
+    direct = oracles.convolve(f, g)
     assert sup_distance(fast, direct) < 1e-12
 
 
