@@ -23,13 +23,13 @@ import numpy as np
 from . import __version__
 from . import binomials, kernels, oracles, oscillation, transform
 from .characters import character_block, character_shift_residual, unity_gap_residual
-from .errors import ConfigurationError, VilenkinError
+from .errors import ConfigurationError, VilenkinError, config_value
 from .families import family_from_spec, random_cells
 from .group import (NumberSystem, add, build_number_system, coset_key_table,
-                    digit_matrix, element_of, neg, negate_indices,
-                    radix_from_spec, scale_of, translate_indices, zero)
+                    digit_matrix, element_of, neg, radix_from_spec, scale_of,
+                    sub, zero)
 from .oscillation import difference_condition, oscillation_profile
-from .transform import forward, inverse, sup_distance
+from .transform import StepFunction, forward, inverse, sup_distance
 
 SCHEMA_VERSION = 1
 
@@ -94,8 +94,8 @@ def merge_config(args: argparse.Namespace) -> dict:
     file_cfg = load_config(getattr(args, "config", None)
                            or os.environ.get(_ENV_PREFIX + "CONFIG"))
     for key, val in file_cfg.items():
-        if key in _MERGE_KEYS and isinstance(val, dict):
-            cfg[key].update(val)
+        if key in _MERGE_KEYS:
+            cfg[key].update(config_value(val, dict, key))
         else:
             cfg[key] = val
     cfg.update(_env_overrides())
@@ -110,31 +110,22 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 def resolve_ns(cfg: dict) -> NumberSystem:
     ns = build_number_system(radix_from_spec(cfg["radix"]))
-    if ns.cell_count > cfg["max_cells"]:
+    if ns.cell_count > config_value(cfg["max_cells"], int, "max_cells", 1):
         raise ConfigurationError(
             f"group has {ns.cell_count} cells, over the max_cells cap {cfg['max_cells']}")
     return ns
 
 
 def _check_alphas(alphas) -> list[float]:
-    try:
-        out = [float(a) for a in alphas]
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"alphas {alphas!r} must be a list of numbers")
+    out = [config_value(a, float, "alphas") for a in config_value(alphas, list, "alphas")]
     for a in out:
         if not 0.0 < a < 1.0:
             raise ConfigurationError(f"alpha={a} outside (0, 1)")
     return out
 
 
-def _check_int(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigurationError(f"{name}={value!r} is not an integer >= {minimum}")
-    return value
-
-
 def _rng(cfg: dict) -> np.random.Generator:
-    return np.random.default_rng(_check_int(cfg["seed"], "seed", 0))
+    return np.random.default_rng(config_value(cfg["seed"], int, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +163,23 @@ def write_run_meta(out_dir: str, cfg: dict, command: str) -> None:
 
 
 def _out_dir(cfg: dict, command: str) -> str:
-    out = cfg["out"] or os.path.join("runs", command)
+    out = config_value(cfg["out"] or os.path.join("runs", command), str, "out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def n_schedule(ns: NumberSystem, spec: dict) -> list[int]:
     """Order schedule: scale points by default, plus near-scale offsets."""
-    kind = spec.get("kind", "scales_and_neighbors")
+    kind = config_value(spec, dict, "n_schedule").get("kind", "scales_and_neighbors")
     top = ns.cell_count
     if kind == "list":
-        values = [int(n) for n in spec.get("values", [])]
+        values = [config_value(n, int, "n_schedule.values")
+                  for n in config_value(spec.get("values", []), list, "n_schedule.values")]
         if not values:
             raise ConfigurationError("n_schedule list needs 'values'")
     elif kind == "dense":
-        start = int(spec.get("start", 1))
-        stop = int(spec.get("stop", top))
+        start = config_value(spec.get("start", 1), int, "n_schedule.start")
+        stop = config_value(spec.get("stop", top), int, "n_schedule.stop")
         values = list(range(start, stop + 1))
     elif kind == "scales":
         values = [ns.M[k] for k in range(1, ns.resolution + 1)]
@@ -218,22 +210,24 @@ def _suite_group(ns: NumberSystem, rng: np.random.Generator) -> dict:
     D = digit_matrix(ns, r)
     weights = np.array([ns.M[j] for j in range(r)], dtype=np.int64)
     failures += int(not np.array_equal(D @ weights, np.arange(cells)))
-    # x -> x + t then x -> x - t is the identity permutation for every t
-    idx = np.arange(cells)
+    # translating the index function by t and then by -t is the identity for every t
+    index = StepFunction(ns, r, np.arange(cells))
     for t_idx in range(cells):
         t = element_of(ns, t_idx)
-        back = translate_indices(ns, r, t)
-        fwd = translate_indices(ns, r, neg(t))
-        failures += int(not np.array_equal(fwd[back], idx))
-    inv = negate_indices(ns, r)
-    failures += int(not np.array_equal(inv[inv], idx))
-    # sampled triples through the element API: associativity, commutativity
+        back = index.translate(t).translate(neg(t))
+        failures += int(not np.array_equal(back.cells, index.cells))
+    failures += int(not np.array_equal(index.reflect().reflect().cells, index.cells))
+    # sampled triples through the element API: associativity, commutativity,
+    # and the digit-axis actions against element arithmetic
+    reflected = index.reflect().cells
     sample = rng.integers(0, cells, size=(64, 3))
     for i, j, k in sample:
         x, y, z = (element_of(ns, int(v)) for v in (i, j, k))
         failures += int(add(add(x, y), z) != add(x, add(y, z)))
         failures += int(add(x, y) != add(y, x))
         failures += int(add(x, neg(x)) != zero(ns))
+        failures += int(index.translate(y).cells[i] != sub(x, y).cell_index(r))
+        failures += int(reflected[i] != neg(x).cell_index(r))
     # cosets at every level partition the cells evenly
     for k in range(r + 1):
         counts = np.bincount(coset_key_table(ns, r, k), minlength=ns.M[k])
@@ -277,19 +271,15 @@ def _suite_binomials(ns: NumberSystem, rng: np.random.Generator) -> dict:
 
 def _suite_dirichlet(ns: NumberSystem, rng: np.random.Generator) -> dict:
     rep = kernels.verify_dirichlet_recursions(ns)
-    T = kernels.dirichlet_table(ns, ns.cell_count)
-    means = T[1:].mean(axis=1)
-    mean_res = float(np.max(np.abs(means - 1.0)))
     support = 0.0
     idx = np.arange(ns.cells_at(ns.resolution))
     for k in range(ns.resolution + 1):
         d = kernels.dirichlet(ns, ns.M[k], resolution=ns.resolution)
         exact = ns.M[k] * (idx % ns.M[k] == 0)
         support = max(support, float(np.max(np.abs(d.cells - exact))))
-    worst = max(rep.max_residual, mean_res, support)
-    passed = rep.max_residual <= 1e-9 and mean_res <= 1e-10 and support == 0.0
-    details = dict(rep.residuals)
-    details.update({"mean": mean_res, "scale_support": support})
+    worst = max(rep.max_residual, support)
+    passed = rep.max_residual <= 1e-9 and rep.residuals["mean"] <= 1e-10 and support == 0.0
+    details = dict(rep.residuals, scale_support=support)
     return {"passed": passed, "max_residual": worst, "details": details}
 
 
@@ -355,7 +345,7 @@ SUITES = {
 
 def run_verify(cfg: dict) -> int:
     ns = resolve_ns(cfg)
-    names = cfg["suites"] or list(SUITES)
+    names = config_value(cfg["suites"] or list(SUITES), list, "suites")
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ConfigurationError(f"unknown suites {unknown}; have {list(SUITES)}")
@@ -422,10 +412,11 @@ def run_converge(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     alphas = _check_alphas(cfg["alphas"])
     values = n_schedule(ns, cfg["n_schedule"])
-    _check_int(cfg["thresholds"]["trailing_points"], "thresholds.trailing_points", 2)
+    config_value(cfg["thresholds"]["trailing_points"], int, "thresholds.trailing_points", 2)
+    config_value(cfg["thresholds"]["final_over_first"], float, "thresholds.final_over_first")
     out = _out_dir(cfg, "converge")
     rows = []
-    for spec in cfg["functions"]:
+    for spec in config_value(cfg["functions"], list, "functions"):
         label, f = family_from_spec(ns, spec, _rng(cfg))
         for alpha in alphas:
             rows += _converge_group(ns, label, f, alpha, values, cfg["thresholds"])
@@ -457,18 +448,18 @@ def run_kernel_scan(cfg: dict) -> int:
     ns = resolve_ns(cfg)
     alphas = _check_alphas(cfg["alphas"])
     sub = cfg["kernel_scan"]
-    kinds = sub["kinds"]
+    kinds = config_value(sub["kinds"], list, "kernel_scan.kinds")
     for kind in kinds:
         if kind not in ("majorant", "coset_decay"):
             raise ConfigurationError(f"unknown scan kind {kind!r}")
-    level = sub["level"] if sub["level"] is not None else ns.resolution - 1
+    level = (ns.resolution - 1 if sub["level"] is None
+             else config_value(sub["level"], int, "kernel_scan.level"))
     if not 1 <= level <= ns.resolution:
         raise ConfigurationError(f"scan level {level} outside 1..{ns.resolution}")
-    majorant_n = ([int(n) for n in sub["n"]] if sub["n"]
-                  else n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1])
-    majorant_n = sorted(set(majorant_n))
-    coset_n = ([int(n) for n in sub["n"]] if sub["n"]
-               else list(range(ns.M[level - 1], ns.M[level] + 1)))
+    given_n = [config_value(n, int, "kernel_scan.n")
+               for n in config_value(sub["n"] or [], list, "kernel_scan.n")]
+    majorant_n = sorted(set(given_n or n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]))
+    coset_n = given_n or list(range(ns.M[level - 1], ns.M[level] + 1))
     out = _out_dir(cfg, "kernel-scan")
     results = [_scan_group(ns, kind, alpha, level,
                            majorant_n if kind == "majorant" else coset_n)
@@ -478,7 +469,8 @@ def run_kernel_scan(cfg: dict) -> int:
               "argmax_cell", "resolution"]
     write_csv(os.path.join(out, "kernel_scan.csv"), header, rows)
 
-    factor = cfg["thresholds"]["stability_factor"]
+    factor = config_value(cfg["thresholds"]["stability_factor"], float,
+                          "thresholds.stability_factor")
     summary, stable_all, finite_all = {}, True, True
     for kind, alpha, records, _ in results:
         ratios = [r.sup_ratio for r in records]
@@ -515,7 +507,7 @@ def run_oscillation(cfg: dict) -> int:
     out = _out_dir(cfg, "oscillation")
     rows = []
     finite = True
-    for spec in cfg["functions"]:
+    for spec in config_value(cfg["functions"], list, "functions"):
         label, f = family_from_spec(ns, spec, _rng(cfg))
         prof = oscillation_profile(f)
         for alpha in alphas:
@@ -539,12 +531,12 @@ def run_oscillation(cfg: dict) -> int:
 
 def run_bench(cfg: dict) -> int:
     out = _out_dir(cfg, "bench")
-    repeats = _check_int(cfg["bench"]["repeats"], "bench.repeats", 1)
+    repeats = config_value(cfg["bench"]["repeats"], int, "bench.repeats", 1)
     report, timings = {}, {}
     failed = False
-    for spec in cfg["bench"]["sizes"]:
+    for spec in config_value(cfg["bench"]["sizes"], list, "bench.sizes"):
         ns = build_number_system(radix_from_spec(spec))
-        if ns.cell_count > cfg["max_cells"]:
+        if ns.cell_count > config_value(cfg["max_cells"], int, "max_cells", 1):
             raise ConfigurationError(
                 f"bench size {ns.cell_count} over max_cells {cfg['max_cells']}")
         f = random_cells(ns, _rng(cfg))

@@ -24,3 +24,21 @@ class DomainError(VilenkinError):
 
 class UsageError(VilenkinError):
     """Operation called with arguments outside its admissible range."""
+
+
+_CONFIG_TYPES = {int: ("an integer", int), float: ("a number", (int, float)),
+                 str: ("a string", str), list: ("a list", list), dict: ("an object", dict)}
+
+
+def config_value(value, kind: type, name: str, minimum=None):
+    """value converted to kind, the JSON type docs/config-schema.json gives the key.
+
+    Raises ConfigurationError naming the key when the value has another type
+    (a boolean is not a number) or lies below minimum.
+    """
+    what, accepted = _CONFIG_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted) \
+            or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{name}={value!r} is not {what}{bound}")
+    return kind(value)

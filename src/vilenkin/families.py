@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
-from .group import NumberSystem, coset_key_table, digit_matrix
+from .errors import ConfigurationError, UsageError, config_value
+from .group import NumberSystem, coset_rep_cells, digit_matrix
 from .characters import root_table
 from .transform import StepFunction, load_step
 
@@ -32,14 +32,15 @@ def inverse_scale_coeffs(ns: NumberSystem) -> np.ndarray:
 
 def digit_indicator(ns: NumberSystem, level: int, coset: int = 0,
                     resolution: int | None = None) -> StepFunction:
-    """Indicator of the coset Z_coset^(level) + I_level."""
+    """Indicator of the coset Z_coset^(level) + I_level: the cells of one residue mod M_level."""
     r = ns.resolution if resolution is None else resolution
     if not 0 <= level <= r:
         raise UsageError(f"level {level} outside 0..{r}")
     if not 0 <= coset < ns.M[level]:
         raise UsageError(f"coset {coset} outside 0..{ns.M[level] - 1}")
-    key = coset_key_table(ns, r, level)
-    return StepFunction(ns, r, (key == coset).astype(np.complex128))
+    residue = coset_rep_cells(ns, level, r)[coset]
+    cells = np.arange(ns.cells_at(r)) % ns.M[level] == residue
+    return StepFunction(ns, r, cells.astype(np.complex128))
 
 
 def random_lipschitz(ns: NumberSystem, rng: np.random.Generator, bound: float = 1.0,
@@ -76,28 +77,32 @@ def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
             coeffs = inverse_scale_coeffs(ns)
             label = "lacunary-inverse_scale"
         else:
-            coeffs = [float(c) for c in spec.get("coeffs", [])]
+            coeffs = [config_value(c, float, "coeffs")
+                      for c in config_value(spec.get("coeffs", []), list, "coeffs")]
             if not coeffs:
                 raise ConfigurationError("lacunary spec needs 'coeffs' or decay='inverse_scale'")
             label = "lacunary-" + ",".join(repr(c) for c in coeffs)
         return label, lacunary(ns, coeffs)
     if name == "digit_indicator":
-        level = int(spec.get("level", 1))
-        coset = int(spec.get("coset", 0))
+        level = config_value(spec.get("level", 1), int, "level")
+        coset = config_value(spec.get("coset", 0), int, "coset")
         return f"digit_indicator-{level}-{coset}", digit_indicator(ns, level, coset)
     if name == "random_lipschitz":
-        bound = float(spec.get("bound", 1.0))
+        bound = config_value(spec.get("bound", 1.0), float, "bound", 0)
         return f"random_lipschitz-{bound!r}", random_lipschitz(ns, rng, bound)
     if name == "file":
         path = spec.get("path")
         if not path:
             raise ConfigurationError("file spec needs a 'path'")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(config_value(path, str, "path"), "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise ConfigurationError(f"cannot read function file {path}: {e}")
-        f = load_step(text)
+        try:
+            f = load_step(text)
+        except (ValueError, KeyError, TypeError) as e:
+            raise ConfigurationError(f"function file {path} is not a step function: {e!r}")
         if f.ns != ns:
             raise ConfigurationError(f"function in {path} lives on a different group")
         return f"file-{path}", f

@@ -5,7 +5,10 @@ coordinatewise addition mod m_k. Indices n < M_N and group elements are
 identified with their mixed-radix digit vectors through the number system
 M_0 = 1, M_{k+1} = m_k * M_k. Everything downstream (characters, kernels,
 transforms) works on flat cell indices; this module owns the digit/index
-plumbing and the coset representative map.
+plumbing and the coset representative map. The cell index sum_j x_j M_j
+makes the cosets of I_k the residues mod M_k, and coset_rep_cells gives the
+residue of each Z_beta^(k); translation and reflection of step functions
+act on the digit tensor in transform.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError
+from .errors import ConfigurationError, UsageError, ValidationError, config_value
 
 # Cell counts must stay addressable as signed 64-bit indices.
 _INDEX_LIMIT = 2**62
@@ -52,19 +55,21 @@ def radix_from_spec(spec) -> RadixSequence:
     (pattern cycled to total length N).
     """
     if isinstance(spec, (list, tuple)):
-        return RadixSequence(tuple(int(m) for m in spec))
+        return RadixSequence(tuple(config_value(m, int, "radix") for m in spec))
     if not isinstance(spec, dict):
         raise ConfigurationError(f"radix spec {spec!r} is not a list or mapping")
     if "list" in spec:
-        return RadixSequence(tuple(int(m) for m in spec["list"]))
+        return RadixSequence(tuple(config_value(m, int, "radix.list")
+                                   for m in config_value(spec["list"], list, "radix.list")))
     if "constant" in spec:
-        n = int(spec.get("length", 0))
+        n = config_value(spec.get("length", 0), int, "radix.length")
         if n < 1:
             raise ConfigurationError("constant radix spec needs length >= 1")
-        return RadixSequence((int(spec["constant"]),) * n)
+        return RadixSequence((config_value(spec["constant"], int, "radix.constant"),) * n)
     if "pattern" in spec:
-        pat = [int(m) for m in spec["pattern"]]
-        n = int(spec.get("length", 0))
+        pat = [config_value(m, int, "radix.pattern")
+               for m in config_value(spec["pattern"], list, "radix.pattern")]
+        n = config_value(spec.get("length", 0), int, "radix.length")
         if not pat or n < 1:
             raise ConfigurationError("pattern radix spec needs a nonempty pattern and length >= 1")
         return RadixSequence(tuple(pat[k % len(pat)] for k in range(n)))
@@ -279,21 +284,3 @@ def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
     key = D[:, :k] @ w
     key.setflags(write=False)
     return key
-
-
-def translate_indices(ns: NumberSystem, resolution: int, t: GroupElement) -> np.ndarray:
-    """Index permutation i -> index(x_i - t) at the given resolution."""
-    D = digit_matrix(ns, resolution)
-    ms = np.array(ns.radix.radices[:resolution], dtype=np.int64)
-    td = np.array(t.digits[:resolution], dtype=np.int64)
-    shifted = (D - td) % ms
-    weights = np.array(ns.M[:resolution], dtype=np.int64)
-    return shifted @ weights
-
-
-def negate_indices(ns: NumberSystem, resolution: int) -> np.ndarray:
-    """Index permutation i -> index(-x_i) at the given resolution."""
-    D = digit_matrix(ns, resolution)
-    ms = np.array(ns.radix.radices[:resolution], dtype=np.int64)
-    weights = np.array(ns.M[:resolution], dtype=np.int64)
-    return ((-D) % ms) @ weights

@@ -16,7 +16,7 @@ import numpy as np
 from . import binomials
 from .characters import character_block, root_table, vilenkin_on_cells
 from .errors import DomainError, UsageError
-from .group import NumberSystem, coset_rep_cells, digit_matrix, digits_of, negate_indices, scale_of
+from .group import NumberSystem, coset_rep_cells, digit_matrix, digits_of, scale_of
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
 
@@ -73,19 +73,18 @@ def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -
     return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc)
 
 
-def dirichlet_table(ns: NumberSystem, n_max: int, resolution: int | None = None) -> np.ndarray:
-    """Rows D_0 .. D_{n_max} on every cell, built as cumulative character sums."""
+def dirichlet_table(ns: NumberSystem, n_max: int) -> np.ndarray:
+    """Rows D_0 .. D_{n_max} on every full-resolution cell, built as cumulative character sums."""
     if not 0 <= n_max <= ns.cell_count:
         raise UsageError(f"table top {n_max} outside 0..{ns.cell_count}")
-    r = ns.resolution if resolution is None else resolution
-    cells = ns.cells_at(r)
+    cells = ns.cell_count
     if (n_max + 1) * cells > _TABLE_CELL_CAP:
         raise UsageError(f"table of {(n_max + 1) * cells} entries exceeds the cap")
     out = np.zeros((n_max + 1, cells), dtype=np.complex128)
     chunk = max(1, min(n_max, (1 << 20) // max(cells, 1)))
     for start in range(0, n_max, chunk):
         stop = min(n_max, start + chunk)
-        block = character_block(ns, start, stop, r)
+        block = character_block(ns, start, stop, ns.resolution)
         out[start + 1 : stop + 1] = np.cumsum(block, axis=0)
         if start > 0:
             out[start + 1 : stop + 1] += out[start]
@@ -115,7 +114,6 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
 class RecursionReport:
     """Max residual per Dirichlet identity over its admissible parameter range."""
 
-    n_max: int
     residuals: dict
 
     @property
@@ -123,11 +121,11 @@ class RecursionReport:
         return max(self.residuals.values())
 
 
-def verify_dirichlet_recursions(ns: NumberSystem, n_max: int | None = None) -> RecursionReport:
+def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     """Exhaustive residual scan of the Dirichlet kernel identities.
 
     Checked on every cell at full resolution, for every admissible parameter
-    tuple with kernel order at most n_max:
+    tuple with kernel order at most M_N:
 
     - scale_indicator: D_{M_k} = M_k 1_{I_k}
     - mean: cell average of D_n is 1 for n >= 1
@@ -142,11 +140,8 @@ def verify_dirichlet_recursions(ns: NumberSystem, n_max: int | None = None) -> R
     - product_form: D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a
     """
     N = ns.resolution
-    top = ns.cell_count if n_max is None else n_max
-    if not 1 <= top <= ns.cell_count:
-        raise UsageError(f"n_max {top} outside 1..{ns.cell_count}")
-    T = dirichlet_table(ns, top)
     cells = ns.cell_count
+    T = dirichlet_table(ns, cells)
     D = digit_matrix(ns, N)
     idx = np.arange(cells)
     # r_k^a on every cell, per coordinate
@@ -161,40 +156,31 @@ def verify_dirichlet_recursions(ns: NumberSystem, n_max: int | None = None) -> R
         "block_geometric", "reflection", "product_form")}
 
     for k in range(N + 1):
-        if ns.M[k] > top:
-            break
         ref = np.where(idx % ns.M[k] == 0, ns.M[k], 0).astype(np.complex128)
         res["scale_indicator"] = max(res["scale_indicator"],
                                      float(np.abs(T[ns.M[k]] - ref).max()))
 
-    means = T[1 : top + 1].mean(axis=1)
+    means = T[1:].mean(axis=1)
     res["mean"] = float(np.abs(means - 1.0).max())
 
     for k in range(N):
         m = ns.radix.radices[k]
         Mk = ns.M[k]
-        if Mk > top:
-            break
         geo = np.cumsum(powers[k][:m], axis=0)  # geo[q] = sum_{a<=q} r_k^a
         for nk in range(1, m):
             base = nk * Mk
-            if base > top:
-                break
             gs = geo[nk - 1]
-            for rest in range(0, min(Mk, top - base + 1)):
+            for rest in range(Mk):
                 lhs = T[base + rest]
                 res["digit_split"] = max(res["digit_split"], float(
                     np.abs(lhs - gs * T[Mk] - powers[k][nk] * T[rest]).max()))
-            for j in range(0, min(Mk, top - base) + 1):
+            for j in range(Mk + 1):
                 lhs = T[base + j]
                 res["block_shift"] = max(res["block_shift"], float(
                     np.abs(lhs - T[base] - powers[k][nk] * T[j]).max()))
         for rr in range(1, m + 1):
             base = rr * Mk
-            if base > top:
-                break
-            j_top = 1 if rr == m else min(Mk, top - base + 1)
-            for j in range(j_top):
+            for j in range(1 if rr == m else Mk):
                 lhs = T[base + j]
                 res["block_geometric"] = max(res["block_geometric"], float(
                     np.abs(lhs - geo[rr - 1] * T[Mk] - powers[k][rr] * T[j]).max()))
@@ -203,24 +189,22 @@ def verify_dirichlet_recursions(ns: NumberSystem, n_max: int | None = None) -> R
         m = ns.radix.radices[s]
         for n_s in range(1, m):
             base = n_s * ns.M[s]
-            if base > top:
-                break
             psi = vilenkin_on_cells(ns, base - 1, N)
             for j in range(base + 1):
                 lhs = T[base - j]
                 res["reflection"] = max(res["reflection"], float(
                     np.abs(lhs - T[base] + psi * T[j].conj()).max()))
 
-    for n in range(1, top + 1):
+    for n in range(1, cells + 1):
         prod = dirichlet_product(ns, n).lift(N)
         res["product_form"] = max(res["product_form"], float(
             np.abs(prod.cells - T[n]).max()))
 
-    return RecursionReport(n_max=top, residuals=res)
+    return RecursionReport(residuals=res)
 
 
 def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
-                                 table: np.ndarray | None = None) -> float:
+                                 table: np.ndarray) -> float:
     """Residual of the digit-block expansion of sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j.
 
     The left side drives the order -alpha kernel (it equals
@@ -231,17 +215,17 @@ def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
             - psi_{n_k M_k - 1} sum_{j<n_k M_k} A_{n^(k-1)+j}^{-alpha-1} conj(D_j) ].
 
     Zero digits contribute nothing and are skipped, so psi_{-1} never arises.
+    table holds at least the rows D_0 .. D_n of dirichlet_table.
     """
     if not 1 <= n <= ns.cell_count:
         raise UsageError(f"order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
-    T = dirichlet_table(ns, n) if table is None else table
-    cells = T.shape[1]
+    cells = table.shape[1]
     t0 = binomials.cesaro_table(-alpha, n - 1)
     t1 = binomials.cesaro_table(-alpha - 1, n - 1)
 
-    lhs = np.tensordot(t1.values[:n][::-1], T[1 : n + 1], axes=(0, 0))
+    lhs = np.tensordot(t1.values[:n][::-1], table[1 : n + 1], axes=(0, 0))
 
     dd = _extended_digits(ns, n)
     rhs = np.zeros(cells, dtype=np.complex128)
@@ -253,9 +237,9 @@ def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
             continue
         base = nk * ns.M[k]
         trunc_below = trunc - base  # n^(k-1)
-        block = T[base] * t0.a(trunc - 1)
+        block = table[base] * t0.a(trunc - 1)
         inner = np.tensordot(t1.values[trunc_below : trunc_below + base],
-                             T[:base].conj(), axes=(0, 0))
+                             table[:base].conj(), axes=(0, 0))
         block = block - vilenkin_on_cells(ns, base - 1, ns.resolution) * inner
         rhs += suffix * block
         if k < ns.resolution:
@@ -379,8 +363,7 @@ def low_block_ratio(f: StepFunction, n: int, k: int, alpha: float) -> float:
     t0 = binomials.cesaro_table(-alpha, n)
     weights = t0.values[n : n - ns.M[k - 1] : -1]  # A_{n-nu}, nu = 0..M_{k-1}-1
     h = synthesize(ns, weights, f.resolution)
-    reflected = StepFunction(ns, f.resolution, h.cells[negate_indices(ns, f.resolution)])
-    correlated = convolve(f, reflected)  # avg_u h(u) f(x+u)
+    correlated = convolve(f, h.reflect())  # avg_u h(u) f(x+u)
     g = correlated.cells - f.cells * t0.a(n)
     lhs = float(np.abs(g).max()) / abs(t0.a(n))
     omega = modulus_of_continuity(f, k)

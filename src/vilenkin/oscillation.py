@@ -3,6 +3,11 @@
 omega_beta(k) is the value diameter of f over the beta-th coset of I_k;
 omega(f, 1/M_k) = max_beta omega_beta(k) is the modulus of continuity,
 O(f, M_k) sums beta >= 1, nu(M_k, f) sums every coset including beta = 0.
+
+The cosets of I_k are the residues of the cell index mod M_k, so the cells
+reshaped to (M_r/M_k, M_k) and transposed hold one coset per row, with
+Z_beta^(k) + I_k in row coset_rep_cells(ns, k, r)[beta]. Row 0 is beta = 0,
+and every reduction over the rows is a max or an fsum, which ignore order.
 """
 
 from __future__ import annotations
@@ -13,20 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError, ValidationError
-from .group import basis_element, coset_key_table, coset_rep_cells
+from .group import basis_element, coset_rep_cells
 from .transform import StepFunction, convolve
 
 _IMAG_TOL = 1e-13
 
 
 def _coset_values(f: StepFunction, k: int) -> np.ndarray:
-    """(M_k, M_r/M_k) array: row beta holds f on the beta-th coset of I_k."""
-    ns, r = f.ns, f.resolution
-    if not 0 <= k <= r:
-        raise UsageError(f"scale {k} outside 0..{r}")
-    key = coset_key_table(ns, r, k)
-    order = np.argsort(key, kind="stable")
-    return f.cells[order].reshape(ns.M[k], ns.cells_at(r) // ns.M[k])
+    """(M_k, M_r/M_k) view: row c holds f on the coset whose low k digits index c."""
+    if not 0 <= k <= f.resolution:
+        raise UsageError(f"scale {k} outside 0..{f.resolution}")
+    return f.cells.reshape(-1, f.ns.M[k]).T
 
 
 def _row_diameters(rows: np.ndarray) -> np.ndarray:
@@ -40,14 +42,11 @@ def _row_diameters(rows: np.ndarray) -> np.ndarray:
 
 def coset_oscillation(f: StepFunction, k: int, beta: int) -> float:
     """omega_beta(k): diameter of f over the coset Z_beta^(k) + I_k."""
-    ns = f.ns
-    if not 0 <= k <= f.resolution:
-        raise UsageError(f"scale {k} outside 0..{f.resolution}")
-    if not 0 <= beta < ns.M[k]:
-        raise UsageError(f"coset index {beta} outside 0..{ns.M[k] - 1}")
-    key = coset_key_table(ns, f.resolution, k)
-    vals = f.cells[key == beta]
-    return float(_row_diameters(vals[None, :])[0])
+    rows = _coset_values(f, k)
+    if not 0 <= beta < f.ns.M[k]:
+        raise UsageError(f"coset index {beta} outside 0..{f.ns.M[k] - 1}")
+    row = coset_rep_cells(f.ns, k, f.resolution)[beta]
+    return float(_row_diameters(rows[row : row + 1])[0])
 
 
 def modulus_of_continuity(f: StepFunction, k: int) -> float:
@@ -196,29 +195,27 @@ class SeriesReport:
         return float(self.partials[-1]) if len(self.partials) else 0.0
 
 
-def oscillation_series(f: StepFunction, alpha: float, k_max: int | None = None) -> SeriesReport:
-    """Terms nu(M_k, f) / M_k^{1-alpha} for k = 1..k_max."""
+def oscillation_series(f: StepFunction, alpha: float) -> SeriesReport:
+    """Terms nu(M_k, f) / M_k^{1-alpha} for k = 1..resolution."""
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
+    if f.resolution < 1:
+        raise UsageError("a resolution-0 function has no scale k >= 1")
     prof = oscillation_profile(f)
-    kk = prof.resolution if k_max is None else k_max
-    if not 1 <= kk <= prof.resolution:
-        raise UsageError(f"k_max {kk} outside 1..{prof.resolution}")
-    terms = np.array([prof.nu[k] / prof.scale_cells[k] ** (1.0 - alpha) for k in range(1, kk + 1)])
+    terms = np.array([prof.nu[k] / prof.scale_cells[k] ** (1.0 - alpha)
+                      for k in range(1, prof.resolution + 1)])
     return SeriesReport(terms=terms, partials=np.cumsum(terms))
 
 
-def young_series(M: YoungFunction, ns, alpha: float, k_max: int | None = None) -> SeriesReport:
-    """Terms M_k^alpha * M^{-1}(1/M_k) for k = 1..k_max, with a decay verdict.
+def young_series(M: YoungFunction, ns, alpha: float) -> SeriesReport:
+    """Terms M_k^alpha * M^{-1}(1/M_k) for k = 1..N, with a decay verdict.
 
     converges is True when the trailing term ratios stay strictly below 1,
     the geometric-decay signature; for M(u) = u^p the ratio is
     (M_{k+1}/M_k)^{alpha - 1/p}, below 1 exactly when alpha < 1/p.
     """
-    kk = ns.resolution if k_max is None else k_max
-    if not 1 <= kk <= ns.resolution:
-        raise UsageError(f"k_max {kk} outside 1..{ns.resolution}")
-    terms = np.array([ns.M[k] ** alpha * M.inverse(1.0 / ns.M[k]) for k in range(1, kk + 1)])
+    terms = np.array([ns.M[k] ** alpha * M.inverse(1.0 / ns.M[k])
+                      for k in range(1, ns.resolution + 1)])
     converges = None
     if len(terms) >= 2:
         ratios = terms[1:] / terms[:-1]

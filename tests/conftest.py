@@ -28,21 +28,24 @@ def rng():
 
 @pytest.fixture()
 def count_calls(monkeypatch):
-    """Wrap a vilenkin.group function on every module that binds it.
+    """Wrap a vilenkin.group function on every module that binds it, or a method on its class.
 
-    Returns a function that installs the wrapper for one name and gives back
-    the list its calls are appended to.
+    Returns a function that installs the wrapper for one name (a method when
+    cls is given) and gives back the list its calls are appended to.
     """
     from vilenkin import group
 
-    def install(name):
-        original = getattr(group, name)
+    def install(name, cls=None):
+        original = getattr(group if cls is None else cls, name)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
+        if cls is not None:
+            monkeypatch.setattr(cls, name, counted)
+            return calls
         for mod in list(sys.modules.values()):
             mod_name = getattr(mod, "__name__", "")
             if (mod_name == "vilenkin" or mod_name.startswith("vilenkin.")) \

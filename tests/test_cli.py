@@ -270,6 +270,34 @@ MALFORMED = {
                                                           "path": "no/such/file.json"}]}),
     "zero_bench_repeats": ("bench", {"bench": {"sizes": [{"constant": 2, "length": 3}],
                                                "repeats": 0}}),
+    "final_over_first_string": ("converge", {"thresholds": {"final_over_first": "x"}}),
+    "dense_start_string": ("converge", {"n_schedule": {"kind": "dense", "start": "a"}}),
+    "n_schedule_string": ("converge", {"n_schedule": "x"}),
+    "list_value_string": ("converge", {"n_schedule": {"kind": "list", "values": ["a"]}}),
+    "thresholds_string": ("converge", {"thresholds": "x"}),
+    "stability_factor_string": ("kernel-scan", {"thresholds": {"stability_factor": "x"}}),
+    "scan_level_string": ("kernel-scan", {"kernel_scan": {"level": "a"}}),
+    "scan_n_string": ("kernel-scan", {"kernel_scan": {"n": ["a"]}}),
+    "max_cells_string": ("converge", {"max_cells": "x"}),
+    "out_integer": ("converge", {"out": 5}),
+    "radix_entry_string": ("converge", {"radix": ["x"]}),
+    "radix_constant_string": ("converge", {"radix": {"constant": "a", "length": 3}}),
+    "lacunary_coeff_string": ("converge", {"functions": [{"family": "lacunary",
+                                                          "coeffs": ["a"]}]}),
+    "indicator_level_string": ("converge", {"functions": [{"family": "digit_indicator",
+                                                           "level": "a"}]}),
+    "lipschitz_bound_string": ("converge", {"functions": [{"family": "random_lipschitz",
+                                                           "bound": "a"}]}),
+    "lipschitz_bound_negative": ("oscillation", {"functions": [{"family": "random_lipschitz",
+                                                                "bound": -1}]}),
+    "function_file_not_json": ("converge", {"functions": [{"family": "file",
+                                                           "path": "not_json.txt"}]}),
+    "function_file_not_a_step": ("converge", {"functions": [{"family": "file",
+                                                             "path": "cfg.json"}]}),
+    "functions_not_a_list": ("oscillation", {"functions": 5}),
+    "scan_kinds_not_a_list": ("kernel-scan", {"kernel_scan": {"kinds": 5}}),
+    "suites_not_a_list": ("verify", {"suites": 5}),
+    "bench_sizes_not_a_list": ("bench", {"bench": {"sizes": 5}}),
 }
 
 
@@ -279,12 +307,14 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"radix": {"constant": 2, "length": 3}, **body}),
                    encoding="utf-8")
+    (tmp_path / "not_json.txt").write_text("not json", encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = {k: v for k, v in env.items() if not k.startswith("VILENKIN_")}
+    # no --out flag: it would override the file's out; output lands under tmp_path
     proc = subprocess.run(
-        [sys.executable, "-m", "vilenkin.cli", command, "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "vilenkin.cli", command, "--config", str(cfg)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import vilenkin as vk
 from vilenkin.errors import ConfigurationError, UsageError, ValidationError
-from vilenkin.group import (coset_key_table, digit_matrix, negate_indices,
-                            radix_from_spec, translate_indices)
+from vilenkin.group import coset_key_table, digit_matrix, radix_from_spec
 
 
 def test_radix_validation():
@@ -130,23 +129,33 @@ def test_coset_rep_cells_rejects_bad_args(ns):
         vk.coset_rep_cells(ns, 1, ns.resolution + 1)
 
 
-def test_translate_indices_is_group_translation(ns, rng):
-    r = ns.resolution
-    idx = np.arange(ns.cell_count)
-    for t_idx in rng.integers(0, ns.cell_count, size=8):
-        t = vk.element_of(ns, int(t_idx))
-        perm = translate_indices(ns, r, t)
-        # cell i of the translated function reads from the cell of x - t
-        for i in rng.integers(0, ns.cell_count, size=16):
-            x = vk.element_of(ns, int(i))
-            assert perm[int(i)] == vk.sub(x, t).cell_index(r)
-        back = translate_indices(ns, r, vk.neg(t))
-        assert np.array_equal(perm[back], idx)
+def _index_function(ns, r):
+    return vk.StepFunction(ns, r, np.arange(ns.cells_at(r)))
 
 
-def test_negate_indices_involution(ns):
-    neg = negate_indices(ns, ns.resolution)
-    assert np.array_equal(neg[neg], np.arange(ns.cell_count))
+def test_translate_is_group_translation(ns, rng):
+    for r in (ns.resolution, ns.resolution - 2, 0):
+        index = _index_function(ns, r)
+        for t_idx in [0, *rng.integers(0, ns.cell_count, size=8)]:
+            t = vk.element_of(ns, int(t_idx))
+            moved = index.translate(t)
+            assert not np.shares_memory(moved.cells, index.cells)
+            # cell i of the translated function reads from the cell of x - t
+            for i in rng.integers(0, ns.cells_at(r), size=16):
+                x = vk.element_of(ns, int(i))
+                assert moved.cells[int(i)] == vk.sub(x, t).cell_index(r)
+            back = moved.translate(vk.neg(t))
+            assert np.array_equal(back.cells, index.cells)
+
+
+def test_reflect_is_negation_and_involution(ns):
+    for r in (ns.resolution, ns.resolution - 2, 0):
+        index = _index_function(ns, r)
+        reflected = index.reflect()
+        assert not np.shares_memory(reflected.cells, index.cells)
+        want = [vk.neg(vk.element_of(ns, i)).cell_index(r) for i in range(ns.cells_at(r))]
+        assert np.array_equal(reflected.cells, want)
+        assert np.array_equal(reflected.reflect().cells, index.cells)
 
 
 def test_coset_key_partitions(ns):

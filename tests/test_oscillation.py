@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import families, oscillation, transform
 from vilenkin.errors import UsageError, ValidationError
-from vilenkin.group import translate_indices
+from vilenkin.group import coset_key_table
 from vilenkin.oscillation import YoungFunction
 
 
@@ -93,11 +93,11 @@ def test_difference_condition_scales_linearly(ns, rng):
 def _difference_condition_loop(f, k, alpha):
     """Per-beta oracle: one translation of d = |f - f(. - e_k)| per coset."""
     ns = f.ns
-    d = np.abs(f.cells - f.translate(vk.basis_element(ns, k)).cells)
-    acc = np.zeros(len(d))
+    shifted = f.translate(vk.basis_element(ns, k))
+    d = transform.StepFunction(ns, f.resolution, np.abs(f.cells - shifted.cells))
+    acc = np.zeros(len(d.cells))
     for beta in range(1, ns.M[k]):
-        idx = translate_indices(ns, f.resolution, vk.coset_rep(ns, beta, k))
-        acc += beta ** (alpha - 1.0) * d[idx]
+        acc += beta ** (alpha - 1.0) * d.translate(vk.coset_rep(ns, beta, k)).cells.real
     return float(acc.max())
 
 
@@ -118,10 +118,62 @@ def test_difference_condition_matches_loop(ns, rng):
 def test_difference_condition_translates_once(ns, rng, count_calls):
     f = families.random_cells(ns, rng)
     reps = count_calls("coset_rep")
-    shifts = count_calls("translate_indices")
+    shifts = count_calls("translate", transform.StepFunction)
     oscillation.difference_condition(f, ns.resolution - 1, 0.5)
     assert reps == []
     assert len(shifts) <= 1  # the e_k shift
+
+
+def _coset_values_sorted(f, k):
+    """Oracle rows: row beta holds f on Z_beta^(k) + I_k, gathered by sorting the coset keys."""
+    key = coset_key_table(f.ns, f.resolution, k)
+    order = np.argsort(key, kind="stable")
+    return f.cells[order].reshape(f.ns.M[k], -1)
+
+
+def _oscillation_functionals(f):
+    M = YoungFunction(kind="power", p=2.0)
+    prof = oscillation.oscillation_profile(f)
+    return (prof.omega, prof.total, prof.nu,
+            [oscillation.modulus_of_continuity(f, k) for k in range(f.resolution + 1)],
+            oscillation.young_oscillation_score(f, M),
+            oscillation.jensen_step_residual(f, M))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_coset_view_matches_sorted_oracle_bitwise(ns, rng, real, monkeypatch):
+    fs = [families.random_cells(ns, rng, real=real),
+          families.random_cells(ns, rng, resolution=ns.resolution - 1, real=real)]
+    for f in fs:
+        got = _oscillation_functionals(f)
+        for k in (1, 2):
+            rows = _coset_values_sorted(f, k)
+            for beta in range(ns.M[k]):
+                want = float(oscillation._row_diameters(rows[beta : beta + 1])[0])
+                assert oscillation.coset_oscillation(f, k, beta) == want
+        with monkeypatch.context() as m:
+            m.setattr(oscillation, "_coset_values", _coset_values_sorted)
+            want = _oscillation_functionals(f)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_digit_indicator_is_coset_key_match(ns):
+    for r in (ns.resolution, ns.resolution - 1):
+        for level in range(r + 1):
+            key = coset_key_table(ns, r, level)
+            for coset in range(ns.M[level]):
+                f = families.digit_indicator(ns, level, coset, resolution=r)
+                assert np.array_equal(f.cells, (key == coset).astype(np.complex128))
+
+
+def test_oscillation_and_families_make_no_coset_key_call(ns, rng, count_calls):
+    keys = count_calls("coset_key_table")
+    f = families.random_cells(ns, rng)
+    _oscillation_functionals(f)
+    oscillation.coset_oscillation(f, 2, 1)
+    families.family_from_spec(ns, {"family": "digit_indicator", "level": 2, "coset": 1}, rng)
+    assert keys == []
 
 
 def test_oscillation_series_terms(walsh):
