@@ -37,10 +37,8 @@ from .errors import (
 from .characters import (
     character_block,
     character_shift_residual,
-    rademacher,
     unity_gap_residual,
     vilenkin_on_cells,
-    vilenkin_value,
 )
 from .binomials import CesaroTable, cesaro_coefficient, cesaro_table, identity_report
 from .transform import (

@@ -3,6 +3,10 @@
 r_k(x) = exp(2 pi i x_k / m_k) and psi_n = prod_k r_k^{n_k}. All values are
 read from per-radix root-of-unity tables with the angle reduced to an index
 mod m_k first, so equal angles always produce bit-identical complex values.
+
+Each factor depends on one digit, so on the digit tensor (group owns the
+axis rule) a character is an outer product: r_j^a is row a of
+synthesis_matrix(m_j), a length-m_j vector broadcast on digit j's axis.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import functools
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .group import GroupElement, NumberSystem, digit_matrix, digits_of
+from .group import NumberSystem, digit_axis, digit_tensor, digits_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,24 +51,6 @@ def analysis_matrix(m: int) -> np.ndarray:
     return F
 
 
-def rademacher(x: GroupElement, k: int, power: int = 1) -> complex:
-    """r_k(x)^power, angle reduced mod 2 pi via the index."""
-    if not 0 <= k < len(x.digits):
-        raise ValidationError(f"coordinate {k} outside 0..{len(x.digits) - 1}")
-    m = x.ns.radix.radices[k]
-    return complex(root_table(m)[(power * x.digits[k]) % m])
-
-
-def vilenkin_value(ns: NumberSystem, n: int, x: GroupElement) -> complex:
-    """psi_n(x) for a single point."""
-    out = complex(1.0)
-    for k, nk in enumerate(digits_of(ns, n)):
-        if nk:
-            m = ns.radix.radices[k]
-            out *= complex(root_table(m)[(nk * x.digits[k]) % m])
-    return out
-
-
 def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -> np.ndarray:
     """psi_n evaluated on every cell at the given resolution.
 
@@ -76,47 +62,41 @@ def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -
         raise ValidationError(f"character index {n} outside 0..{ns.cell_count - 1}")
     if n >= ns.M[r]:
         raise UsageError(f"character {n} does not live at resolution {r}")
-    D = digit_matrix(ns, r)
-    out = np.ones(ns.cells_at(r), dtype=np.complex128)
+    out = digit_tensor(np.ones(ns.cells_at(r), dtype=np.complex128), ns, r)
     for j, nj in enumerate(digits_of(ns, n)[:r]):
         if nj:
-            m = ns.radix.radices[j]
-            out *= root_table(m)[(nj * D[:, j]) % m]
-    return out
+            out *= digit_axis(synthesis_matrix(ns.radix.radices[j])[nj], ns, r, j)
+    return out.reshape(-1)
 
 
 def character_block(ns: NumberSystem, start: int, stop: int, resolution: int | None = None) -> np.ndarray:
     """Rows psi_n on all cells for n = start..stop-1, shape (stop-start, M_r).
 
-    Entry (n, x) is the tensor product prod_j F_j[n_j, x_j] of the per-radix
-    synthesis matrices, gathered digitwise.
+    Row n is the outer product of the synthesis matrix rows F_j[n_j], each
+    broadcast on digit j's axis.
     """
     r = ns.resolution if resolution is None else resolution
     if not 0 <= start <= stop <= ns.M[r]:
         raise UsageError(f"character range {start}..{stop} outside 0..{ns.M[r]}")
-    D = digit_matrix(ns, r)
     rows = np.arange(start, stop, dtype=np.int64)
-    out = np.ones((stop - start, ns.cells_at(r)), dtype=np.complex128)
+    out = digit_tensor(np.ones((stop - start, ns.cells_at(r)), dtype=np.complex128), ns, r)
     for j in range(r):
         m = ns.radix.radices[j]
         nj = (rows // ns.M[j]) % m
         if np.any(nj):
-            out *= synthesis_matrix(m)[np.ix_(nj, D[:, j])]
-    return out
+            out *= digit_axis(synthesis_matrix(m)[nj], ns, r, j)
+    return out.reshape(stop - start, ns.cells_at(r))
 
 
-def character_shift_residual(ns: NumberSystem, resolution: int | None = None) -> float:
+def character_shift_residual(ns: NumberSystem) -> float:
     """Max deviation in psi_{M_k}^{-n_k}(e_k) psi_{M_k}^{n_k}(t) = psi_{M_k}^{n_k}(t - e_k).
 
-    Checked for every k < r, every 1 <= n_k < m_k, every cell t.
+    Checked for every k, every 1 <= n_k < m_k, every value t_k of digit k.
     """
-    r = ns.resolution if resolution is None else resolution
-    D = digit_matrix(ns, r)
     worst = 0.0
-    for k in range(r):
-        m = ns.radix.radices[k]
+    for k, m in enumerate(ns.radix.radices):
         roots = root_table(m)
-        tk = D[:, k]
+        tk = np.arange(m)
         for nk in range(1, m):
             lhs = roots[(-nk) % m] * roots[(nk * tk) % m]
             rhs = roots[(nk * ((tk - 1) % m)) % m]

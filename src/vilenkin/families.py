@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, UsageError, config_value
-from .group import NumberSystem, coset_rep_cells, digit_matrix
+from .group import NumberSystem, coset_rep_cells, digit_axis, digit_matrix, digit_tensor
 from .characters import root_table
 from .transform import StepFunction, load_step
 
@@ -16,13 +16,11 @@ def lacunary(ns: NumberSystem, coeffs, resolution: int | None = None) -> StepFun
     r = ns.resolution if resolution is None else resolution
     if len(c) > r:
         raise UsageError(f"{len(c)} coefficients exceed resolution {r}")
-    D = digit_matrix(ns, r)
-    cells = np.zeros(ns.cells_at(r), dtype=np.complex128)
+    cells = digit_tensor(np.zeros(ns.cells_at(r), dtype=np.complex128), ns, r)
     for k, ck in enumerate(c):
         if ck:
-            m = ns.radix.radices[k]
-            cells += ck * root_table(m)[D[:, k]].real
-    return StepFunction(ns, r, cells)
+            cells += ck * digit_axis(root_table(ns.radix.radices[k]).real, ns, r, k)
+    return StepFunction(ns, r, cells.reshape(-1))
 
 
 def inverse_scale_coeffs(ns: NumberSystem) -> np.ndarray:

@@ -3,12 +3,14 @@
 The group G_m is the product of cyclic groups Z_{m_0} x Z_{m_1} x ... with
 coordinatewise addition mod m_k. Indices n < M_N and group elements are
 identified with their mixed-radix digit vectors through the number system
-M_0 = 1, M_{k+1} = m_k * M_k. Everything downstream (characters, kernels,
-transforms) works on flat cell indices; this module owns the digit/index
-plumbing and the coset representative map. The cell index sum_j x_j M_j
-makes the cosets of I_k the residues mod M_k, and coset_rep_cells gives the
-residue of each Z_beta^(k); translation and reflection of step functions
-act on the digit tensor in transform.
+M_0 = 1, M_{k+1} = m_k * M_k. Functions downstream hold one value per cell,
+at flat index sum_j x_j M_j. This module owns the digit/index plumbing, the
+coset representative map, and the one axis rule: read as a C-order tensor,
+the flat cells put digit j on axis r-1-j (tensor_axis, digit_tensor,
+digit_axis). Translation, reflection, the staged transform and every
+character act on that tensor. The cell index also makes the cosets of I_k
+the residues mod M_k, and coset_rep_cells gives the residue of each
+Z_beta^(k).
 """
 
 from __future__ import annotations
@@ -257,6 +259,23 @@ def coset_index(ns: NumberSystem, x: GroupElement, k: int) -> int:
     if not 0 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 0..{ns.resolution}")
     return sum(x.digits[j] * (ns.M[k] // ns.M[j + 1]) for j in range(k))
+
+
+def tensor_axis(resolution: int, j: int) -> int:
+    """Axis of digit j in the digit tensor: a C-order reshape of sum_j x_j M_j puts it at r-1-j."""
+    return resolution - 1 - j
+
+
+def digit_tensor(values: np.ndarray, ns: NumberSystem, resolution: int) -> np.ndarray:
+    """View of (..., M_r) cell values as (...,) + the digit tensor, radices in reverse."""
+    return values.reshape(values.shape[:-1] + tuple(ns.radix.radices[:resolution][::-1]))
+
+
+def digit_axis(values: np.ndarray, ns: NumberSystem, resolution: int, j: int) -> np.ndarray:
+    """View of (..., m_j) per-digit-value entries that broadcasts on digit j's tensor axis."""
+    shape = [1] * resolution
+    shape[tensor_axis(resolution, j)] = ns.radix.radices[j]
+    return values.reshape(values.shape[:-1] + tuple(shape))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomials
-from .characters import character_block, root_table, vilenkin_on_cells
+from .characters import character_block, synthesis_matrix, vilenkin_on_cells
 from .errors import DomainError, UsageError
-from .group import NumberSystem, coset_rep_cells, digit_matrix, digits_of, scale_of
+from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, digits_of,
+                    scale_of)
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
 
@@ -57,20 +58,17 @@ def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -
     if r <= scale:
         raise UsageError(f"resolution {r} cannot carry the digit product form of D_{n}")
     cells = ns.cells_at(r)
-    dd = digits_of(ns, n)
-    D = digit_matrix(ns, r)
-    idx = np.arange(cells)
-    acc = np.zeros(cells, dtype=np.complex128)
-    for j, nj in enumerate(dd):
+    idx = digit_tensor(np.arange(cells), ns, r)
+    acc = np.zeros_like(idx, dtype=np.complex128)
+    for j, nj in enumerate(digits_of(ns, n)):
         if nj == 0:
             continue
         m = ns.radix.radices[j]
-        roots = root_table(m)
-        gsum = np.zeros(cells, dtype=np.complex128)
+        gsum = np.zeros(m, dtype=np.complex128)
         for a in range(m - nj, m):
-            gsum += roots[(a * D[:, j]) % m]
-        acc += ns.M[j] * (idx % ns.M[j] == 0) * gsum
-    return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc)
+            gsum += synthesis_matrix(m)[a]
+        acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(gsum, ns, r, j)
+    return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc.reshape(-1))
 
 
 def dirichlet_table(ns: NumberSystem, n_max: int) -> np.ndarray:
@@ -142,14 +140,13 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     N = ns.resolution
     cells = ns.cell_count
     T = dirichlet_table(ns, cells)
-    D = digit_matrix(ns, N)
     idx = np.arange(cells)
-    # r_k^a on every cell, per coordinate
+    # r_k^a for a = 0..m_k is row a % m_k of F_k on digit k's axis; Tt holds T's rows as tensors
     powers = []
     for k in range(N):
         m = ns.radix.radices[k]
-        roots = root_table(m)
-        powers.append(np.stack([roots[(a * D[:, k]) % m] for a in range(m + 1)]))
+        powers.append(digit_axis(synthesis_matrix(m)[np.arange(m + 1) % m], ns, N, k))
+    Tt = digit_tensor(T, ns, N)
 
     res = {key: 0.0 for key in (
         "scale_indicator", "mean", "digit_split", "block_shift",
@@ -171,19 +168,19 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
             base = nk * Mk
             gs = geo[nk - 1]
             for rest in range(Mk):
-                lhs = T[base + rest]
+                lhs = Tt[base + rest]
                 res["digit_split"] = max(res["digit_split"], float(
-                    np.abs(lhs - gs * T[Mk] - powers[k][nk] * T[rest]).max()))
+                    np.abs(lhs - gs * Tt[Mk] - powers[k][nk] * Tt[rest]).max()))
             for j in range(Mk + 1):
-                lhs = T[base + j]
+                lhs = Tt[base + j]
                 res["block_shift"] = max(res["block_shift"], float(
-                    np.abs(lhs - T[base] - powers[k][nk] * T[j]).max()))
+                    np.abs(lhs - Tt[base] - powers[k][nk] * Tt[j]).max()))
         for rr in range(1, m + 1):
             base = rr * Mk
             for j in range(1 if rr == m else Mk):
-                lhs = T[base + j]
+                lhs = Tt[base + j]
                 res["block_geometric"] = max(res["block_geometric"], float(
-                    np.abs(lhs - geo[rr - 1] * T[Mk] - powers[k][rr] * T[j]).max()))
+                    np.abs(lhs - geo[rr - 1] * Tt[Mk] - powers[k][rr] * Tt[j]).max()))
 
     for s in range(N):
         m = ns.radix.radices[s]
@@ -238,8 +235,9 @@ def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
         base = nk * ns.M[k]
         trunc_below = trunc - base  # n^(k-1)
         block = table[base] * t0.a(trunc - 1)
+        # the weights are real, so conjugating the sum equals summing the conjugates
         inner = np.tensordot(t1.values[trunc_below : trunc_below + base],
-                             table[:base].conj(), axes=(0, 0))
+                             table[:base], axes=(0, 0)).conj()
         block = block - vilenkin_on_cells(ns, base - 1, ns.resolution) * inner
         rhs += suffix * block
         if k < ns.resolution:

@@ -22,6 +22,7 @@ from .group import basis_element, coset_rep_cells
 from .transform import StepFunction, convolve
 
 _IMAG_TOL = 1e-13
+_PAIR_BLOCK = 1 << 20
 
 
 def _coset_values(f: StepFunction, k: int) -> np.ndarray:
@@ -36,8 +37,13 @@ def _row_diameters(rows: np.ndarray) -> np.ndarray:
     if float(np.abs(rows.imag).max(initial=0.0)) <= _IMAG_TOL * max(1.0, float(np.abs(rows).max(initial=0.0))):
         re = rows.real
         return re.max(axis=1) - re.min(axis=1)
-    diffs = np.abs(rows[:, :, None] - rows[:, None, :])
-    return diffs.max(axis=(1, 2))
+    # pairwise differences in column blocks of at most _PAIR_BLOCK entries
+    width = max(1, _PAIR_BLOCK // rows.size)
+    out = np.zeros(len(rows))
+    for j in range(0, rows.shape[1], width):
+        block = np.abs(rows[:, :, None] - rows[:, None, j : j + width]).max(axis=(1, 2))
+        np.maximum(out, block, out=out)
+    return out
 
 
 def coset_oscillation(f: StepFunction, k: int, beta: int) -> float:

@@ -2,11 +2,12 @@
 
 A StepFunction holds one complex value per I_r-cell, indexed by the mixed
 radix cell index. Reshaped, the cells are a tensor with one axis per digit
-(_digit_tensor). Translation and reflection roll its axes, and the character
-system is a pure tensor product, so analysis and synthesis factor into one
-small DFT per axis, run as explicit stages against the shared root-of-unity
-tables. Every mean, and convolution, is one spectral multiplier: forward,
-weight coefficient nu, inverse.
+(group.digit_tensor; group owns the axis rule). Translation and reflection
+roll its axes, and the character system is a pure tensor product, so
+analysis and synthesis factor into one small DFT per axis, run as explicit
+stages against the shared root-of-unity tables. Every mean, and
+convolution, is one spectral multiplier: forward, weight coefficient nu,
+inverse.
 
 Cesaro mean convention (the tests and the routes suite check all three):
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import binomials
 from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
-from .group import GroupElement, NumberSystem, number_system
+from .group import GroupElement, NumberSystem, digit_tensor, number_system, tensor_axis
 
 
 @dataclass
@@ -61,8 +62,8 @@ class StepFunction:
         """g with g(x) = f(x - t): digit axis j rolls forward by t_j."""
         r = self.resolution
         # one roll per shifted axis: a multi-axis roll copies 2^(axes) blocks
-        shifts = [(r - 1 - j, tj) for j, tj in enumerate(t.digits[:r]) if tj]
-        arr = _digit_tensor(self.cells, self.ns, r)
+        shifts = [(tensor_axis(r, j), tj) for j, tj in enumerate(t.digits[:r]) if tj]
+        arr = digit_tensor(self.cells, self.ns, r)
         for axis, tj in shifts:
             arr = np.roll(arr, tj, axis=axis)
         return StepFunction(self.ns, r, arr.reshape(-1) if shifts else self.cells.copy())
@@ -70,7 +71,7 @@ class StepFunction:
     def reflect(self) -> "StepFunction":
         """g with g(x) = f(-x): the flip sends x_j to m_j - 1 - x_j, a roll by one adds 1."""
         r = self.resolution
-        arr = np.flip(_digit_tensor(self.cells, self.ns, r))
+        arr = np.flip(digit_tensor(self.cells, self.ns, r))
         for axis in range(r):
             arr = np.roll(arr, 1, axis=axis)
         return StepFunction(self.ns, r, arr.reshape(-1) if r else self.cells.copy())
@@ -115,11 +116,6 @@ class CoefficientVector:
             )
 
 
-def _digit_tensor(values: np.ndarray, ns: NumberSystem, resolution: int) -> np.ndarray:
-    """View of the cells as a C-order tensor: index sum_j x_j M_j puts digit j on axis r-1-j."""
-    return values.reshape(tuple(ns.radix.radices[:resolution][::-1]))
-
-
 def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: bool,
             stage_order=None) -> np.ndarray:
     """Apply one small DFT per coordinate; stage order is mathematically inert."""
@@ -130,11 +126,11 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     order = range(r) if stage_order is None else list(stage_order)
     if sorted(order) != list(range(r)):
         raise UsageError(f"stage order {order} is not a permutation of 0..{r - 1}")
-    arr = _digit_tensor(values, ns, r)
+    arr = digit_tensor(values, ns, r)
     for j in order:
         m = radices[j]
         mat = analysis_matrix(m) if analysis else synthesis_matrix(m)
-        axis = r - 1 - j
+        axis = tensor_axis(r, j)
         arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
     return arr.reshape(-1)
 

@@ -127,3 +127,26 @@ def test_import_guard_detects_an_oracle_import():
     for line in ("from . import oracles", "from .oracles import forward",
                  "import vilenkin.oracles", "from vilenkin import oracles"):
         assert _imports_oracles(ast.parse(line))
+
+
+def _reads_name(tree, name) -> bool:
+    """Whether the module imports name from anywhere or reads it as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", ["characters", "kernels"])
+def test_character_paths_do_not_read_digit_matrix(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert not _reads_name(tree, "digit_matrix")
+
+
+def test_digit_matrix_guard_detects_a_read():
+    for line in ("from .group import (NumberSystem,\n    digit_matrix)",
+                 "from . import group\ngroup.digit_matrix(ns, 3)"):
+        assert _reads_name(ast.parse(line), "digit_matrix")
+    assert not _reads_name(ast.parse("from .group import digit_axis"), "digit_matrix")

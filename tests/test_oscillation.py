@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,19 @@ def test_oscillation_and_families_make_no_coset_key_call(ns, rng, count_calls):
     oscillation.coset_oscillation(f, 2, 1)
     families.family_from_spec(ns, {"family": "digit_indicator", "level": 2, "coset": 1}, rng)
     assert keys == []
+
+
+def test_complex_profile_memory_is_bounded(rng):
+    # the pairwise differences of a complex coset row set go in bounded column blocks
+    ns = vk.number_system([2] * 11)
+    f = families.random_cells(ns, rng)
+    tracemalloc.start()
+    try:
+        oscillation.oscillation_profile(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_oscillation_series_terms(walsh):
