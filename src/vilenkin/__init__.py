@@ -61,6 +61,7 @@ from .transform import (
 from .kernels import (
     BoundScanRecord,
     block_decomposition_residual,
+    block_decomposition_residuals,
     cesaro_kernel,
     coset_decay_scan,
     dirichlet,

@@ -7,8 +7,9 @@ M_0 = 1, M_{k+1} = m_k * M_k. Functions downstream hold one value per cell,
 at flat index sum_j x_j M_j. This module owns the digit/index plumbing, the
 coset representative map, and the one axis rule: read as a C-order tensor,
 the flat cells put digit j on axis r-1-j (tensor_axis, digit_tensor,
-digit_axis). Translation, reflection, the staged transform and every
-character act on that tensor. The cell index also makes the cosets of I_k
+digit_axis). Translation, reflection and every character act on that
+tensor, and the transform on runs of its adjacent axes merged into one.
+The cell index also makes the cosets of I_k
 the residues mod M_k, and coset_rep_cells gives the residue of each
 Z_beta^(k).
 """

@@ -214,36 +214,58 @@ def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
     Zero digits contribute nothing and are skipped, so psi_{-1} never arises.
     table holds at least the rows D_0 .. D_n of dirichlet_table.
     """
-    if not 1 <= n <= ns.cell_count:
-        raise UsageError(f"order {n} outside 1..{ns.cell_count}")
+    return float(block_decomposition_residuals(ns, alpha, table, [n])[0])
+
+
+def block_decomposition_residuals(ns: NumberSystem, alpha: float, table: np.ndarray,
+                                  orders=None) -> np.ndarray:
+    """block_decomposition_residual for each n in orders (default 1 .. len(table) - 1).
+
+    The two binomial tables are built once, for the largest order, and sliced
+    per n: cumprod rounds every prefix as a table built for that n would. The
+    characters psi_{base-1} and psi_base are built once per base = n_k M_k.
+    """
+    orders = range(1, len(table)) if orders is None else list(orders)
+    for n in orders:
+        if not 1 <= n <= ns.cell_count:
+            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
+    n_top = max(orders, default=1)
+    t0 = binomials.cesaro_table(-alpha, n_top - 1)
+    t1 = binomials.cesaro_table(-alpha - 1, n_top - 1)
+    chars = {}
+
+    def psi(k):
+        if k not in chars:
+            chars[k] = vilenkin_on_cells(ns, k, ns.resolution)
+        return chars[k]
+
     cells = table.shape[1]
-    t0 = binomials.cesaro_table(-alpha, n - 1)
-    t1 = binomials.cesaro_table(-alpha - 1, n - 1)
-
-    lhs = np.tensordot(t1.values[:n][::-1], table[1 : n + 1], axes=(0, 0))
-
-    dd = _extended_digits(ns, n)
-    rhs = np.zeros(cells, dtype=np.complex128)
-    suffix = np.ones(cells, dtype=np.complex128)  # prod_{l>k} psi_{n_l M_l}
-    trunc = n  # n^(k) going down
-    for k in range(len(dd) - 1, -1, -1):
-        nk = dd[k]
-        if nk == 0:
-            continue
-        base = nk * ns.M[k]
-        trunc_below = trunc - base  # n^(k-1)
-        block = table[base] * t0.a(trunc - 1)
-        # the weights are real, so conjugating the sum equals summing the conjugates
-        inner = np.tensordot(t1.values[trunc_below : trunc_below + base],
-                             table[:base], axes=(0, 0)).conj()
-        block = block - vilenkin_on_cells(ns, base - 1, ns.resolution) * inner
-        rhs += suffix * block
-        if k < ns.resolution:
-            suffix = suffix * vilenkin_on_cells(ns, base, ns.resolution)
-        trunc = trunc_below
-    return float(np.abs(lhs - rhs).max())
+    out = np.empty(len(orders))
+    for i, n in enumerate(orders):
+        lhs = np.tensordot(t1.values[:n][::-1], table[1 : n + 1], axes=(0, 0))
+        dd = _extended_digits(ns, n)
+        rhs = np.zeros(cells, dtype=np.complex128)
+        suffix = np.ones(cells, dtype=np.complex128)  # prod_{l>k} psi_{n_l M_l}
+        trunc = n  # n^(k) going down
+        for k in range(len(dd) - 1, -1, -1):
+            nk = dd[k]
+            if nk == 0:
+                continue
+            base = nk * ns.M[k]
+            trunc_below = trunc - base  # n^(k-1)
+            block = table[base] * t0.a(trunc - 1)
+            # the weights are real, so conjugating the sum equals summing the conjugates
+            inner = np.tensordot(t1.values[trunc_below : trunc_below + base],
+                                 table[:base], axes=(0, 0)).conj()
+            block = block - psi(base - 1) * inner
+            rhs += suffix * block
+            if k < ns.resolution:
+                suffix = suffix * psi(base)
+            trunc = trunc_below
+        out[i] = np.abs(lhs - rhs).max()
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
-"""Quadratic reference forms of the fast paths, for tests, `verify` and `bench`.
+"""Reference forms of the fast paths, for tests, `verify` and `bench`.
 
-Each evaluates its definition literally; the library modules never import this.
+Each evaluates its definition literally: the transform as a character sum
+or as one digit's DFT at a time, in any digit order. The library modules
+never import this.
 """
 
 import numpy as np
 
 from . import binomials
-from .characters import character_block, vilenkin_on_cells
-from .group import NumberSystem, digit_matrix
+from .characters import analysis_matrix, character_block, synthesis_matrix, vilenkin_on_cells
+from .errors import UsageError
+from .group import NumberSystem, digit_matrix, digit_tensor, tensor_axis
 from .transform import CoefficientVector, StepFunction, forward as fast_forward
 
 def forward(f: StepFunction) -> CoefficientVector:
@@ -21,6 +24,32 @@ def forward(f: StepFunction) -> CoefficientVector:
         block = character_block(ns, start, stop, r)
         coeffs[start:stop] = block.conj() @ f.cells / cells
     return CoefficientVector(ns, r, coeffs)
+
+
+def _per_digit(values: np.ndarray, ns: NumberSystem, r: int, analysis: bool,
+               order) -> np.ndarray:
+    """One (m_j x m_j) DFT per digit axis of the digit tensor, digit j in the given order."""
+    order = range(r) if order is None else list(order)
+    if sorted(order) != list(range(r)):
+        raise UsageError(f"stage order {list(order)} is not a permutation of 0..{r - 1}")
+    arr = digit_tensor(values, ns, r).copy()
+    for j in order:
+        m = ns.radix.radices[j]
+        mat = analysis_matrix(m) if analysis else synthesis_matrix(m)
+        axis = tensor_axis(r, j)
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+    return arr.reshape(-1)
+
+
+def staged_forward(f: StepFunction, order=None) -> CoefficientVector:
+    """fhat as one small DFT per digit, applied in order (default 0..r-1)."""
+    coeffs = _per_digit(f.cells, f.ns, f.resolution, True, order) / f.ns.cells_at(f.resolution)
+    return CoefficientVector(f.ns, f.resolution, coeffs)
+
+
+def staged_inverse(c: CoefficientVector, order=None) -> StepFunction:
+    """f = sum_k fhat(k) psi_k as one small DFT per digit, applied in order."""
+    return StepFunction(c.ns, c.resolution, _per_digit(c.coeffs, c.ns, c.resolution, False, order))
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:

@@ -28,15 +28,16 @@ def rng():
 
 @pytest.fixture()
 def count_calls(monkeypatch):
-    """Wrap a vilenkin.group function on every module that binds it, or a method on its class.
+    """Wrap a vilenkin function on every module that binds it, or a method on its class.
 
     Returns a function that installs the wrapper for one name (a method when
-    cls is given) and gives back the list its calls are appended to.
+    cls is given; a function of vilenkin.group unless module is given) and
+    gives back the list its calls are appended to.
     """
     from vilenkin import group
 
-    def install(name, cls=None):
-        original = getattr(group if cls is None else cls, name)
+    def install(name, cls=None, module=group):
+        original = getattr(module if cls is None else cls, name)
         calls = []
 
         def counted(*args, **kwargs):

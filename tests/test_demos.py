@@ -33,7 +33,7 @@ def test_demo_runs(name):
 
 
 def test_transform_bench_demo(capsys):
-    # the full demo times the naive transform up to 4096 cells; one small size suffices
+    # the full demo runs up to 2^16 cells; one small size suffices
     spec = importlib.util.spec_from_file_location("demo_transform_bench",
                                                   DEMOS / "demo_transform_bench.py")
     demo = importlib.util.module_from_spec(spec)
@@ -41,3 +41,4 @@ def test_transform_bench_demo(capsys):
     demo.bench([2] * 6, repeats=1)
     out = capsys.readouterr().out
     assert "cells=   64" in out and "speedup=" in out
+    assert "fused=" in out and "per_digit=" in out and "naive=" in out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vilenkin as vk
-from vilenkin import binomials, families, kernels, oracles, transform
+from vilenkin import binomials, characters, families, kernels, oracles, transform
 from vilenkin.errors import DomainError, UsageError
 
 
@@ -103,6 +103,27 @@ def test_block_decomposition_all_orders(ns):
         worst = max(kernels.block_decomposition_residual(ns, n, alpha, table=T)
                     for n in range(1, ns.cell_count + 1))
         assert worst <= 1e-9
+
+
+def test_block_residuals_match_per_order(ns):
+    T = kernels.dirichlet_table(ns, ns.cell_count)
+    for alpha in (0.25, 0.75):
+        all_orders = kernels.block_decomposition_residuals(ns, alpha, T)
+        each = [kernels.block_decomposition_residual(ns, n, alpha, table=T)
+                for n in range(1, ns.cell_count + 1)]
+        assert all_orders.tobytes() == np.array(each).tobytes()
+
+
+def test_block_residuals_build_tables_and_characters_once(ns, count_calls):
+    T = kernels.dirichlet_table(ns, ns.cell_count)
+    tables = count_calls("cesaro_table", module=binomials)
+    chars = count_calls("vilenkin_on_cells", module=characters)
+    kernels.block_decomposition_residuals(ns, 0.5, T)
+    assert len(tables) == 2
+    # psi_{base-1} and psi_base once per digit block base = n_k M_k, plus psi_{M_N - 1}
+    built = [args[1] for args in chars]
+    assert len(set(built)) == len(built)
+    assert len(built) <= 2 * sum(m - 1 for m in ns.radix.radices) + 1
 
 
 def test_majorant_scan_bounded(ns):

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import families, kernels, oracles, transform
 from vilenkin.errors import UsageError, ValidationError
-from vilenkin.transform import (StepFunction, dump_coeffs, dump_step, forward,
+from vilenkin.transform import (CoefficientVector, StepFunction, dump_coeffs, dump_step, forward,
                                 inverse, load_coeffs, load_step, partial_sum,
                                 sup_distance, synthesize)
 
@@ -28,13 +31,100 @@ def test_round_trip(ns, rng):
 
 
 def test_stage_order_is_inert(ns, rng):
+    # the fused blocks against the per-digit oracle run in a random digit order
     f = random_f(ns, rng)
     base = forward(f).coeffs
     for _ in range(3):
         order = list(rng.permutation(ns.resolution))
-        assert np.max(np.abs(forward(f, stage_order=order).coeffs - base)) < 1e-12
+        assert np.max(np.abs(oracles.staged_forward(f, order).coeffs - base)) < 1e-12
     with pytest.raises(UsageError):
-        forward(f, stage_order=[0] * ns.resolution)
+        oracles.staged_forward(f, [0] * ns.resolution)
+
+
+# [2]*5, [2]*6 and [2]*11 sit on block edges; [37, 2] and [67] have a radix over the cap
+FUSED_GRIDS = [[2] * 5, [2] * 6, [2] * 11, [7, 2, 3], [5, 3, 2, 5], [2, 3, 4, 2, 3, 3, 3],
+               [37, 2], [67]]
+
+
+def _fused_cases(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(len(radices))
+    coarse = [families.random_cells(ns, rng, resolution=r) for r in (0, 1)]
+    return ns, rng, coarse + [families.random_cells(ns, rng)]
+
+
+@pytest.mark.parametrize("radices", FUSED_GRIDS, ids=str)
+def test_fused_matches_oracles(radices):
+    ns, rng, fs = _fused_cases(radices)
+    for f in fs:
+        fast = forward(f).coeffs
+        assert np.max(np.abs(fast - oracles.forward(f).coeffs)) < 1e-12
+        order = rng.permutation(f.resolution)
+        assert np.max(np.abs(fast - oracles.staged_forward(f, order).coeffs)) < 1e-12
+        c = CoefficientVector(ns, f.resolution, f.cells)
+        back = oracles.staged_inverse(c, rng.permutation(f.resolution)).cells
+        assert np.max(np.abs(inverse(c).cells - back)) < 1e-12
+        assert sup_distance(inverse(forward(f)), f) < 1e-12
+
+
+@pytest.mark.parametrize("radices", FUSED_GRIDS, ids=str)
+def test_fused_output_is_byte_stable(radices):
+    for f in _fused_cases(radices)[2]:
+        c = forward(f)
+        assert forward(f).coeffs.tobytes() == c.coeffs.tobytes()
+        assert inverse(c).cells.tobytes() == inverse(c).cells.tobytes()
+
+
+def test_kronecker_blocks_are_read_only():
+    for radices in FUSED_GRIDS:
+        radices = tuple(radices)
+        blocks = transform._digit_blocks(radices)
+        assert [j for block in blocks for j in range(*block)] == list(range(len(radices)))
+        for j0, j1 in blocks:
+            for analysis in (True, False):
+                K = transform._kronecker(radices[j0:j1], analysis)
+                assert not K.flags.writeable
+                with pytest.raises(ValueError):
+                    K[0, 0] = 0.0
+
+
+def _calls_numpy(tree, name) -> bool:
+    """Whether the module calls np.<name> or numpy.<name>, or imports name from numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                and any(a.name == name for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            return True
+    return False
+
+
+def _takes_arg(tree, function, arg) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            a = node.args
+            names = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            return any(x is not None and x.arg == arg for x in names)
+    return False
+
+
+def test_transform_has_no_per_digit_stages():
+    tree = ast.parse(pathlib.Path(transform.__file__).read_text(encoding="utf-8"))
+    assert not _calls_numpy(tree, "tensordot")
+    assert not _calls_numpy(tree, "moveaxis")
+    assert not _takes_arg(tree, "forward", "stage_order")
+    assert not _takes_arg(tree, "inverse", "stage_order")
+
+
+def test_per_digit_guard_detects_both_forms():
+    for name in ("tensordot", "moveaxis"):
+        assert _calls_numpy(ast.parse(f"np.{name}(a, b)"), name)
+        assert _calls_numpy(ast.parse(f"from numpy import {name}"), name)
+        assert not _calls_numpy(ast.parse("a @ b"), name)
+    assert _takes_arg(ast.parse("def forward(f, stage_order=None): pass"), "forward", "stage_order")
+    assert _takes_arg(ast.parse("def inverse(c, *, stage_order): pass"), "inverse", "stage_order")
+    assert not _takes_arg(ast.parse("def forward(f): pass"), "forward", "stage_order")
 
 
 def test_parseval(ns, rng):
