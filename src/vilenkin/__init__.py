@@ -60,7 +60,6 @@ from .transform import (
 )
 from .kernels import (
     BoundScanRecord,
-    block_decomposition_residual,
     block_decomposition_residuals,
     cesaro_kernel,
     coset_decay_scan,
@@ -81,7 +80,6 @@ from .oscillation import (
     modulus_of_continuity,
     oscillation_profile,
     oscillation_series,
-    young_from_spec,
     young_oscillation_score,
     young_series,
 )

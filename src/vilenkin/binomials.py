@@ -8,7 +8,6 @@ stay exact for integer alpha and fully reproducible otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,22 +86,21 @@ def identity_report(alpha: float, n_max: int) -> IdentityReport:
     scale = np.maximum(scale, np.finfo(np.float64).tiny)
     diff_rel = float(np.max(np.abs(diff - t_lower[1:]) / scale))
 
-    sum_rel = 0.0
-    sum_shifted_rel = 0.0
-    partial = 0.0
-    comp = 0.0
-    for n in range(0, n_max + 1):
-        prev = partial
-        # Kahan update keeps the running sum exact enough for the residual
-        # to reflect the table entries, not the summation.
-        y = float(t_lower[n]) - comp
+    # Only the running sums are sequential. The Kahan update keeps them exact
+    # enough for the residual to reflect the table entries, not the summation.
+    partials = []
+    partial = comp = 0.0
+    for v in t_lower.tolist():
+        y = v - comp
         s = partial + y
         comp = (s - partial) - y
         partial = s
-        if n >= 1:
-            denom = max(abs(t[n]), abs(partial), np.finfo(np.float64).tiny)
-            sum_rel = max(sum_rel, abs(partial - t[n]) / denom)
-            sum_shifted_rel = max(sum_shifted_rel, abs(prev - t[n]) / denom)
+        partials.append(s)
+    partials = np.array(partials)
+    denom = np.maximum(np.maximum(np.abs(t[1:]), np.abs(partials[1:])),
+                       np.finfo(np.float64).tiny)
+    sum_rel = float(np.max(np.abs(partials[1:] - t[1:]) / denom))
+    sum_shifted_rel = float(np.max(np.abs(partials[:-1] - t[1:]) / denom))
     return IdentityReport(
         alpha=alpha,
         n_max=n_max,
@@ -110,13 +108,6 @@ def identity_report(alpha: float, n_max: int) -> IdentityReport:
         sum_max_rel=sum_rel,
         sum_shifted_max_rel=sum_shifted_rel,
     )
-
-
-def block_sum(table: CesaroTable, start: int, stop: int) -> float:
-    """sum_{j=start}^{stop-1} A_j^alpha, compensated; equals A_{stop-1}^{alpha+1} - A_{start-1}^{alpha+1}."""
-    if not 0 <= start <= stop <= len(table.values):
-        raise UsageError(f"block {start}..{stop} outside the table")
-    return math.fsum(float(v) for v in table.values[start:stop])
 
 
 def asymptotic_ratio_residual(alpha: float, n: int) -> float:

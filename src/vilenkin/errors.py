@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package.
 
 All errors derive from ValueError so callers that do not care about the
-distinction can catch one type. The CLI maps ConfigurationError to exit
-code 2 and everything else to exit code 1.
+distinction can catch one type. The CLI maps every VilenkinError to exit
+code 2: a ConfigurationError prints as a configuration error, any other as
+an invalid parameter. Exit code 1 means a checked property failed.
 """
 
 

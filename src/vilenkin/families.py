@@ -87,6 +87,8 @@ def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
         return f"digit_indicator-{level}-{coset}", digit_indicator(ns, level, coset)
     if name == "random_lipschitz":
         bound = config_value(spec.get("bound", 1.0), float, "bound", 0)
+        if not np.isfinite(2.0 * bound):  # rng.uniform needs a finite width
+            raise ConfigurationError(f"bound={bound!r} spans no finite interval [-bound, bound]")
         return f"random_lipschitz-{bound!r}", random_lipschitz(ns, rng, bound)
     if name == "file":
         path = spec.get("path")
@@ -95,7 +97,7 @@ def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
         try:
             with open(config_value(path, str, "path"), "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
             raise ConfigurationError(f"cannot read function file {path}: {e}")
         try:
             f = load_step(text)

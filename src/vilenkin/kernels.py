@@ -8,6 +8,8 @@ be asserted rather than assumed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +23,7 @@ from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, dig
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
 
-_TABLE_CELL_CAP = 1 << 24
+_ROW_BLOCK = 1 << 20  # entries in one block of D_n rows
 
 
 def _extended_digits(ns: NumberSystem, n: int) -> list[int]:
@@ -71,24 +73,6 @@ def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -
     return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc.reshape(-1))
 
 
-def dirichlet_table(ns: NumberSystem, n_max: int) -> np.ndarray:
-    """Rows D_0 .. D_{n_max} on every full-resolution cell, built as cumulative character sums."""
-    if not 0 <= n_max <= ns.cell_count:
-        raise UsageError(f"table top {n_max} outside 0..{ns.cell_count}")
-    cells = ns.cell_count
-    if (n_max + 1) * cells > _TABLE_CELL_CAP:
-        raise UsageError(f"table of {(n_max + 1) * cells} entries exceeds the cap")
-    out = np.zeros((n_max + 1, cells), dtype=np.complex128)
-    chunk = max(1, min(n_max, (1 << 20) // max(cells, 1)))
-    for start in range(0, n_max, chunk):
-        stop = min(n_max, start + chunk)
-        block = character_block(ns, start, stop, ns.resolution)
-        out[start + 1 : stop + 1] = np.cumsum(block, axis=0)
-        if start > 0:
-            out[start + 1 : stop + 1] += out[start]
-    return out
-
-
 def fejer_kernel(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
     """(1/n) sum_{k=1}^{n} D_k = sum_{nu<n} (n - nu)/n psi_nu."""
     if not 1 <= n <= ns.cell_count:
@@ -106,6 +90,43 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
         raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
     numerators, denominator = cesaro_weights(n, alpha)
     return synthesize(ns, numerators / denominator, resolution)
+
+
+def _dirichlet_sum(ns: NumberSystem, coeffs, resolution: int | None = None) -> StepFunction:
+    """sum_{j=1}^{n} c_j D_j for coeffs (c_1, .., c_n): one synthesis of the suffix sums.
+
+    The sum is the character sum with weight sum_{j>nu} c_j on psi_nu; a lone
+    D_n is the case c = e_n, whose suffix sums are n ones.
+    """
+    c = np.asarray(coeffs)
+    return synthesize(ns, np.cumsum(c[::-1])[::-1], resolution)
+
+
+def _dirichlet_rows(ns: NumberSystem, first: int, last: int):
+    """Rows D_first .. D_last at full resolution, in blocks of at most _ROW_BLOCK entries.
+
+    The rows run downward when last < first. D_first is one _dirichlet_sum;
+    each further row adds psi_n to the row before it, or subtracts psi_{n-1}
+    going down. The running sum is carried from block to block, so the rows
+    do not depend on the block size.
+    """
+    N, cells = ns.resolution, ns.cell_count
+    step = 1 if last >= first else -1
+    height = max(1, _ROW_BLOCK // cells)
+    row = _dirichlet_sum(ns, np.arange(1, first + 1) == first, N).cells
+    for a in range(first, last + step, step * height):
+        b = a + step * min(height, abs(last - a) + 1)  # the block holds rows a, .., b - step
+        rows = np.empty((abs(b - a), cells), dtype=np.complex128)
+        rows[0] = row
+        if step > 0:
+            rows[1:] = character_block(ns, a, b - 1, N)
+        else:
+            rows[1:] = -character_block(ns, b + 1, a, N)[::-1]
+        np.cumsum(rows, axis=0, out=rows)
+        if b != last + step:
+            row = rows[-1] + vilenkin_on_cells(ns, b - 1, N) if step > 0 \
+                else rows[-1] - vilenkin_on_cells(ns, b, N)
+        yield rows
 
 
 @dataclass(frozen=True)
@@ -136,73 +157,62 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     - reflection: D_{n_s M_s - j} = D_{n_s M_s} - psi_{n_s M_s - 1} conj(D_j),
       1 <= n_s < m_s, 0 <= j <= n_s M_s
     - product_form: D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a
+
+    The rows come from _dirichlet_rows, so no more than a few blocks of them
+    are held at once. digit_split is block_geometric for r < m_k and is
+    evaluated once.
     """
     N = ns.resolution
-    cells = ns.cell_count
-    T = dirichlet_table(ns, cells)
-    idx = np.arange(cells)
-    # r_k^a for a = 0..m_k is row a % m_k of F_k on digit k's axis; Tt holds T's rows as tensors
-    powers = []
+    res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
+                         "block_geometric", "reflection", "product_form"), 0.0)
+
+    def bump(key, diff):
+        res[key] = max(res[key], float(np.abs(diff).max()))
+
+    def row(n):
+        return next(_dirichlet_rows(ns, n, n))[0]
+
+    # every row once, in order: the scale indicators, the means and the product form
+    idx = np.arange(ns.cell_count)
+    for n, D in enumerate(itertools.chain.from_iterable(_dirichlet_rows(ns, 0, ns.cell_count))):
+        if n in ns.M:
+            bump("scale_indicator", D - np.where(idx % n == 0, n, 0).astype(np.complex128))
+        if n:
+            bump("mean", D.mean() - 1.0)
+            bump("product_form", dirichlet_product(ns, n).lift(N).cells - D)
+
+    # rows n_k M_k + j beside the rows D_j, j < M_k; r_k^a is row a % m_k of F_k on digit k's axis
     for k in range(N):
-        m = ns.radix.radices[k]
-        powers.append(digit_axis(synthesis_matrix(m)[np.arange(m + 1) % m], ns, N, k))
-    Tt = digit_tensor(T, ns, N)
-
-    res = {key: 0.0 for key in (
-        "scale_indicator", "mean", "digit_split", "block_shift",
-        "block_geometric", "reflection", "product_form")}
-
-    for k in range(N + 1):
-        ref = np.where(idx % ns.M[k] == 0, ns.M[k], 0).astype(np.complex128)
-        res["scale_indicator"] = max(res["scale_indicator"],
-                                     float(np.abs(T[ns.M[k]] - ref).max()))
-
-    means = T[1:].mean(axis=1)
-    res["mean"] = float(np.abs(means - 1.0).max())
-
-    for k in range(N):
-        m = ns.radix.radices[k]
-        Mk = ns.M[k]
-        geo = np.cumsum(powers[k][:m], axis=0)  # geo[q] = sum_{a<=q} r_k^a
+        m, Mk = ns.radix.radices[k], ns.M[k]
+        powers = digit_axis(synthesis_matrix(m)[np.arange(m + 1) % m], ns, N, k)
+        geo = np.cumsum(powers[:m], axis=0)  # geo[q] = sum_{a<=q} r_k^a
+        D_Mk = digit_tensor(row(Mk), ns, N)
         for nk in range(1, m):
             base = nk * Mk
-            gs = geo[nk - 1]
-            for rest in range(Mk):
-                lhs = Tt[base + rest]
-                res["digit_split"] = max(res["digit_split"], float(
-                    np.abs(lhs - gs * Tt[Mk] - powers[k][nk] * Tt[rest]).max()))
-            for j in range(Mk + 1):
-                lhs = Tt[base + j]
-                res["block_shift"] = max(res["block_shift"], float(
-                    np.abs(lhs - Tt[base] - powers[k][nk] * Tt[j]).max()))
-        for rr in range(1, m + 1):
-            base = rr * Mk
-            for j in range(1 if rr == m else Mk):
-                lhs = Tt[base + j]
-                res["block_geometric"] = max(res["block_geometric"], float(
-                    np.abs(lhs - geo[rr - 1] * Tt[Mk] - powers[k][rr] * Tt[j]).max()))
+            D_base = digit_tensor(row(base), ns, N)
+            for high, low in zip(_dirichlet_rows(ns, base, base + Mk - 1),
+                                 _dirichlet_rows(ns, 0, Mk - 1)):
+                high, low = digit_tensor(high, ns, N), digit_tensor(low, ns, N)
+                bump("digit_split", high - geo[nk - 1] * D_Mk - powers[nk] * low)
+                bump("block_shift", high - D_base - powers[nk] * low)
+            bump("block_shift", digit_tensor(row(base + Mk), ns, N) - D_base - powers[nk] * D_Mk)
+        bump("block_geometric", digit_tensor(row(ns.M[k + 1]), ns, N) - geo[m - 1] * D_Mk
+             - powers[m] * digit_tensor(row(0), ns, N))
+    res["block_geometric"] = max(res["block_geometric"], res["digit_split"])
 
+    # rows n_s M_s - j going down, beside the rows D_j going up
     for s in range(N):
-        m = ns.radix.radices[s]
-        for n_s in range(1, m):
+        for n_s in range(1, ns.radix.radices[s]):
             base = n_s * ns.M[s]
-            psi = vilenkin_on_cells(ns, base - 1, N)
-            for j in range(base + 1):
-                lhs = T[base - j]
-                res["reflection"] = max(res["reflection"], float(
-                    np.abs(lhs - T[base] + psi * T[j].conj()).max()))
-
-    for n in range(1, cells + 1):
-        prod = dirichlet_product(ns, n).lift(N)
-        res["product_form"] = max(res["product_form"], float(
-            np.abs(prod.cells - T[n]).max()))
+            psi, D_base = vilenkin_on_cells(ns, base - 1, N), row(base)
+            for down, up in zip(_dirichlet_rows(ns, base, 0), _dirichlet_rows(ns, 0, base)):
+                bump("reflection", down - D_base + psi * up.conj())
 
     return RecursionReport(residuals=res)
 
 
-def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
-                                 table: np.ndarray) -> float:
-    """Residual of the digit-block expansion of sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j.
+def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -> np.ndarray:
+    """Residual of the digit-block expansion of sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j, per n.
 
     The left side drives the order -alpha kernel (it equals
     A_{n-1}^{-alpha} K_n^{-alpha}); the right side resolves it into per-digit
@@ -212,58 +222,50 @@ def block_decomposition_residual(ns: NumberSystem, n: int, alpha: float,
             - psi_{n_k M_k - 1} sum_{j<n_k M_k} A_{n^(k-1)+j}^{-alpha-1} conj(D_j) ].
 
     Zero digits contribute nothing and are skipped, so psi_{-1} never arises.
-    table holds at least the rows D_0 .. D_n of dirichlet_table.
+    orders defaults to 1 .. M_N. The left side, each D_{n_k M_k} and each
+    inner sum are one _dirichlet_sum each. The two binomial tables are built
+    once, for the largest order, and sliced per n: cumprod rounds every prefix
+    as a table built for that n would. psi_{base-1}, psi_base and D_base are
+    built once per base = n_k M_k.
     """
-    return float(block_decomposition_residuals(ns, alpha, table, [n])[0])
-
-
-def block_decomposition_residuals(ns: NumberSystem, alpha: float, table: np.ndarray,
-                                  orders=None) -> np.ndarray:
-    """block_decomposition_residual for each n in orders (default 1 .. len(table) - 1).
-
-    The two binomial tables are built once, for the largest order, and sliced
-    per n: cumprod rounds every prefix as a table built for that n would. The
-    characters psi_{base-1} and psi_base are built once per base = n_k M_k.
-    """
-    orders = range(1, len(table)) if orders is None else list(orders)
+    orders = range(1, ns.cell_count + 1) if orders is None else list(orders)
     for n in orders:
         if not 1 <= n <= ns.cell_count:
             raise UsageError(f"order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
+    N = ns.resolution
     n_top = max(orders, default=1)
     t0 = binomials.cesaro_table(-alpha, n_top - 1)
     t1 = binomials.cesaro_table(-alpha - 1, n_top - 1)
-    chars = {}
 
+    @functools.cache
     def psi(k):
-        if k not in chars:
-            chars[k] = vilenkin_on_cells(ns, k, ns.resolution)
-        return chars[k]
+        return vilenkin_on_cells(ns, k, N)
 
-    cells = table.shape[1]
+    @functools.cache
+    def dirichlet_at(base):
+        return _dirichlet_sum(ns, np.arange(1, base + 1) == base, N).cells
+
     out = np.empty(len(orders))
     for i, n in enumerate(orders):
-        lhs = np.tensordot(t1.values[:n][::-1], table[1 : n + 1], axes=(0, 0))
+        lhs = _dirichlet_sum(ns, t1.values[:n][::-1], N).cells
         dd = _extended_digits(ns, n)
-        rhs = np.zeros(cells, dtype=np.complex128)
-        suffix = np.ones(cells, dtype=np.complex128)  # prod_{l>k} psi_{n_l M_l}
+        rhs = np.zeros(ns.cell_count, dtype=np.complex128)
+        suffix = np.ones(ns.cell_count, dtype=np.complex128)  # prod_{l>k} psi_{n_l M_l}
         trunc = n  # n^(k) going down
         for k in range(len(dd) - 1, -1, -1):
             nk = dd[k]
             if nk == 0:
                 continue
             base = nk * ns.M[k]
-            trunc_below = trunc - base  # n^(k-1)
-            block = table[base] * t0.a(trunc - 1)
-            # the weights are real, so conjugating the sum equals summing the conjugates
-            inner = np.tensordot(t1.values[trunc_below : trunc_below + base],
-                                 table[:base], axes=(0, 0)).conj()
-            block = block - psi(base - 1) * inner
-            rhs += suffix * block
-            if k < ns.resolution:
+            below = trunc - base  # n^(k-1)
+            # the weights are real, so conjugating the sum equals summing the conjugates; D_0 = 0
+            inner = _dirichlet_sum(ns, t1.values[below + 1 : below + base], N).cells.conj()
+            rhs += suffix * (dirichlet_at(base) * t0.a(trunc - 1) - psi(base - 1) * inner)
+            if k < N:
                 suffix = suffix * psi(base)
-            trunc = trunc_below
+            trunc = below
         out[i] = np.abs(lhs - rhs).max()
     return out
 
@@ -346,8 +348,7 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
 def dirichlet_l1_ratio(ns: NumberSystem, coeffs) -> float:
     """[(1/n) integral |sum_k a_k D_k|] * sqrt(n) / ||a||_2.
 
-    The combination sum_{k=1}^{n} a_k D_k collapses to the character sum with
-    suffix weights sum_{k>nu} a_k, so one synthesis evaluates it.
+    The combination sum_{k=1}^{n} a_k D_k is one _dirichlet_sum.
     """
     a = np.asarray(coeffs, dtype=np.float64)
     if a.ndim != 1 or len(a) == 0:
@@ -358,9 +359,7 @@ def dirichlet_l1_ratio(ns: NumberSystem, coeffs) -> float:
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
         raise UsageError("coefficient vector is zero")
-    suffix = np.cumsum(a[::-1])[::-1]
-    comb = synthesize(ns, suffix)
-    l1 = float(np.abs(comb.cells).mean())
+    l1 = float(np.abs(_dirichlet_sum(ns, a).cells).mean())
     return (l1 / n) * math.sqrt(n) / norm
 
 

@@ -77,6 +77,15 @@ def dirichlet(ns: NumberSystem, n: int, resolution: int) -> StepFunction:
     return StepFunction(ns, resolution, acc)
 
 
+def dirichlet_table(ns: NumberSystem, n_max: int) -> np.ndarray:
+    """The (n_max + 1) x M_N table of D_0 .. D_{n_max}, as cumulative character sums."""
+    if not 0 <= n_max <= ns.cell_count:
+        raise UsageError(f"table top {n_max} outside 0..{ns.cell_count}")
+    out = np.zeros((n_max + 1, ns.cell_count), dtype=np.complex128)
+    out[1:] = np.cumsum(character_block(ns, 0, n_max), axis=0)
+    return out
+
+
 def cesaro_mean_partial_sums(f: StepFunction, n: int, alpha: float) -> StepFunction:
     """sigma_n^{-alpha} f = (1/A_{n-1}^{-alpha}) sum_{nu=1}^{n} A_{n-nu}^{-alpha-1} S_nu f."""
     t0 = binomials.cesaro_table(-alpha, n - 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, UsageError, ValidationError
+from .errors import DomainError, UsageError, ValidationError
 from .group import basis_element, coset_rep_cells
 from .transform import StepFunction, convolve
 
@@ -142,20 +142,6 @@ class YoungFunction:
         if v > self.values[-1]:
             raise DomainError(f"value {v} beyond tabulated range {self.values[-1]}")
         return float(np.interp(v, self.values, self.grid))
-
-
-def young_from_spec(spec) -> YoungFunction:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(f"Young function spec {spec!r} needs a 'kind'")
-    if spec["kind"] == "power":
-        return YoungFunction(kind="power", p=float(spec.get("p", 2.0)))
-    if spec["kind"] == "table":
-        return YoungFunction(
-            kind="table",
-            grid=np.asarray(spec["u"], float),
-            values=np.asarray(spec["M"], float),
-        )
-    raise ConfigurationError(f"unknown Young function kind {spec['kind']!r}")
 
 
 def young_oscillation_score(f: StepFunction, M: YoungFunction) -> float:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,12 +72,6 @@ def test_ratio_deviation_shrinks_with_n():
     devs = [binomials.asymptotic_ratio_residual(-0.5, n) for n in (100, 1000, 10_000)]
     assert devs[0] > devs[1] > devs[2]
     assert all(d <= 5.0 / n for d, n in zip(devs, (100, 1000, 10_000)))
-
-
-def test_block_sum_matches_fsum():
-    t = binomials.cesaro_table(-0.5, 500)
-    expected = math.fsum(t.values[10:200])
-    assert binomials.block_sum(t, 10, 200) == pytest.approx(expected, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin import cli, kernels
 
@@ -298,24 +304,98 @@ MALFORMED = {
     "scan_kinds_not_a_list": ("kernel-scan", {"kernel_scan": {"kinds": 5}}),
     "suites_not_a_list": ("verify", {"suites": 5}),
     "bench_sizes_not_a_list": ("bench", {"bench": {"sizes": 5}}),
+    "function_file_not_utf8": ("converge", {"functions": [{"family": "file",
+                                                           "path": "not_utf8.txt"}]}),
+    "lipschitz_bound_overflows": ("converge", {"functions": [{"family": "random_lipschitz",
+                                                              "bound": 1e308}]}),
+    "lipschitz_bound_infinite": ("oscillation", {"functions": [{"family": "random_lipschitz",
+                                                                "bound": float("inf")}]}),
+    "out_names_a_file": ("converge", {"out": "cfg.json"}),
+    "suite_name_a_list": ("verify", {"suites": [[1]]}),
+    # keys the schema forbids; the message must name them
+    "scan_key_typo": ("kernel-scan", {"kernel_scan": {"levle": 3}}, "levle"),
+    "thresholds_key_typo": ("converge", {"thresholds": {"stability_factr": 9}},
+                            "stability_factr"),
+    "bench_key_typo": ("bench", {"bench": {"size": []}}, "size"),
+    "bench_size_key_typo": ("bench", {"bench": {"sizes": [{"constant": 2, "length": 3,
+                                                           "lenght": 4}]}}, "lenght"),
+    "radix_two_forms": ("converge", {"radix": {"constant": 2, "length": 3, "list": [5]}},
+                        "list"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_config_exits_2_without_traceback(tmp_path, name):
-    command, body = MALFORMED[name]
+def _run_cli(tmp_path, command, config: bytes):
+    """Run the CLI on the config bytes in a fresh interpreter, in tmp_path."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"radix": {"constant": 2, "length": 3}, **body}),
-                   encoding="utf-8")
+    cfg.write_bytes(config)
     (tmp_path / "not_json.txt").write_text("not json", encoding="utf-8")
+    (tmp_path / "not_utf8.txt").write_bytes(b"\xff\xfe not utf-8")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env = {k: v for k, v in env.items() if not k.startswith("VILENKIN_")}
     # no --out flag: it would override the file's out; output lands under tmp_path
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "vilenkin.cli", command, "--config", str(cfg)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(tmp_path, name):
+    command, body, *named = MALFORMED[name]
+    config = json.dumps({"radix": {"constant": 2, "length": 3}, **body})
+    proc = _run_cli(tmp_path, command, config.encode("utf-8"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
+    for key in named:
+        assert repr(key) in proc.stderr
+
+
+# config files that the JSON harness above cannot write
+UNREADABLE = {
+    "not_utf8": b'{"seed": "\xff"}',
+    "nested_too_deeply": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_config_exits_2_without_traceback(tmp_path, name):
+    proc = _run_cli(tmp_path, "verify", UNREADABLE[name])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+
+
+_SCHEMA_WORDS = sorted({"constant", "length", "list", "pattern", "family", "decay", "coeffs",
+                        "level", "coset", "bound", "path", "kind", "start", "stop", "values",
+                        "stability_factor", "final_over_first", "trailing_points", "kinds",
+                        "n", "sizes", "repeats", "lacunary", "inverse_scale", "file",
+                        "digit_indicator", "random_lipschitz", "scales", "dense",
+                        "scales_and_neighbors", "majorant", "coset_decay", "group", "block"})
+_leaf = (st.none() | st.booleans() | st.integers(-3, 10) | st.floats()
+         | st.text(max_size=5) | st.sampled_from(_SCHEMA_WORDS))
+_value = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_radix = st.sampled_from([[2, 2, 2], {"constant": 2, "length": 4}, {"list": [3, 2]},
+                          {"pattern": [2, 3], "length": 3}]) | _value
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), radix=_radix,
+       fragment=st.dictionaries(st.sampled_from(sorted(cli.DEFAULTS)), _value, max_size=4))
+def test_exit_code_contract(command, radix, fragment):
+    # the fragment's own radix, when it draws one, replaces the drawn radix
+    body = {"radix": radix, **fragment}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("VILENKIN_")}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(body, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([command, "--config", path, "--out", os.path.join(tmp, "out"),
+                           "--max-cells", "64"])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "configuration error" in err.getvalue() or "invalid parameter" in err.getvalue()

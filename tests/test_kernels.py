@@ -13,7 +13,7 @@ def test_dirichlet_zero_is_zero(ns):
 
 def test_dirichlet_matches_character_sum(ns):
     # brute-force oracle: D_n = sum_{k<n} psi_k
-    T = kernels.dirichlet_table(ns, ns.cell_count)
+    T = oracles.dirichlet_table(ns, ns.cell_count)
     acc = np.zeros(ns.cell_count, dtype=np.complex128)
     for n in range(1, ns.cell_count + 1):
         acc += vk.vilenkin_on_cells(ns, n - 1)
@@ -32,9 +32,9 @@ def test_scale_kernels_exact(ns):
 
 
 def test_dirichlet_mean_one(ns):
-    T = kernels.dirichlet_table(ns, ns.cell_count)
-    means = T[1:].mean(axis=1)
-    assert np.max(np.abs(means - 1.0)) < 1e-10
+    for n in range(1, ns.cell_count + 1):
+        d = kernels.dirichlet(ns, n, resolution=ns.resolution)
+        assert abs(d.cells.mean() - 1.0) < 1e-10
 
 
 def test_dirichlet_constant_on_scale_cells(ns):
@@ -71,7 +71,7 @@ def test_dirichlet_rejects_bad_order(ns):
 
 def test_fejer_is_cesaro_order_one_mirror(ns, rng):
     # the Fejer kernel averages the first n Dirichlet kernels
-    T = kernels.dirichlet_table(ns, ns.cell_count)
+    T = oracles.dirichlet_table(ns, ns.cell_count)
     for n in (1, 3, ns.M[2], ns.cell_count):
         k = kernels.fejer_kernel(ns, n, resolution=ns.resolution)
         avg = T[1 : n + 1].mean(axis=0)
@@ -87,7 +87,7 @@ def test_cesaro_kernel_mean_one(ns):
 
 def test_cesaro_kernel_weighted_dirichlet_sum(ns):
     # A_{n-1}^{-alpha} K_n = sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j
-    T = kernels.dirichlet_table(ns, ns.cell_count)
+    T = oracles.dirichlet_table(ns, ns.cell_count)
     alpha = 0.5
     for n in (1, 2, 5, ns.M[2], ns.cell_count):
         t1 = binomials.cesaro_table(-alpha - 1.0, n)
@@ -98,27 +98,24 @@ def test_cesaro_kernel_weighted_dirichlet_sum(ns):
 
 
 def test_block_decomposition_all_orders(ns):
-    T = kernels.dirichlet_table(ns, ns.cell_count)
     for alpha in (0.25, 0.5, 0.75):
-        worst = max(kernels.block_decomposition_residual(ns, n, alpha, table=T)
-                    for n in range(1, ns.cell_count + 1))
-        assert worst <= 1e-9
+        residuals = kernels.block_decomposition_residuals(ns, alpha)
+        assert residuals.shape == (ns.cell_count,)
+        assert residuals.max() <= 1e-9
 
 
 def test_block_residuals_match_per_order(ns):
-    T = kernels.dirichlet_table(ns, ns.cell_count)
     for alpha in (0.25, 0.75):
-        all_orders = kernels.block_decomposition_residuals(ns, alpha, T)
-        each = [kernels.block_decomposition_residual(ns, n, alpha, table=T)
+        all_orders = kernels.block_decomposition_residuals(ns, alpha)
+        each = [kernels.block_decomposition_residuals(ns, alpha, [n])[0]
                 for n in range(1, ns.cell_count + 1)]
         assert all_orders.tobytes() == np.array(each).tobytes()
 
 
 def test_block_residuals_build_tables_and_characters_once(ns, count_calls):
-    T = kernels.dirichlet_table(ns, ns.cell_count)
     tables = count_calls("cesaro_table", module=binomials)
     chars = count_calls("vilenkin_on_cells", module=characters)
-    kernels.block_decomposition_residuals(ns, 0.5, T)
+    kernels.block_decomposition_residuals(ns, 0.5)
     assert len(tables) == 2
     # psi_{base-1} and psi_base once per digit block base = n_k M_k, plus psi_{M_N - 1}
     built = [args[1] for args in chars]

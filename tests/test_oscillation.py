@@ -222,14 +222,6 @@ def test_young_table_must_be_convex():
         YoungFunction(kind="table", grid=(1.0, 2.0), values=(1.0, 2.0))
 
 
-def test_young_from_spec():
-    M = oscillation.young_from_spec({"kind": "power", "p": 3.0})
-    assert M(2.0) == 8.0
-    T = oscillation.young_from_spec(
-        {"kind": "table", "u": [0.0, 1.0], "M": [0.0, 2.0]})
-    assert T(0.5) == 1.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(1.0, 5.0), u=st.floats(0.0, 10.0))
 def test_young_power_inverse_hypothesis(p, u):
