@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import binomials, kernels, oracles, oscillation, transform
 from .characters import character_block, character_shift_residual, unity_gap_residual
-from .errors import ConfigurationError, VilenkinError, config_value
+from .errors import ConfigurationError, VilenkinError, config_object, config_value
 from .families import family_from_spec, random_cells
 from .group import (NumberSystem, add, build_number_system, coset_key_table,
                     digit_matrix, element_of, neg, radix_from_spec, scale_of,
@@ -97,10 +97,7 @@ def merge_config(args: argparse.Namespace) -> dict:
                            or os.environ.get(_ENV_PREFIX + "CONFIG"))
     for key, val in file_cfg.items():
         if key in _MERGE_KEYS:
-            unknown = set(config_value(val, dict, key)) - set(DEFAULTS[key])
-            if unknown:
-                raise ConfigurationError(f"unknown {key} keys: {sorted(unknown)}")
-            cfg[key].update(val)
+            cfg[key].update(config_object(val, DEFAULTS[key], key))
         else:
             cfg[key] = val
     cfg.update(_env_overrides())
@@ -176,9 +173,12 @@ def _out_dir(cfg: dict, command: str) -> str:
     return out
 
 
+_SCHEDULE_KEYS = ("kind", "start", "stop", "values")
+
+
 def n_schedule(ns: NumberSystem, spec: dict) -> list[int]:
     """Order schedule: scale points by default, plus near-scale offsets."""
-    kind = config_value(spec, dict, "n_schedule").get("kind", "scales_and_neighbors")
+    kind = config_object(spec, _SCHEDULE_KEYS, "n_schedule").get("kind", "scales_and_neighbors")
     top = ns.cell_count
     if kind == "list":
         values = [config_value(n, int, "n_schedule.values")
@@ -485,15 +485,22 @@ def run_kernel_scan(cfg: dict) -> int:
         lo = max((r.sup_ratio for r in records if r.n <= mid), default=0.0)
         hi = max((r.sup_ratio for r in records if r.n > mid), default=0.0)
         finite = bool(np.all(np.isfinite(ratios)))
-        stable = finite and (lo == 0.0 or hi <= factor * lo)
-        summary[f"{kind}_alpha_{alpha}"] = {
+        halves = (len({n for n in ns_sorted if n <= mid}), len({n for n in ns_sorted if n > mid}))
+        entry = {
             "empirical_constant": float(max(ratios)),
             "lower_half_max": float(lo),
             "upper_half_max": float(hi),
             "n_range": [min(ns_sorted), max(ns_sorted)],
-            "stable": stable,
         }
-        stable_all &= stable
+        if min(halves) < 2:
+            # one order against one or two says nothing about growth
+            entry["stable"] = None
+            entry["stable_reason"] = (f"the halves hold {halves[0]} and {halves[1]} orders; "
+                                      "the verdict needs at least 2 in each")
+        else:
+            entry["stable"] = finite and (lo == 0.0 or hi <= factor * lo)
+            stable_all &= entry["stable"]
+        summary[f"{kind}_alpha_{alpha}"] = entry
         finite_all &= finite
     summary["schema_version"] = SCHEMA_VERSION
     summary["stability_factor"] = factor

@@ -43,3 +43,15 @@ def config_value(value, kind: type, name: str, minimum=None):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigurationError(f"{name}={value!r} is not {what}{bound}")
     return kind(value)
+
+
+def config_object(value, keys, name: str) -> dict:
+    """value as an object whose keys all lie in keys, as docs/config-schema.json closes it.
+
+    Raises ConfigurationError naming every other key.
+    """
+    obj = config_value(value, dict, name)
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigurationError(f"unknown {name} keys: {sorted(unknown)}")
+    return obj

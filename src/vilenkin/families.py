@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, config_value
+from .errors import ConfigurationError, UsageError, config_object, config_value
 from .group import NumberSystem, coset_rep_cells, digit_axis, digit_matrix, digit_tensor
 from .characters import root_table
 from .transform import StepFunction, load_step
@@ -65,9 +65,12 @@ def random_cells(ns: NumberSystem, rng: np.random.Generator,
     return StepFunction(ns, r, cells.astype(np.complex128))
 
 
+_SPEC_KEYS = ("family", "decay", "coeffs", "level", "coset", "bound", "path")
+
+
 def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
     """Build (label, StepFunction) from a config fragment."""
-    if not isinstance(spec, dict) or "family" not in spec:
+    if "family" not in config_object(spec, _SPEC_KEYS, "functions"):
         raise ConfigurationError(f"function spec {spec!r} needs a 'family'")
     name = spec["family"]
     if name == "lacunary":

@@ -260,6 +260,19 @@ def coset_rep_cells(ns: NumberSystem, k: int, resolution: int) -> np.ndarray:
     return cells
 
 
+@functools.lru_cache(maxsize=None)
+def trailing_zero_digits(ns: NumberSystem, resolution: int) -> np.ndarray:
+    """v(x) for every resolution-r cell x: how many of its low digits are 0 (r for x = 0).
+
+    x % M_l == 0 exactly when l <= v(x); the multiples of M_l are every M_l-th cell.
+    """
+    v = np.zeros(ns.cells_at(resolution), dtype=np.intp)
+    for l in range(1, resolution + 1):
+        v[:: ns.M[l]] += 1
+    v.setflags(write=False)
+    return v
+
+
 def coset_index(ns: NumberSystem, x: GroupElement, k: int) -> int:
     """Inverse of coset_rep: which coset of I_k contains x."""
     if not 0 <= k <= ns.resolution:

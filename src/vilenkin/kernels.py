@@ -19,7 +19,7 @@ from . import binomials
 from .characters import character_block, synthesis_matrix, vilenkin_on_cells
 from .errors import DomainError, UsageError
 from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, digits_of,
-                    scale_of)
+                    scale_of, trailing_zero_digits)
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
 
@@ -286,7 +286,10 @@ class BoundScanRecord:
 def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundScanRecord]:
     """|K_n^{-alpha}| |A_{n-1}^{-alpha}| against sum_{l<=A} M_l^{-alpha} D_{M_l}.
 
-    The l = 0 term is identically 1, so the majorant never vanishes.
+    The l = 0 term is identically 1, so the majorant never vanishes. Cell x
+    takes the terms l <= min(v(x), A), v(x) its trailing zero digits, so the
+    majorant is one gather from the running sums of M_l^{1-alpha}. K_n and
+    A_{n-1}^{-alpha} come from one Cesaro table.
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
@@ -294,15 +297,13 @@ def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundS
     for n in n_values:
         if not 1 <= n <= ns.cell_count:
             raise UsageError(f"order {n} outside 1..{ns.cell_count}")
-        K = cesaro_kernel(ns, n, alpha)
+        numerators, a_n = cesaro_weights(n, alpha)
+        K = synthesize(ns, numerators / a_n)
         r = K.resolution
-        cells = ns.cells_at(r)
         A = scale_of(ns, n) if n < ns.cell_count else ns.resolution
-        idx = np.arange(cells)
-        majorant = np.zeros(cells)
-        for l in range(min(A, r) + 1):
-            majorant += ns.M[l] ** (1.0 - alpha) * (idx % ns.M[l] == 0)
-        a_n = binomials.cesaro_coefficient(n - 1, -alpha)
+        top = min(A, r)
+        terms = np.cumsum([ns.M[l] ** (1.0 - alpha) for l in range(top + 1)])
+        majorant = terms[np.minimum(trailing_zero_digits(ns, r), top)]
         ratios = np.abs(K.cells) * abs(a_n) / majorant
         arg = int(np.argmax(ratios))
         out.append(BoundScanRecord(kind="majorant", n=n, alpha=alpha,

@@ -8,6 +8,11 @@ The cosets of I_k are the residues of the cell index mod M_k, so the cells
 reshaped to (M_r/M_k, M_k) and transposed hold one coset per row, with
 Z_beta^(k) + I_k in row coset_rep_cells(ns, k, r)[beta]. Row 0 is beta = 0,
 and every reduction over the rows is a max or an fsum, which ignore order.
+
+The difference condition at scale k shifts only the low k digits, so it is a
+convolution over G_k applied to each of the M_r/M_k rows of M_k cells: the
+staged passes run over k digits, not r, and the weight is M_k values. A
+vanishing difference transforms to zero, so exact zeros stay exact.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
 from .group import basis_element, coset_rep_cells
-from .transform import StepFunction, convolve
+from .transform import StepFunction, _staged
 
 _IMAG_TOL = 1e-13
 _PAIR_BLOCK = 1 << 20
@@ -87,7 +92,7 @@ def oscillation_profile(f: StepFunction) -> OscillationProfile:
     for k in range(r + 1):
         d = _row_diameters(_coset_values(f, k))
         omega[k] = d.max()
-        nu[k] = math.fsum(float(v) for v in d)
+        nu[k] = math.fsum(d.tolist())
         total[k] = nu[k] - float(d[0])
     return OscillationProfile(
         resolution=r,
@@ -149,29 +154,35 @@ def young_oscillation_score(f: StepFunction, M: YoungFunction) -> float:
     best = 0.0
     for k in range(f.resolution + 1):
         d = _row_diameters(_coset_values(f, k))
-        best = max(best, math.fsum(M(float(v)) for v in d[1:]))
+        best = max(best, math.fsum(map(M, d[1:].tolist())))
     return best
 
 
 def difference_condition(f: StepFunction, k: int, alpha: float) -> float:
     """sup_x sum_{beta=1}^{M_k - 1} beta^{alpha-1} |f(x - Z_beta) - f(x - Z_beta - e_k)|.
 
-    The sum is one group convolution: with d = |f - f(. - e_k)| and W the
-    weight beta^{alpha-1} placed on the cells of Z_beta^(k), it equals
-    M_r (d * W)(x). A vanishing d transforms to zero, so exact zeros stay exact.
+    The sum is a group convolution over the low k digits: with
+    d = |f - f(. - e_k)| and W the weight beta^{alpha-1} on the resolution-k
+    cell of Z_beta^(k), it is sum_{t in G_k} d(x - t) W(t). Subtracting t
+    changes only digits below k, and group addition has no carry, so each of
+    the M_r/M_k rows of M_k cells (one value of the high digits) is convolved
+    alone: the staged passes run over the k low digits, and W is M_k values.
+    A vanishing d transforms to zero, so exact zeros stay exact.
     """
     ns = f.ns
     if not 1 <= k < f.resolution:
         raise UsageError(f"scale {k} outside 1..{f.resolution - 1}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
-    r = f.resolution
     shifted = f.translate(basis_element(ns, k))
-    d = StepFunction(ns, r, np.abs(f.cells - shifted.cells))  # |f(y) - f(y - e_k)|
-    weight = np.zeros(ns.cells_at(r))
-    weight[coset_rep_cells(ns, k, r)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)
-    acc = convolve(d, StepFunction(ns, r, weight))
-    return float(ns.cells_at(r) * acc.cells.real.max())
+    d = np.abs(f.cells - shifted.cells)  # |f(y) - f(y - e_k)|
+    weight = np.zeros(ns.M[k])
+    weight[coset_rep_cells(ns, k, k)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)
+    spectrum = _staged(d, ns, k, analysis=True).reshape(-1, ns.M[k]) \
+        * _staged(weight, ns, k, analysis=True)
+    acc = _staged(spectrum.reshape(-1), ns, k, analysis=False)
+    # a zero spectrum can synthesize -0.0 (0 times a negative root); + 0.0 makes it 0.0
+    return float(acc.real.max() / ns.M[k]) + 0.0
 
 
 @dataclass(frozen=True)
@@ -222,7 +233,8 @@ def jensen_step_residual(f: StepFunction, M: YoungFunction) -> float:
     for k in range(f.resolution + 1):
         d = _row_diameters(_coset_values(f, k))
         mk = f.ns.M[k]
-        lhs = M(math.fsum(float(v) for v in d) / mk)
-        rhs = math.fsum(M(float(v)) for v in d) / mk
+        values = d.tolist()
+        lhs = M(math.fsum(values) / mk)
+        rhs = math.fsum(map(M, values)) / mk
         worst = max(worst, lhs - rhs)
     return float(worst)

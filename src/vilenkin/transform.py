@@ -161,7 +161,9 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     high * M_j1 + mid * M_j0 + low with 0 <= mid < P = M_j1 / M_j0, and the
     block's Kronecker matrix K acts on mid alone: the cells reshaped to
     (M_r / M_j1, P, M_j0) take one matmul K @ cells, and the lowest block
-    (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size.
+    (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size. values
+    may hold several rows of M_resolution cells back to back; each row is
+    transformed alone, as the cells of the lowest digits.
     """
     radices = ns.radix.radices[:resolution]
     arr = values.copy() if resolution == 0 else values
@@ -266,11 +268,12 @@ def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
 
 
 def sup_distance(f: StepFunction, g: StepFunction) -> float:
-    """Uniform distance; resolutions are aligned first."""
+    """Uniform distance; the coarser operand broadcasts over the rows of the finer one."""
     if f.ns != g.ns:
         raise ValidationError("operands live on different groups")
-    r = max(f.resolution, g.resolution)
-    return float(np.abs(f.lift(r).cells - g.lift(r).cells).max())
+    fine, coarse = (f, g) if f.resolution >= g.resolution else (g, f)
+    # a lift tiles the coarse cells, so each row of len(coarse) fine cells meets them whole
+    return float(np.abs(fine.cells.reshape(-1, len(coarse.cells)) - coarse.cells).max())
 
 
 def _complex_pairs(values: np.ndarray) -> list:

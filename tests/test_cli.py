@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -196,6 +197,40 @@ def test_kernel_scan_artifacts(tmp_path, small_cfg):
             assert np.isfinite(entry["empirical_constant"])
 
 
+def test_kernel_scan_small_grid_has_no_verdict(tmp_path):
+    # on 2^3 the default coset-decay block is n = 2, 3, 4: one order against two
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radix": [2, 2, 2]}), encoding="utf-8")
+    rc = run(["kernel-scan", "--config", str(cfg), "--out", str(tmp_path / "k")])
+    assert rc == 0
+    summary = json.loads((tmp_path / "k" / "kernel_scan_summary.json").read_text())
+    for alpha in (0.25, 0.5, 0.75):
+        entry = summary[f"coset_decay_alpha_{alpha}"]
+        assert entry["stable"] is None
+        assert "1 and 2 orders" in entry["stable_reason"]
+        # the majorant schedule 1, 2, 3, 4, 6, 7, 8 splits 3 against 4: a verdict is due
+        assert summary[f"majorant_alpha_{alpha}"]["stable"] is True
+        assert "stable_reason" not in summary[f"majorant_alpha_{alpha}"]
+
+
+def test_kernel_scan_growing_ratios_fail(tmp_path, monkeypatch):
+    # halves of 2 orders each get a verdict, and growth in the upper half fails the run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radix": [2, 2, 2, 2], "kernel_scan": {"kinds": ["coset_decay"],
+                                                                      "n": [4, 5, 6, 7]}}),
+                   encoding="utf-8")
+    original = kernels.coset_decay_scan
+
+    def growing(ns, alpha, k, values):
+        return [dataclasses.replace(rec, sup_ratio=float(rec.n) ** 2) for rec in
+                original(ns, alpha, k, values)]
+
+    monkeypatch.setattr(kernels, "coset_decay_scan", growing)
+    assert run(["kernel-scan", "--config", str(cfg), "--out", str(tmp_path / "k")]) == 1
+    summary = json.loads((tmp_path / "k" / "kernel_scan_summary.json").read_text())
+    assert summary["coset_decay_alpha_0.5"]["stable"] is False
+
+
 def test_oscillation_csv(tmp_path, small_cfg):
     rc = run(["oscillation", "--config", small_cfg, "--out", str(tmp_path / "o")])
     assert rc == 0
@@ -321,6 +356,9 @@ MALFORMED = {
                                                            "lenght": 4}]}}, "lenght"),
     "radix_two_forms": ("converge", {"radix": {"constant": 2, "length": 3, "list": [5]}},
                         "list"),
+    "function_key_typo": ("converge", {"functions": [{"family": "random_lipschitz", "bnd": 5}]},
+                          "bnd"),
+    "schedule_key_typo": ("converge", {"n_schedule": {"kind": "dense", "strat": 3}}, "strat"),
 }
 
 

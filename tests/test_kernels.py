@@ -133,6 +133,37 @@ def test_majorant_scan_bounded(ns):
         assert max(ratios) < 10.0
 
 
+def _majorant_loop(ns, alpha, n):
+    """The per-level form: one masked pass over the cells for each l <= min(A, r)."""
+    K = kernels.cesaro_kernel(ns, n, alpha)
+    r = K.resolution
+    A = vk.scale_of(ns, n) if n < ns.cell_count else ns.resolution
+    idx = np.arange(ns.cells_at(r))
+    majorant = np.zeros(ns.cells_at(r))
+    for l in range(min(A, r) + 1):
+        majorant += ns.M[l] ** (1.0 - alpha) * (idx % ns.M[l] == 0)
+    ratios = np.abs(K.cells) * abs(binomials.cesaro_coefficient(n - 1, -alpha)) / majorant
+    arg = int(np.argmax(ratios))
+    return float(ratios[arg]), arg, r
+
+
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2], [5, 3, 7, 2], [40, 2, 3]], ids=str)
+def test_majorant_scan_byte_equal_to_level_loop(radices):
+    ns = vk.number_system(radices)
+    for alpha in (0.3, 0.5, 0.77):
+        recs = kernels.majorant_ratio_scan(ns, alpha, range(1, ns.cell_count + 1))
+        for rec in recs:
+            ratio, arg, r = _majorant_loop(ns, alpha, rec.n)
+            assert np.float64(rec.sup_ratio).tobytes() == np.float64(ratio).tobytes()
+            assert (rec.argmax_cell, rec.resolution) == (arg, r)
+
+
+def test_majorant_scan_builds_one_table_per_order(ns, count_calls):
+    tables = count_calls("cesaro_table", module=binomials)
+    kernels.majorant_ratio_scan(ns, 0.5, range(1, ns.cell_count + 1))
+    assert len(tables) == ns.cell_count
+
+
 def test_coset_decay_scan_shape_and_stability(ns):
     k = ns.resolution - 1
     for alpha in (0.25, 0.5, 0.75):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,59 @@ def test_difference_condition_translates_once(ns, rng, count_calls):
     oscillation.difference_condition(f, ns.resolution - 1, 0.5)
     assert reps == []
     assert len(shifts) <= 1  # the e_k shift
+
+
+def _difference_condition_full(f, k, alpha):
+    """Full-resolution reference: sum_t d(x - t) W(t) over all of G_r, by np.fft.fftn."""
+    ns, r = f.ns, f.resolution
+    shape = ns.radix.radices[:r][::-1]
+    t = f.cells.reshape(shape)
+    d = np.abs(t - np.roll(t, 1, axis=r - 1 - k))
+    w = np.zeros(ns.cells_at(r))
+    w[vk.coset_rep_cells(ns, k, r)[1:]] = np.arange(1, ns.M[k]) ** (alpha - 1.0)
+    return float(np.fft.ifftn(np.fft.fftn(d) * np.fft.fftn(w.reshape(shape))).real.max())
+
+
+# [40, 2, 3]: a radix above the transform's block cap of 32 is a block alone
+LOW_DIGIT_GRIDS = [[2] * 11, [2, 3, 4, 2, 3, 3, 3], [5, 3, 7, 2], [40, 2, 3]]
+
+
+@pytest.mark.parametrize("radices", LOW_DIGIT_GRIDS, ids=str)
+def test_difference_condition_matches_full_convolution(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(8)
+    fs = [families.random_cells(ns, rng), families.random_lipschitz(ns, rng)]
+    for f in fs:
+        for k in range(1, ns.resolution):
+            for alpha in (0.3, 0.5, 0.77):
+                want = _difference_condition_full(f, k, alpha)
+                got = oscillation.difference_condition(f, k, alpha)
+                assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("radices", LOW_DIGIT_GRIDS, ids=str)
+def test_difference_condition_exact_zero_when_constant_along_digit_k(radices):
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    rng = np.random.default_rng(9)
+    for k in range(1, r):
+        t = rng.standard_normal(ns.cell_count).reshape(tuple(radices[::-1]))
+        t = np.broadcast_to(np.take(t, [0], axis=r - 1 - k), t.shape)  # drop digit k
+        f = transform.StepFunction(ns, r, t.reshape(-1))
+        for alpha in (0.3, 0.5, 0.77):
+            got = oscillation.difference_condition(f, k, alpha)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_difference_condition_transforms_only_low_digits(ns, rng, count_calls):
+    f = families.random_cells(ns, rng)
+    staged = count_calls("_staged", module=transform)
+    for k in range(1, ns.resolution):
+        staged.clear()
+        oscillation.difference_condition(f, k, 0.5)
+        # forward of d and of W, one inverse: all over the k low digits
+        assert [args[2] for args in staged] == [k, k, k]
+        assert [len(args[0]) for args in staged] == [ns.cell_count, ns.M[k], ns.cell_count]
 
 
 def _coset_values_sorted(f, k):
