@@ -45,6 +45,7 @@ from .transform import (
     CoefficientVector,
     StepFunction,
     cesaro_mean,
+    cesaro_means,
     convolve,
     dump_coeffs,
     dump_step,

@@ -387,8 +387,7 @@ def _converge_group(ns: NumberSystem, label: str, f, alpha: float, values: list[
     rows = []
     errors_at_scale = {}
     conditions = {}  # the condition depends on (f, k_cond, alpha) only, not on n
-    for n in values:
-        mean = transform.cesaro_mean(f, n, alpha)
+    for n, mean in zip(values, transform.cesaro_means(f, values, alpha)):
         err = sup_distance(mean, f)
         k = scale_of(ns, n) if n < ns.cell_count else ns.resolution
         k_cond = min(max(k, 1), ns.resolution - 1)

@@ -7,10 +7,15 @@ roll its axes, and the character system is a pure tensor product, so
 analysis and synthesis are the Kronecker product of one small DFT per
 digit. Adjacent digits are fused into blocks of bounded radix product; each
 block is one cached Kronecker matrix built from the shared root-of-unity
-tables and applied as one matmul. The order of the factors is
-mathematically inert: oracles.staged_forward applies them one digit at a
-time in any order, and the tests and the verify suite compare it with the
-fused path. Every mean, and convolution, is one spectral multiplier:
+tables and applied as one matmul. A block of radix-2 digits has a real
+matrix, and above the lowest block it is one real matmul on the float64
+view of the cells, where the real and imaginary parts are interleaved
+columns it acts on alike: half the flops of the complex matmul. The lowest
+block keeps the complex matmul; there each row is one complex value, and a
+(2P, 2P) real form on the float view measured no faster. The order of the
+factors is mathematically inert: oracles.staged_forward applies them one
+digit at a time in any order, and the tests and the verify suite compare it
+with the fused path. Every mean, and convolution, is one spectral multiplier:
 forward, weight coefficient nu, inverse.
 
 Cesaro mean convention (the tests and the routes suite check all three):
@@ -146,10 +151,16 @@ def _digit_blocks(radices: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _kronecker(radices: tuple, analysis: bool) -> np.ndarray:
-    """F_{j1-1} kron ... kron F_{j0} for one block's radices, highest digit outermost."""
+    """F_{j1-1} kron ... kron F_{j0} for one block's radices, highest digit outermost.
+
+    float64 when the matrix has no imaginary part (every radix 2), else complex128.
+    """
     K = np.ones((1, 1), dtype=np.complex128)
     for m in reversed(radices):
         K = np.kron(K, analysis_matrix(m) if analysis else synthesis_matrix(m))
+    if not K.imag.any():
+        # every radix is 2: root_table snaps +-1 exactly, so K is exactly real
+        K = np.ascontiguousarray(K.real)
     K.setflags(write=False)
     return K
 
@@ -163,15 +174,27 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     (M_r / M_j1, P, M_j0) take one matmul K @ cells, and the lowest block
     (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size. values
     may hold several rows of M_resolution cells back to back; each row is
-    transformed alone, as the cells of the lowest digits.
+    transformed alone, as the cells of the lowest digits. Real values are
+    taken as complex, and the result is always a new complex128 array.
+
+    A real K (a block of radix-2 digits) above the lowest block acts on the
+    float64 view, (rows, P, 2 M_j0): the real and imaginary parts are
+    interleaved columns that K treats alike, so the block is one real
+    matmul with half the flops of the complex one. The lowest block keeps
+    the complex matmul; there each row holds one complex value, and a
+    (2P, 2P) real form on the float view measured no faster.
     """
     radices = ns.radix.radices[:resolution]
-    arr = values.copy() if resolution == 0 else values
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    if resolution == 0:
+        return arr.copy()
     for j0, j1 in _digit_blocks(radices):
         K = _kronecker(radices[j0:j1], analysis)
         low, p = ns.M[j0], ns.M[j1] // ns.M[j0]
         if low == 1:
             arr = arr.reshape(-1, p) @ K.T
+        elif K.dtype == np.float64:
+            arr = np.matmul(K, arr.view(np.float64).reshape(-1, p, 2 * low)).view(np.complex128)
         else:
             arr = np.matmul(K, arr.reshape(-1, p, low))
     return arr.reshape(-1)
@@ -179,8 +202,8 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
 
 def forward(f: StepFunction) -> CoefficientVector:
     """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)), in O(M_r * sum of block sizes)."""
-    cells = f.ns.cells_at(f.resolution)
-    coeffs = _staged(f.cells, f.ns, f.resolution, analysis=True) / cells
+    coeffs = _staged(f.cells, f.ns, f.resolution, analysis=True)
+    _scale(coeffs, f.ns.cells_at(f.resolution))
     return CoefficientVector(f.ns, f.resolution, coeffs)
 
 
@@ -218,11 +241,28 @@ def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFuncti
     Frequencies at or past len(weights) are dropped. The division follows
     the product with fhat, so a mean rounds as (fhat w) / A, not fhat (w / A).
     """
-    c = forward(f)
+    return _weighted_inverse(forward(f), weights, denominator)
+
+
+def _weighted_inverse(c: CoefficientVector, weights, denominator: float = 1.0) -> StepFunction:
+    """The weight step and inverse of multiplier, on coefficients already transformed."""
     cut = min(len(weights), len(c.coeffs))
     out = np.zeros_like(c.coeffs)
-    out[:cut] = c.coeffs[:cut] * weights[:cut] / denominator
-    return inverse(CoefficientVector(f.ns, f.resolution, out))
+    np.multiply(c.coeffs[:cut], weights[:cut], out=out[:cut])
+    _scale(out[:cut], denominator)
+    return inverse(CoefficientVector(c.ns, c.resolution, out))
+
+
+def _scale(values: np.ndarray, denominator: float) -> None:
+    """values /= denominator in place, for a contiguous complex array and a real denominator.
+
+    Both parts are multiplied by 1/denominator on the float64 view. Complex
+    division by a real number computes the same products (Smith's algorithm
+    with a zero imaginary divisor) at several times the cost; only the sign
+    of an exactly zero part can differ.
+    """
+    parts = values.view(np.float64)
+    parts *= 1.0 / denominator
 
 
 def fejer_weights(n: int) -> tuple[np.ndarray, int]:
@@ -252,11 +292,23 @@ def fejer_mean(f: StepFunction, n: int) -> StepFunction:
 
 def cesaro_mean(f: StepFunction, n: int, alpha: float) -> StepFunction:
     """sigma_n^{-alpha} f for 0 < alpha < 1; see the module docstring for the convention."""
-    if not 1 <= n <= f.ns.cell_count:
-        raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
+    return next(cesaro_means(f, [n], alpha))
+
+
+def cesaro_means(f: StepFunction, orders, alpha: float):
+    """sigma_n^{-alpha} f for each n in orders, in order, with f transformed once.
+
+    The orders are checked and f is transformed on the call; the means are
+    built one at a time as the returned iterator is consumed.
+    """
+    orders = list(orders)
+    for n in orders:
+        if not 1 <= n <= f.ns.cell_count:
+            raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
-    return multiplier(f, *cesaro_weights(n, alpha))
+    c = forward(f)
+    return (_weighted_inverse(c, *cesaro_weights(n, alpha)) for n in orders)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -264,7 +316,8 @@ def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
     if f.ns != g.ns:
         raise ValidationError("operands live on different groups")
     r = max(f.resolution, g.resolution)
-    return multiplier(f.lift(r), forward(g.lift(r)).coeffs)
+    f, g = (h if h.resolution == r else h.lift(r) for h in (f, g))
+    return multiplier(f, forward(g).coeffs)
 
 
 def sup_distance(f: StepFunction, g: StepFunction) -> float:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin import cli, kernels
+from vilenkin import cli, families, kernels, transform
+from vilenkin.group import number_system
 
 
 def run(args):
@@ -180,6 +181,19 @@ def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch
     assert len(calls) == len(set(calls))
     # scales_and_neighbors at 2^5 spans k_cond = 1..4, for each of 3 alphas
     assert len(calls) == 4 * 3
+
+
+def test_converge_group_transforms_f_once(count_calls):
+    ns = number_system([2, 3, 4, 2])
+    f = families.random_cells(ns, np.random.default_rng(5))
+    values = [1, 2, 5, 6, 24, 47, 48]
+    forwards = count_calls("forward", module=transform)
+    rows = cli._converge_group(ns, "random", f, 0.5, values, cli.DEFAULTS["thresholds"])
+    assert len(forwards) == 1
+    # each row's error is the one cesaro_mean gives, to the byte
+    for row, n in zip(rows, values):
+        err = transform.sup_distance(transform.cesaro_mean(f, n, 0.5), f)
+        assert row[4] == cli.fmt_float(err)
 
 
 def test_kernel_scan_artifacts(tmp_path, small_cfg):

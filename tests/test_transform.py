@@ -88,6 +88,91 @@ def test_kronecker_blocks_are_read_only():
                     K[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("radices", [(2,) * 5, (2, 3), (4,), (3, 2, 2)], ids=str)
+def test_kronecker_is_real_exactly_for_radix_two(radices):
+    want = np.float64 if set(radices) == {2} else np.complex128
+    for analysis in (True, False):
+        K = transform._kronecker(radices, analysis)
+        assert K.dtype == want
+        assert K.flags.c_contiguous
+
+
+# each mixes real (all-radix-2) and complex blocks, or ends on a real block above the lowest
+MIXED_BLOCK_GRIDS = [[2] * 11, [3, 2, 2, 2, 2, 2, 2], [2, 2, 2, 2, 2, 3],
+                     [2, 3, 4, 2, 3, 2, 2, 2], [40, 2, 3]]
+
+
+@pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS, ids=str)
+def test_real_and_complex_blocks_match_per_digit_oracle(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(7)
+    for real in (True, False):
+        f = families.random_cells(ns, rng, real=real)
+        want = oracles.staged_forward(f).coeffs
+        got = forward(f).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        c = CoefficientVector(ns, ns.resolution, f.cells)
+        want = oracles.staged_inverse(c).cells
+        assert np.max(np.abs(inverse(c).cells - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS, ids=str)
+def test_staged_input_forms_agree(radices):
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    rng = np.random.default_rng(8)
+    real = rng.standard_normal(ns.M[r])
+    wide = rng.standard_normal(3 * ns.M[r]) + 1j * rng.standard_normal(3 * ns.M[r])
+    strided = wide[: 2 * ns.M[r] : 2]
+    assert not strided.flags.c_contiguous
+    for analysis in (True, False):
+        for values in (real, strided):
+            copy = np.array(values, dtype=np.complex128)
+            got = transform._staged(values, ns, r, analysis)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == transform._staged(copy, ns, r, analysis).tobytes()
+        # several rows of M_k values back to back, against the rows one by one;
+        # BLAS may block a taller matmul differently, so equal to rounding
+        for k in (1, r - 1, r):
+            rows = wide[: 3 * ns.M[k]]
+            one_by_one = np.concatenate([transform._staged(row, ns, k, analysis)
+                                         for row in rows.reshape(3, -1)])
+            got = transform._staged(rows, ns, k, analysis)
+            assert np.max(np.abs(got - one_by_one)) <= 1e-12 * np.max(np.abs(one_by_one))
+
+
+def test_staged_never_returns_its_input(walsh, rng):
+    values = rng.standard_normal(1) + 0j
+    assert transform._staged(values, walsh, 0, True) is not values
+    f = StepFunction(walsh, 0, values)
+    forward(f)
+    assert f.cells.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS, ids=str)
+def test_forward_scaling_equals_division(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(9)
+    for r in (0, 1, ns.resolution):
+        f = families.random_cells(ns, rng, resolution=r)
+        want = transform._staged(f.cells, ns, r, analysis=True) / ns.M[r]
+        assert forward(f).coeffs.tobytes() == want.tobytes()
+
+
+def test_scale_equals_complex_division(rng):
+    values = rng.standard_normal(257) * 10.0 ** rng.integers(-100, 100, 257) \
+        + 1j * rng.standard_normal(257)
+    values[:4] = [0.0, 1j, 2.0, 0.0 - 1j]
+    for denominator in (1.0, 3, 4096, 0.7312, 1e-150, 1e150):
+        got = values.copy()
+        transform._scale(got, denominator)
+        assert got.tobytes() == (values / denominator).tobytes()
+    # the one difference: division adds imag * 0 to the real part, so -0 beside +1 becomes +0
+    got = np.array([complex(-0.0, 1.0)])
+    transform._scale(got, 1.0)
+    assert np.signbit(got.real[0]) and not np.signbit((got / 1.0).real[0])
+
+
 def _calls_numpy(tree, name) -> bool:
     """Whether the module calls np.<name> or numpy.<name>, or imports name from numpy."""
     for node in ast.walk(tree):
@@ -201,6 +286,25 @@ def test_cesaro_mean_of_constant_is_constant(ns):
         assert sup_distance(transform.cesaro_mean(f, n, 0.5), f) < 1e-12
 
 
+def test_cesaro_means_equal_cesaro_mean_per_order(ns, rng, count_calls):
+    f = random_f(ns, rng)
+    orders = [1, 2, ns.M[1] + 1, ns.cell_count // 3, ns.cell_count]
+    forwards = count_calls("forward", module=transform)
+    means = list(transform.cesaro_means(f, iter(orders), 0.4))  # any iterable of orders
+    assert len(forwards) == 1 and len(means) == len(orders)
+    for n, mean in zip(orders, means):
+        assert mean.cells.tobytes() == transform.cesaro_mean(f, n, 0.4).cells.tobytes()
+        want = _parent_multiplier(f, *transform.cesaro_weights(n, 0.4))
+        assert mean.cells.tobytes() == want.cells.tobytes()
+
+
+def test_cesaro_means_check_on_the_call(ns, rng):
+    f = random_f(ns, rng)
+    for orders, alpha in (([1, 0], 0.5), ([1, ns.cell_count + 1], 0.5), ([1], 1.0), ([1], 0.0)):
+        with pytest.raises(UsageError):
+            transform.cesaro_means(f, orders, alpha)
+
+
 def test_convolution_theorem(ns, rng):
     f, g = random_f(ns, rng), random_f(ns, rng)
     conv = transform.convolve(f, g)
@@ -265,3 +369,29 @@ def test_sup_distance_lifts(ns, rng):
     f = synthesize(ns, weights, resolution=1)
     g = f.lift(ns.resolution)
     assert sup_distance(f, g) == 0.0
+
+
+def _parent_multiplier(f, weights, denominator=1.0):
+    """multiplier as one expression: (c w) / A with a complex multiply and divide."""
+    c = forward(f)
+    cut = min(len(weights), len(c.coeffs))
+    out = np.zeros_like(c.coeffs)
+    out[:cut] = c.coeffs[:cut] * weights[:cut] / denominator
+    return inverse(CoefficientVector(f.ns, f.resolution, out))
+
+
+@pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS[1:], ids=str)
+def test_multiplier_matches_complex_expression(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(10)
+    M = ns.cell_count
+    f = families.random_cells(ns, rng)
+    coarse = families.random_cells(ns, rng, resolution=2)
+    complex_w = rng.standard_normal(M // 2) + 1j * rng.standard_normal(M // 2)
+    cases = [(np.ones(M - 3), 1.0), transform.fejer_weights(7),
+             transform.cesaro_weights(M // 3, 0.4), (rng.standard_normal(M), 2.5),
+             (complex_w, 1.0), (complex_w, 0.75)]
+    for g in (f, coarse):
+        for weights, denominator in cases:
+            got = transform.multiplier(g, weights, denominator).cells
+            assert got.tobytes() == _parent_multiplier(g, weights, denominator).cells.tobytes()
