@@ -16,7 +16,12 @@ block keeps the complex matmul; there each row is one complex value, and a
 factors is mathematically inert: oracles.staged_forward applies them one
 digit at a time in any order, and the tests and the verify suite compare it
 with the fused path. Every mean, and convolution, is one spectral multiplier:
-forward, weight coefficient nu, inverse.
+forward, weight coefficient nu, inverse, at the coarsest resolution carrying
+the weights, then lifted. A sum over nu < M_k uses characters of the low k
+digits alone, so it is constant on the cosets of I_k and needs only the
+coefficients of E_k f, the average of f over the high digits: f is folded to
+M_k cells, transformed, weighted and synthesized at resolution k, and tiled
+back to its own grid (S_{M_k} f = E_k f is the classical case).
 
 Cesaro mean convention (the tests and the routes suite check all three):
 
@@ -202,15 +207,33 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
 
 def forward(f: StepFunction) -> CoefficientVector:
     """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)), in O(M_r * sum of block sizes)."""
-    coeffs = _staged(f.cells, f.ns, f.resolution, analysis=True)
+    return CoefficientVector(f.ns, f.resolution, _spectrum(f, f.resolution))
+
+
+def _spectrum(f: StepFunction, k: int) -> np.ndarray:
+    """fhat(0) .. fhat(M_k - 1) of f, transformed at resolution k <= f.resolution.
+
+    psi_nu with nu < M_k depends on the low k digits alone, so these are the
+    coefficients of E_k f, the average of f over the high digits: the cells
+    reshaped to (M_r / M_k, M_k) are summed down the columns, transformed at
+    resolution k and scaled once by 1/M_r. At k = r this is forward's
+    spectrum, with no fold.
+    """
+    cells = f.cells if k == f.resolution else f.cells.reshape(-1, f.ns.cells_at(k)).sum(axis=0)
+    coeffs = _staged(cells, f.ns, k, analysis=True)
     _scale(coeffs, f.ns.cells_at(f.resolution))
-    return CoefficientVector(f.ns, f.resolution, coeffs)
+    return coeffs
 
 
 def inverse(c: CoefficientVector) -> StepFunction:
     """f(x) = sum_k fhat(k) psi_k(x)."""
     cells = _staged(c.coeffs, c.ns, c.resolution, analysis=False)
     return StepFunction(c.ns, c.resolution, cells)
+
+
+def _lifted(g: StepFunction, resolution: int) -> StepFunction:
+    """g on the grid of resolution, with no copy when it is g's own."""
+    return g if g.resolution == resolution else g.lift(resolution)
 
 
 def minimal_resolution(ns: NumberSystem, n_freqs: int) -> int:
@@ -224,33 +247,45 @@ def minimal_resolution(ns: NumberSystem, n_freqs: int) -> int:
 
 
 def synthesize(ns: NumberSystem, weights, resolution: int | None = None) -> StepFunction:
-    """sum_nu weights[nu] psi_nu as a StepFunction."""
+    """sum_nu weights[nu] psi_nu as a StepFunction.
+
+    The sum is synthesized at minimal_resolution(len(weights)), the coarsest
+    grid carrying its characters, and lifted to resolution (by default that
+    grid itself).
+    """
     w = np.asarray(weights, dtype=np.complex128)
-    r = minimal_resolution(ns, len(w)) if resolution is None else resolution
-    cells = ns.cells_at(r)
-    if len(w) > cells:
-        raise UsageError(f"{len(w)} weights exceed M_{r} = {cells}")
-    padded = np.zeros(cells, dtype=np.complex128)
+    k = minimal_resolution(ns, len(w))
+    r = k if resolution is None else resolution
+    if len(w) > ns.cells_at(r):
+        raise UsageError(f"{len(w)} weights exceed M_{r} = {ns.cells_at(r)}")
+    padded = np.zeros(ns.cells_at(k), dtype=np.complex128)
     padded[: len(w)] = w
-    return inverse(CoefficientVector(ns, r, padded))
+    return _lifted(inverse(CoefficientVector(ns, k, padded)), r)
 
 
 def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFunction:
     """sum_{nu < len(weights)} fhat(nu) weights[nu] / denominator psi_nu.
 
-    Frequencies at or past len(weights) are dropped. The division follows
-    the product with fhat, so a mean rounds as (fhat w) / A, not fhat (w / A).
+    Frequencies at or past len(weights) are dropped, so the sum is constant
+    on the cosets of I_k for k = minimal_resolution(len(weights)): f is
+    folded to resolution k (_spectrum), weighted, synthesized there and
+    lifted to f's resolution with one tile. At k = f.resolution there is no
+    fold and no lift. The division follows the product with fhat, so a mean
+    rounds as (fhat w) / A, not fhat (w / A).
     """
-    return _weighted_inverse(forward(f), weights, denominator)
+    k = minimal_resolution(f.ns, min(len(weights), len(f.cells)))
+    c = CoefficientVector(f.ns, k, _spectrum(f, k))
+    return _weighted_inverse(c, weights, denominator, f.resolution)
 
 
-def _weighted_inverse(c: CoefficientVector, weights, denominator: float = 1.0) -> StepFunction:
-    """The weight step and inverse of multiplier, on coefficients already transformed."""
+def _weighted_inverse(c: CoefficientVector, weights, denominator: float,
+                      resolution: int) -> StepFunction:
+    """The weight step and inverse of multiplier on a resolution-k spectrum, then the lift."""
     cut = min(len(weights), len(c.coeffs))
     out = np.zeros_like(c.coeffs)
     np.multiply(c.coeffs[:cut], weights[:cut], out=out[:cut])
     _scale(out[:cut], denominator)
-    return inverse(CoefficientVector(c.ns, c.resolution, out))
+    return _lifted(inverse(CoefficientVector(c.ns, c.resolution, out)), resolution)
 
 
 def _scale(values: np.ndarray, denominator: float) -> None:
@@ -296,10 +331,14 @@ def cesaro_mean(f: StepFunction, n: int, alpha: float) -> StepFunction:
 
 
 def cesaro_means(f: StepFunction, orders, alpha: float):
-    """sigma_n^{-alpha} f for each n in orders, in order, with f transformed once.
+    """sigma_n^{-alpha} f for each n in orders, in order, with f transformed once per resolution.
 
-    The orders are checked and f is transformed on the call; the means are
-    built one at a time as the returned iterator is consumed.
+    The orders are checked on the call, and f is folded and transformed
+    there once for each distinct minimal resolution among the orders (the
+    resolution multiplier works at); the means are built one at a time as
+    the returned iterator is consumed. One Cesaro table serves every order:
+    cumprod is a sequential fold, so a prefix of the table for the largest
+    order is the table of a smaller one, to the byte.
     """
     orders = list(orders)
     for n in orders:
@@ -307,17 +346,23 @@ def cesaro_means(f: StepFunction, orders, alpha: float):
             raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
-    c = forward(f)
-    return (_weighted_inverse(c, *cesaro_weights(n, alpha)) for n in orders)
+    table = binomials.cesaro_table(-alpha, max(orders, default=1) - 1)
+    level = {n: minimal_resolution(f.ns, min(n, len(f.cells))) for n in orders}
+    spectra = {k: CoefficientVector(f.ns, k, _spectrum(f, k)) for k in sorted(set(level.values()))}
+    return (_weighted_inverse(spectra[level[n]], table.values[n - 1 :: -1], table.a(n - 1),
+                              f.resolution) for n in orders)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
-    """(f * g)(x) = integral of f(x - t) g(t) over the normalized Haar measure."""
+    """(f * g)(x) = integral of f(x - t) g(t) over the normalized Haar measure.
+
+    The coarser operand's spectrum is the multiplier's weight on the finer
+    one, so the product is taken at the coarser resolution and lifted once.
+    """
     if f.ns != g.ns:
         raise ValidationError("operands live on different groups")
-    r = max(f.resolution, g.resolution)
-    f, g = (h if h.resolution == r else h.lift(r) for h in (f, g))
-    return multiplier(f, forward(g).coeffs)
+    fine, coarse = (f, g) if f.resolution >= g.resolution else (g, f)
+    return multiplier(fine, forward(coarse).coeffs)
 
 
 def sup_distance(f: StepFunction, g: StepFunction) -> float:

@@ -55,3 +55,23 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture()
+def staged_passes(monkeypatch):
+    """Record (resolution, analysis) for each transform._staged call made inside transform.
+
+    The binding in oscillation (difference_condition) is left alone, so the
+    list holds the passes of the means, kernels and convolutions only.
+    """
+    from vilenkin import transform
+
+    original = transform._staged
+    calls = []
+
+    def counted(values, ns, resolution, analysis):
+        calls.append((resolution, analysis))
+        return original(values, ns, resolution, analysis)
+
+    monkeypatch.setattr(transform, "_staged", counted)
+    return calls

@@ -183,13 +183,15 @@ def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch
     assert len(calls) == 4 * 3
 
 
-def test_converge_group_transforms_f_once(count_calls):
+def test_converge_group_transforms_f_once(staged_passes):
     ns = number_system([2, 3, 4, 2])
     f = families.random_cells(ns, np.random.default_rng(5))
     values = [1, 2, 5, 6, 24, 47, 48]
-    forwards = count_calls("forward", module=transform)
     rows = cli._converge_group(ns, "random", f, 0.5, values, cli.DEFAULTS["thresholds"])
-    assert len(forwards) == 1
+    # f is folded and transformed once per distinct resolution of the orders, not per order
+    levels = sorted({transform.minimal_resolution(ns, n) for n in values})
+    assert sorted(k for k, analysis in staged_passes if analysis) == levels
+    assert len(levels) < len(values)
     # each row's error is the one cesaro_mean gives, to the byte
     for row, n in zip(rows, values):
         err = transform.sup_distance(transform.cesaro_mean(f, n, 0.5), f)

@@ -1,9 +1,13 @@
 """The means, kernels and convolution built on transform.multiplier.
 
-Each oracle below writes out forward transform, weight, inverse transform by
-hand, in the order of operations the means and kernels have always used:
-(fhat * w) / A for a mean, w / A for a kernel. The multiplier must reproduce
-them exactly, not merely to rounding.
+Each oracle below writes out, by hand, the order of operations of the
+multiplier: fold f to k = minimal_resolution(cut) by summing the rows of
+its cells reshaped to (M_r / M_k, M_k), transform at resolution k and
+divide by M_r, weight, inverse at resolution k, and tile to f's
+resolution. The weight rounds as (fhat * w) / A for a mean and w / A for
+a kernel. The multiplier must reproduce these exactly, not merely to
+rounding. The full-resolution form (forward f, zero the tail of the
+spectrum, inverse at f's resolution) is kept as a second oracle at rel 1e-12.
 """
 
 import ast
@@ -19,39 +23,76 @@ SRC = pathlib.Path(transform.__file__).parent
 
 
 def _weighted(f, n, weight_of):
+    M = len(f.cells)
+    cut = min(n, M)
+    k = transform.minimal_resolution(f.ns, cut)
+    Mk = f.ns.cells_at(k)
+    folded = f.cells.reshape(-1, Mk).sum(axis=0) if k < f.resolution else f.cells
+    c = transform._staged(folded, f.ns, k, analysis=True) / M
+    out = np.zeros(Mk, dtype=np.complex128)
+    out[:cut] = weight_of(c[:cut], cut)
+    return np.tile(inverse(CoefficientVector(f.ns, k, out)).cells, M // Mk)
+
+
+def _weighted_full_resolution(f, n, weight_of):
     c = forward(f)
     cut = min(n, len(c.coeffs))
     out = np.zeros_like(c.coeffs)
     out[:cut] = weight_of(c.coeffs[:cut], cut)
-    return inverse(CoefficientVector(f.ns, f.resolution, out))
+    return inverse(CoefficientVector(f.ns, f.resolution, out)).cells
 
 
-def partial_sum_oracle(f, n):
-    return _weighted(f, n, lambda c, cut: c)
+def _partial_weight(c, cut):
+    return c
 
 
-def fejer_mean_oracle(f, n):
-    return _weighted(f, n, lambda c, cut: c * (n - np.arange(cut)) / n)
+def _fejer_weight(n):
+    return lambda c, cut: c * (n - np.arange(cut)) / n
 
 
-def cesaro_mean_oracle(f, n, alpha):
+def _cesaro_weight(n, alpha):
     t = binomials.cesaro_table(-alpha, n - 1)
-    return _weighted(f, n, lambda c, cut: c * t.values[n - 1 :: -1][:cut] / t.a(n - 1))
+    return lambda c, cut: c * t.values[n - 1 :: -1][:cut] / t.a(n - 1)
 
 
-def fejer_kernel_oracle(ns, n, resolution):
-    return synthesize(ns, (n - np.arange(n)) / n, resolution)
+def _synthesized(ns, w, resolution):
+    """sum_nu w[nu] psi_nu: padded to M_k, inverse at k = minimal_resolution(len(w)), tiled."""
+    k = transform.minimal_resolution(ns, len(w))
+    out = np.zeros(ns.cells_at(k), dtype=np.complex128)
+    out[: len(w)] = w
+    cells = inverse(CoefficientVector(ns, k, out)).cells
+    return np.tile(cells, ns.cells_at(resolution) // len(cells))
 
 
-def cesaro_kernel_oracle(ns, n, alpha, resolution):
+def _synthesized_full_resolution(ns, w, resolution):
+    out = np.zeros(ns.cells_at(resolution), dtype=np.complex128)
+    out[: len(w)] = w
+    return inverse(CoefficientVector(ns, resolution, out)).cells
+
+
+def fejer_kernel_weights(n):
+    return (n - np.arange(n)) / n
+
+
+def cesaro_kernel_weights(n, alpha):
     t = binomials.cesaro_table(-alpha, n - 1)
-    return synthesize(ns, t.values[::-1] / t.a(n - 1), resolution)
+    return t.values[::-1] / t.a(n - 1)
 
 
 def convolve_oracle(f, g):
+    """The coarser operand's spectrum weighs the finer one's, at the coarser resolution."""
+    fine, coarse = (f, g) if f.resolution >= g.resolution else (g, f)
+    return _weighted(fine, len(coarse.cells), lambda c, cut: c * forward(coarse).coeffs)
+
+
+def convolve_full_resolution(f, g):
     r = max(f.resolution, g.resolution)
     cf, cg = forward(f.lift(r)), forward(g.lift(r))
-    return inverse(CoefficientVector(f.ns, r, cf.coeffs * cg.coeffs))
+    return inverse(CoefficientVector(f.ns, r, cf.coeffs * cg.coeffs)).cells
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
 def _orders(ns):
@@ -65,33 +106,39 @@ def _functions(ns, rng):
 
 def test_means_bitwise(ns, rng):
     for f in _functions(ns, rng):
-        assert np.array_equal(transform.partial_sum(f, 0).cells, partial_sum_oracle(f, 0).cells)
+        means = [(0, transform.partial_sum(f, 0), _partial_weight)]
         for n in _orders(ns):
-            assert np.array_equal(transform.partial_sum(f, n).cells,
-                                  partial_sum_oracle(f, n).cells)
-            assert np.array_equal(transform.fejer_mean(f, n).cells,
-                                  fejer_mean_oracle(f, n).cells)
-            for alpha in (0.25, 0.5, 0.75):
-                assert np.array_equal(transform.cesaro_mean(f, n, alpha).cells,
-                                      cesaro_mean_oracle(f, n, alpha).cells)
+            means += [(n, transform.partial_sum(f, n), _partial_weight),
+                      (n, transform.fejer_mean(f, n), _fejer_weight(n))]
+            means += [(n, transform.cesaro_mean(f, n, alpha), _cesaro_weight(n, alpha))
+                      for alpha in (0.25, 0.5, 0.75)]
+        for n, mean, weight_of in means:
+            assert mean.resolution == f.resolution
+            assert mean.cells.tobytes() == _weighted(f, n, weight_of).tobytes()
+            assert _close(mean.cells, _weighted_full_resolution(f, n, weight_of))
 
 
 def test_kernels_bitwise(ns):
     for n in _orders(ns):
         for resolution in (None, ns.resolution):
             r = transform.minimal_resolution(ns, n) if resolution is None else resolution
-            assert np.array_equal(kernels.fejer_kernel(ns, n, resolution).cells,
-                                  fejer_kernel_oracle(ns, n, r).cells)
-            for alpha in (0.25, 0.5, 0.75):
-                assert np.array_equal(kernels.cesaro_kernel(ns, n, alpha, resolution).cells,
-                                      cesaro_kernel_oracle(ns, n, alpha, r).cells)
+            kernels_of_n = [(kernels.fejer_kernel(ns, n, resolution), fejer_kernel_weights(n))]
+            kernels_of_n += [(kernels.cesaro_kernel(ns, n, alpha, resolution),
+                              cesaro_kernel_weights(n, alpha)) for alpha in (0.25, 0.5, 0.75)]
+            for kernel, w in kernels_of_n:
+                assert kernel.resolution == r
+                assert kernel.cells.tobytes() == _synthesized(ns, w, r).tobytes()
+                assert _close(kernel.cells, _synthesized_full_resolution(ns, w, r))
 
 
 def test_convolve_bitwise(ns, rng):
     f, coarse = _functions(ns, rng)
     g = families.random_cells(ns, rng)
-    for a, b in ((f, g), (f, coarse), (coarse, g)):
-        assert np.array_equal(transform.convolve(a, b).cells, convolve_oracle(a, b).cells)
+    for a, b in ((f, g), (f, coarse), (coarse, g), (coarse, coarse)):
+        got = transform.convolve(a, b)
+        assert got.resolution == max(a.resolution, b.resolution)
+        assert got.cells.tobytes() == convolve_oracle(a, b).tobytes()
+        assert _close(got.cells, convolve_full_resolution(a, b))
 
 
 def test_multiplier_drops_frequencies_past_the_weights(ns, rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import families, kernels, oracles, transform
+from vilenkin import binomials, characters, families, kernels, oracles, transform
 from vilenkin.errors import UsageError, ValidationError
 from vilenkin.transform import (CoefficientVector, StepFunction, dump_coeffs, dump_step, forward,
                                 inverse, load_coeffs, load_step, partial_sum,
@@ -286,18 +286,45 @@ def test_cesaro_mean_of_constant_is_constant(ns):
         assert sup_distance(transform.cesaro_mean(f, n, 0.5), f) < 1e-12
 
 
-def test_cesaro_means_equal_cesaro_mean_per_order(ns, rng, count_calls):
+def test_cesaro_means_equal_cesaro_mean_per_order(ns, rng, staged_passes):
     f = random_f(ns, rng)
-    orders = [1, 2, ns.M[1] + 1, ns.cell_count // 3, ns.cell_count]
-    forwards = count_calls("forward", module=transform)
+    M = ns.cell_count
+    orders = [1, 2, ns.M[1] + 1, ns.M[2], M // 3, M // 2 + 1, M - 1, M]
+    levels = {transform.minimal_resolution(ns, n) for n in orders}
     means = list(transform.cesaro_means(f, iter(orders), 0.4))  # any iterable of orders
-    assert len(forwards) == 1 and len(means) == len(orders)
+    # one analysis pass per distinct resolution of the orders, none per order
+    assert sorted(k for k, analysis in staged_passes if analysis) == sorted(levels)
+    assert len(levels) < len(orders) == len(means)
     for n, mean in zip(orders, means):
         assert mean.cells.tobytes() == transform.cesaro_mean(f, n, 0.4).cells.tobytes()
-        want = _parent_multiplier(f, *transform.cesaro_weights(n, 0.4))
-        assert mean.cells.tobytes() == want.cells.tobytes()
+        weights = transform.cesaro_weights(n, 0.4)
+        assert mean.cells.tobytes() == _fold_multiplier(f, *weights).tobytes()
+        assert _close(mean.cells, _full_resolution_multiplier(f, *weights))
 
 
+def test_cesaro_means_build_one_table(ns, rng, count_calls):
+    f = random_f(ns, rng)
+    tables = count_calls("cesaro_table", module=binomials)
+    list(transform.cesaro_means(f, [1, 5, ns.cell_count // 2, ns.cell_count], 0.3))
+    assert len(tables) == 1
+
+
+def test_means_transform_at_their_own_resolution(ns, rng, staged_passes):
+    f = random_f(ns, rng)
+    for n in range(1, ns.cell_count + 1):
+        k = transform.minimal_resolution(ns, n)
+        for mean in (lambda: partial_sum(f, n), lambda: transform.fejer_mean(f, n),
+                     lambda: transform.cesaro_mean(f, n, 0.6),
+                     lambda: transform.multiplier(f, np.ones(n), 3.0),
+                     lambda: kernels.cesaro_kernel(ns, n, 0.6, ns.resolution)):
+            staged_passes.clear()
+            assert mean().resolution == ns.resolution
+            assert max(r for r, _ in staged_passes) == k
+    for k in range(ns.resolution + 1):
+        h = families.random_cells(ns, rng, resolution=k)
+        staged_passes.clear()
+        assert transform.convolve(f, h).resolution == ns.resolution
+        assert max(r for r, _ in staged_passes) == k
 def test_cesaro_means_check_on_the_call(ns, rng):
     f = random_f(ns, rng)
     for orders, alpha in (([1, 0], 0.5), ([1, ns.cell_count + 1], 0.5), ([1], 1.0), ([1], 0.0)):
@@ -371,13 +398,30 @@ def test_sup_distance_lifts(ns, rng):
     assert sup_distance(f, g) == 0.0
 
 
-def _parent_multiplier(f, weights, denominator=1.0):
-    """multiplier as one expression: (c w) / A with a complex multiply and divide."""
+def _fold_multiplier(f, weights, denominator=1.0):
+    """multiplier written out: fold to k, forward at k, (c w) / A, inverse at k, tile."""
+    M = len(f.cells)
+    cut = min(len(weights), M)
+    k = transform.minimal_resolution(f.ns, cut)
+    Mk = f.ns.cells_at(k)
+    folded = f.cells.reshape(-1, Mk).sum(axis=0) if k < f.resolution else f.cells
+    c = transform._staged(folded, f.ns, k, analysis=True) / M
+    out = np.zeros(Mk, dtype=np.complex128)
+    out[:cut] = c[:cut] * weights[:cut] / denominator
+    return np.tile(inverse(CoefficientVector(f.ns, k, out)).cells, M // Mk)
+
+
+def _full_resolution_multiplier(f, weights, denominator=1.0):
+    """multiplier before the fold: (c w) / A on the full spectrum, inverse at f's resolution."""
     c = forward(f)
     cut = min(len(weights), len(c.coeffs))
     out = np.zeros_like(c.coeffs)
     out[:cut] = c.coeffs[:cut] * weights[:cut] / denominator
-    return inverse(CoefficientVector(f.ns, f.resolution, out))
+    return inverse(CoefficientVector(f.ns, f.resolution, out)).cells
+
+
+def _close(got, want, rel=1e-12):
+    return np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1.0)
 
 
 @pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS[1:], ids=str)
@@ -394,4 +438,52 @@ def test_multiplier_matches_complex_expression(radices):
     for g in (f, coarse):
         for weights, denominator in cases:
             got = transform.multiplier(g, weights, denominator).cells
-            assert got.tobytes() == _parent_multiplier(g, weights, denominator).cells.tobytes()
+            assert got.tobytes() == _fold_multiplier(g, weights, denominator).tobytes()
+            assert _close(got, _full_resolution_multiplier(g, weights, denominator))
+
+
+# m >= 5 among them: [5, 3, 7, 2] and [40, 2, 3]
+IDENTITY_GRIDS = [[2] * 11, [2, 3, 4, 2, 3, 3, 3], [5, 3, 7, 2], [40, 2, 3]]
+
+
+@pytest.mark.parametrize("radices", IDENTITY_GRIDS, ids=str)
+def test_partial_sum_at_scale_is_coset_average(radices):
+    # S_{M_k} f = E_k f: the average of f over each coset x + I_k, the cells of equal low digits
+    ns = vk.number_system(radices)
+    f = families.random_cells(ns, np.random.default_rng(11))
+    for k in range(ns.resolution + 1):
+        average = f.cells.reshape(-1, ns.M[k]).mean(axis=0)
+        assert _close(partial_sum(f, ns.M[k]).cells, np.tile(average, ns.cell_count // ns.M[k]))
+
+
+@pytest.mark.parametrize("radices", IDENTITY_GRIDS, ids=str)
+def test_cesaro_mean_is_constant_on_cosets(radices):
+    # sigma_n f for n <= M_k uses psi_nu with nu < M_k only, so it is constant on x + I_k
+    ns = vk.number_system(radices)
+    f = families.random_cells(ns, np.random.default_rng(12))
+    for k in range(ns.resolution + 1):
+        for n in sorted({1, ns.M[k] // 2 + 1, ns.M[k] - 1, ns.M[k]} - {0}):
+            for alpha in (0.3, 0.7):
+                rows = transform.cesaro_mean(f, n, alpha).cells.reshape(-1, ns.M[k])
+                assert all(row.tobytes() == rows[0].tobytes() for row in rows[1:])
+
+
+@pytest.mark.parametrize("radices", [[5, 3, 7, 2], [40, 2, 3]], ids=str)
+def test_means_kernels_convolutions_match_character_sums(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(13)
+    M, r = ns.cell_count, ns.resolution
+    f = families.random_cells(ns, rng)
+    fhat = oracles.forward(f).coeffs
+    psi = characters.character_block(ns, 0, M, r)
+    for n in sorted({1, 2, ns.M[1], ns.M[1] + 1, ns.M[2] - 1, ns.M[r - 1] + 1, M - 1, M}):
+        numerators, denominator = transform.cesaro_weights(n, 0.45)
+        w = numerators / denominator
+        assert _close(partial_sum(f, n).cells, fhat[:n] @ psi[:n])
+        assert _close(transform.fejer_mean(f, n).cells, fhat[:n] * (n - np.arange(n)) / n @ psi[:n])
+        assert _close(transform.cesaro_mean(f, n, 0.45).cells, fhat[:n] * w @ psi[:n])
+        assert _close(kernels.cesaro_kernel(ns, n, 0.45, r).cells, w @ psi[:n])
+    for k in range(r + 1):
+        g = families.random_cells(ns, rng, resolution=k)
+        assert _close(transform.convolve(f, g).cells, oracles.convolve(f, g).cells)
+        assert _close(transform.convolve(g, f).cells, oracles.convolve(f, g).cells)
