@@ -7,25 +7,14 @@ families (families), and a CLI (cli, entry point `vilenkin`).
 """
 
 from .group import (
-    GroupElement,
     NumberSystem,
     RadixSequence,
-    add,
-    basis_element,
     build_number_system,
-    coset_index,
-    coset_rep,
     coset_rep_cells,
     digits_of,
-    element_of,
-    index_of,
-    neg,
     number_system,
     radix_from_spec,
     scale_of,
-    sub,
-    truncate,
-    zero,
 )
 from .errors import (
     ConfigurationError,
@@ -47,12 +36,9 @@ from .transform import (
     cesaro_mean,
     cesaro_means,
     convolve,
-    dump_coeffs,
-    dump_step,
     fejer_mean,
     forward,
     inverse,
-    load_coeffs,
     load_step,
     multiplier,
     partial_sum,
@@ -66,7 +52,6 @@ from .kernels import (
     coset_decay_scan,
     dirichlet,
     dirichlet_l1_ratio,
-    fejer_kernel,
     low_block_ratio,
     majorant_ratio_scan,
     verify_dirichlet_recursions,
@@ -75,7 +60,6 @@ from .oscillation import (
     OscillationProfile,
     SeriesReport,
     YoungFunction,
-    coset_oscillation,
     difference_condition,
     jensen_step_residual,
     modulus_of_continuity,

@@ -3,15 +3,16 @@
 The group G_m is the product of cyclic groups Z_{m_0} x Z_{m_1} x ... with
 coordinatewise addition mod m_k. Indices n < M_N and group elements are
 identified with their mixed-radix digit vectors through the number system
-M_0 = 1, M_{k+1} = m_k * M_k. Functions downstream hold one value per cell,
-at flat index sum_j x_j M_j. This module owns the digit/index plumbing, the
-coset representative map, and the one axis rule: read as a C-order tensor,
-the flat cells put digit j on axis r-1-j (tensor_axis, digit_tensor,
-digit_axis). Translation, reflection and every character act on that
-tensor, and the transform on runs of its adjacent axes merged into one.
-The cell index also makes the cosets of I_k
-the residues mod M_k, and coset_rep_cells gives the residue of each
-Z_beta^(k).
+M_0 = 1, M_{k+1} = m_k * M_k, so the cell index sum_j x_j M_j is the one
+representation of a point: e_k is the index M_k, and x - t is the index of
+the digit rows (digit_matrix) subtracted mod m. Functions downstream hold
+one value per cell at that index. This module owns the digit/index
+plumbing, the coset tables, and the one axis rule: read as a C-order
+tensor, the flat cells put digit j on axis r-1-j (tensor_axis,
+digit_tensor, digit_axis). Translation, reflection and every character act
+on that tensor, and the transform on runs of its adjacent axes merged into
+one. The cell index also makes the cosets of I_k the residues mod M_k, and
+coset_rep_cells gives the residue of each Z_beta^(k).
 """
 
 from __future__ import annotations
@@ -121,63 +122,6 @@ def number_system(radices) -> NumberSystem:
     return build_number_system(RadixSequence(tuple(int(m) for m in radices)))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Point of G_m, stored as the full digit vector x_0 .. x_{N-1}."""
-
-    ns: NumberSystem
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.digits) != self.ns.resolution:
-            raise ValidationError(
-                f"digit vector length {len(self.digits)} != resolution {self.ns.resolution}"
-            )
-        for k, (d, m) in enumerate(zip(self.digits, self.ns.radix.radices)):
-            if not 0 <= d < m:
-                raise ValidationError(f"digit x_{k}={d} outside 0..{m - 1}")
-
-    def cell_index(self, resolution: int | None = None) -> int:
-        """Flat index of the I_r-cell containing this point (r defaults to full)."""
-        r = self.ns.resolution if resolution is None else resolution
-        return sum(d * w for d, w in zip(self.digits[:r], self.ns.M[:r]))
-
-
-def zero(ns: NumberSystem) -> GroupElement:
-    return GroupElement(ns, (0,) * ns.resolution)
-
-
-def basis_element(ns: NumberSystem, n: int) -> GroupElement:
-    """e_n: digit 1 in coordinate n, zero elsewhere."""
-    if not 0 <= n < ns.resolution:
-        raise UsageError(f"coordinate {n} outside 0..{ns.resolution - 1}")
-    digits = [0] * ns.resolution
-    digits[n] = 1
-    return GroupElement(ns, tuple(digits))
-
-
-def _require_same_ns(x: GroupElement, y: GroupElement):
-    if x.ns is not y.ns and x.ns != y.ns:
-        raise ValidationError("operands live on different groups")
-
-
-def add(x: GroupElement, y: GroupElement) -> GroupElement:
-    _require_same_ns(x, y)
-    ms = x.ns.radix.radices
-    return GroupElement(x.ns, tuple((a + b) % m for a, b, m in zip(x.digits, y.digits, ms)))
-
-
-def neg(x: GroupElement) -> GroupElement:
-    ms = x.ns.radix.radices
-    return GroupElement(x.ns, tuple((-a) % m for a, m in zip(x.digits, ms)))
-
-
-def sub(x: GroupElement, y: GroupElement) -> GroupElement:
-    _require_same_ns(x, y)
-    ms = x.ns.radix.radices
-    return GroupElement(x.ns, tuple((a - b) % m for a, b, m in zip(x.digits, y.digits, ms)))
-
-
 def digits_of(ns: NumberSystem, n: int) -> tuple[int, ...]:
     """Mixed-radix digits n_0 .. n_{N-1} of an index 0 <= n < M_N."""
     if not 0 <= n < ns.cell_count:
@@ -187,29 +131,6 @@ def digits_of(ns: NumberSystem, n: int) -> tuple[int, ...]:
         out.append(n % m)
         n //= m
     return tuple(out)
-
-
-def index_of(ns: NumberSystem, digits) -> int:
-    digits = tuple(digits)
-    if len(digits) > ns.resolution:
-        raise UsageError(f"{len(digits)} digits exceed resolution {ns.resolution}")
-    for k, (d, m) in enumerate(zip(digits, ns.radix.radices)):
-        if not 0 <= d < m:
-            raise ValidationError(f"digit n_{k}={d} outside 0..{m - 1}")
-    return sum(d * w for d, w in zip(digits, ns.M))
-
-
-def element_of(ns: NumberSystem, n: int) -> GroupElement:
-    return GroupElement(ns, digits_of(ns, n))
-
-
-def truncate(ns: NumberSystem, n: int, A: int) -> int:
-    """Digit truncation n^(A) = n_A M_A + ... + n_0 M_0, with n^(-1) = 0."""
-    if A < -1 or A >= ns.resolution:
-        raise UsageError(f"truncation level {A} outside -1..{ns.resolution - 1}")
-    if A == -1:
-        return 0
-    return n % ns.M[A + 1]
 
 
 def scale_of(ns: NumberSystem, n: int) -> int:
@@ -222,31 +143,13 @@ def scale_of(ns: NumberSystem, n: int) -> int:
     return A
 
 
-def coset_rep(ns: NumberSystem, beta: int, k: int) -> GroupElement:
-    """Representative Z_beta^(k) of the beta-th coset of I_k.
-
-    beta = sum_{j<k} x_j * (M_k / M_{j+1}) enumerates the cosets; the digits
-    are recovered greedily from the largest weight down, so the map is a
-    bijection from 0..M_k-1 onto the digit boxes below level k.
-    """
-    if not 0 <= k <= ns.resolution:
-        raise UsageError(f"scale {k} outside 0..{ns.resolution}")
-    if not 0 <= beta < ns.M[k]:
-        raise UsageError(f"coset index {beta} outside 0..{ns.M[k] - 1}")
-    digits = [0] * ns.resolution
-    rem = beta
-    for j in range(k):
-        w = ns.M[k] // ns.M[j + 1]
-        digits[j], rem = divmod(rem, w)
-    return GroupElement(ns, tuple(digits))
-
-
 @functools.lru_cache(maxsize=None)
 def coset_rep_cells(ns: NumberSystem, k: int, resolution: int) -> np.ndarray:
     """Resolution-r cell index of Z_beta^(k) for every beta = 0..M_k-1.
 
-    Vectorized coset_rep: digit j of Z_beta^(k) is (beta // (M_k/M_{j+1})) mod m_j
-    for j < k, and digits at or above the resolution are dropped.
+    Digit j of Z_beta^(k) is (beta // (M_k/M_{j+1})) mod m_j for j < k, and
+    digits at or above the resolution are dropped; oracles.coset_rep decodes
+    one beta greedily.
     """
     if not 0 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 0..{ns.resolution}")
@@ -271,13 +174,6 @@ def trailing_zero_digits(ns: NumberSystem, resolution: int) -> np.ndarray:
         v[:: ns.M[l]] += 1
     v.setflags(write=False)
     return v
-
-
-def coset_index(ns: NumberSystem, x: GroupElement, k: int) -> int:
-    """Inverse of coset_rep: which coset of I_k contains x."""
-    if not 0 <= k <= ns.resolution:
-        raise UsageError(f"scale {k} outside 0..{ns.resolution}")
-    return sum(x.digits[j] * (ns.M[k] // ns.M[j + 1]) for j in range(k))
 
 
 def tensor_axis(resolution: int, j: int) -> int:
@@ -312,7 +208,7 @@ def digit_matrix(ns: NumberSystem, resolution: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
-    """Coset index of every resolution-r cell at scale k (vectorized coset_index)."""
+    """Coset index beta of every resolution-r cell at scale k: the inverse of coset_rep_cells."""
     if not 0 <= k <= resolution:
         raise UsageError(f"scale {k} outside 0..{resolution}")
     D = digit_matrix(ns, resolution)

@@ -1,4 +1,4 @@
-"""Dirichlet, Fejer, and negative-order Cesaro kernels plus bound scans.
+"""Dirichlet and negative-order Cesaro kernels plus bound scans.
 
 D_n = sum_{k<n} psi_k with D_0 = 0. Kernels are materialized on the coarsest
 grid that carries their frequencies and lifted on demand. The scans quantify
@@ -21,7 +21,7 @@ from .errors import DomainError, UsageError
 from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, digits_of,
                     scale_of, trailing_zero_digits)
 from .oscillation import modulus_of_continuity
-from .transform import StepFunction, cesaro_weights, convolve, fejer_weights, synthesize
+from .transform import StepFunction, cesaro_weights, convolve, synthesize
 
 _ROW_BLOCK = 1 << 20  # entries in one block of D_n rows
 
@@ -71,14 +71,6 @@ def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -
             gsum += synthesis_matrix(m)[a]
         acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(gsum, ns, r, j)
     return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc.reshape(-1))
-
-
-def fejer_kernel(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
-    """(1/n) sum_{k=1}^{n} D_k = sum_{nu<n} (n - nu)/n psi_nu."""
-    if not 1 <= n <= ns.cell_count:
-        raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
-    numerators, denominator = fejer_weights(n)
-    return synthesize(ns, numerators / denominator, resolution)
 
 
 def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
@@ -382,7 +374,7 @@ def low_block_ratio(f: StepFunction, n: int, k: int, alpha: float) -> float:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
     t0 = binomials.cesaro_table(-alpha, n)
     weights = t0.values[n : n - ns.M[k - 1] : -1]  # A_{n-nu}, nu = 0..M_{k-1}-1
-    h = synthesize(ns, weights, f.resolution)
+    h = synthesize(ns, weights)
     correlated = convolve(f, h.reflect())  # avg_u h(u) f(x+u)
     g = correlated.cells - f.cells * t0.a(n)
     lhs = float(np.abs(g).max()) / abs(t0.a(n))

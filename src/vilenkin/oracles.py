@@ -1,8 +1,9 @@
 """Reference forms of the fast paths, for tests, `verify` and `bench`.
 
 Each evaluates its definition literally: the transform as a character sum
-or as one digit's DFT at a time, in any digit order. The library modules
-never import this.
+or as one digit's DFT at a time, in any digit order, and a coset
+representative decoded one digit at a time. The library modules never
+import this.
 """
 
 import numpy as np
@@ -67,6 +68,24 @@ def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
         idx = ((D - D[t]) % ms) @ weights
         acc += gg.cells[t] * ff.cells[idx]
     return StepFunction(f.ns, r, acc / cells)
+
+
+def coset_rep(ns: NumberSystem, beta: int, k: int) -> int:
+    """Cell index of Z_beta^(k), the representative of the beta-th coset of I_k.
+
+    beta = sum_{j<k} x_j * (M_k / M_{j+1}) enumerates the cosets; the digits
+    are recovered greedily from the largest weight down, so the map is a
+    bijection from 0..M_k-1 onto the cells below M_k.
+    """
+    if not 0 <= k <= ns.resolution:
+        raise UsageError(f"scale {k} outside 0..{ns.resolution}")
+    if not 0 <= beta < ns.M[k]:
+        raise UsageError(f"coset index {beta} outside 0..{ns.M[k] - 1}")
+    cell, rem = 0, beta
+    for j in range(k):
+        digit, rem = divmod(rem, ns.M[k] // ns.M[j + 1])
+        cell += digit * ns.M[j]
+    return cell
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int) -> StepFunction:

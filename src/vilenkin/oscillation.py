@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError, ValidationError
-from .group import basis_element, coset_rep_cells
+from .group import coset_rep_cells
 from .transform import StepFunction, _staged
 
 _IMAG_TOL = 1e-13
@@ -49,15 +49,6 @@ def _row_diameters(rows: np.ndarray) -> np.ndarray:
         block = np.abs(rows[:, :, None] - rows[:, None, j : j + width]).max(axis=(1, 2))
         np.maximum(out, block, out=out)
     return out
-
-
-def coset_oscillation(f: StepFunction, k: int, beta: int) -> float:
-    """omega_beta(k): diameter of f over the coset Z_beta^(k) + I_k."""
-    rows = _coset_values(f, k)
-    if not 0 <= beta < f.ns.M[k]:
-        raise UsageError(f"coset index {beta} outside 0..{f.ns.M[k] - 1}")
-    row = coset_rep_cells(f.ns, k, f.resolution)[beta]
-    return float(_row_diameters(rows[row : row + 1])[0])
 
 
 def modulus_of_continuity(f: StepFunction, k: int) -> float:
@@ -174,7 +165,7 @@ def difference_condition(f: StepFunction, k: int, alpha: float) -> float:
         raise UsageError(f"scale {k} outside 1..{f.resolution - 1}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
-    shifted = f.translate(basis_element(ns, k))
+    shifted = f.translate(ns.M[k])  # e_k
     d = np.abs(f.cells - shifted.cells)  # |f(y) - f(y - e_k)|
     weight = np.zeros(ns.M[k])
     weight[coset_rep_cells(ns, k, k)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)

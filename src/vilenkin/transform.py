@@ -1,11 +1,11 @@
 """Step functions on G_m, the Vilenkin transform, and Cesaro means.
 
 A StepFunction holds one complex value per I_r-cell, indexed by the mixed
-radix cell index. Reshaped, the cells are a tensor with one axis per digit
-(group.digit_tensor; group owns the axis rule). Translation and reflection
-roll its axes, and the character system is a pure tensor product, so
-analysis and synthesis are the Kronecker product of one small DFT per
-digit. Adjacent digits are fused into blocks of bounded radix product; each
+radix cell index, and a point t of G_m is its cell index too. Reshaped,
+the cells are a tensor with one axis per digit (group.digit_tensor; group
+owns the axis rule). Translation and reflection roll its axes, and the
+character system is a pure tensor product, so analysis and synthesis are
+the Kronecker product of one small DFT per digit. Adjacent digits are fused into blocks of bounded radix product; each
 block is one cached Kronecker matrix built from the shared root-of-unity
 tables and applied as one matmul. A block of radix-2 digits has a real
 matrix, and above the lowest block it is one real matmul on the float64
@@ -42,7 +42,7 @@ import numpy as np
 from . import binomials
 from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
-from .group import GroupElement, NumberSystem, digit_tensor, number_system, tensor_axis
+from .group import NumberSystem, digit_tensor, digits_of, number_system, tensor_axis
 
 
 @dataclass
@@ -70,14 +70,15 @@ class StepFunction:
         reps = self.ns.cells_at(resolution) // len(self.cells)
         return StepFunction(self.ns, resolution, np.tile(self.cells, reps))
 
-    def value_at(self, x: GroupElement) -> complex:
-        return complex(self.cells[x.cell_index(self.resolution)])
+    def translate(self, t: int) -> "StepFunction":
+        """g with g(x) = f(x - t), t a point given by its cell index 0 <= t < M_N.
 
-    def translate(self, t: GroupElement) -> "StepFunction":
-        """g with g(x) = f(x - t): digit axis j rolls forward by t_j."""
+        Digit axis j rolls by t_j; digits of t at or above the resolution act
+        on no cell. The basis point e_k is t = M_k.
+        """
         r = self.resolution
         # one roll per shifted axis: a multi-axis roll copies 2^(axes) blocks
-        shifts = [(tensor_axis(r, j), tj) for j, tj in enumerate(t.digits[:r]) if tj]
+        shifts = [(tensor_axis(r, j), tj) for j, tj in enumerate(digits_of(self.ns, t)[:r]) if tj]
         arr = digit_tensor(self.cells, self.ns, r)
         for axis, tj in shifts:
             arr = np.roll(arr, tj, axis=axis)
@@ -374,10 +375,6 @@ def sup_distance(f: StepFunction, g: StepFunction) -> float:
     return float(np.abs(fine.cells.reshape(-1, len(coarse.cells)) - coarse.cells).max())
 
 
-def _complex_pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def _pairs_complex(pairs) -> np.ndarray:
     out = np.empty(len(pairs), dtype=np.complex128)
     for i, (re, im) in enumerate(pairs):
@@ -385,43 +382,10 @@ def _pairs_complex(pairs) -> np.ndarray:
     return out
 
 
-def step_to_dict(f: StepFunction) -> dict:
-    return {
-        "radix": list(f.ns.radix.radices),
-        "resolution": f.resolution,
-        "cells": _complex_pairs(f.cells),
-    }
-
-
 def step_from_dict(d: dict) -> StepFunction:
     ns = number_system(d["radix"])
     return StepFunction(ns, int(d["resolution"]), _pairs_complex(d["cells"]))
 
 
-def coeffs_to_dict(c: CoefficientVector) -> dict:
-    return {
-        "radix": list(c.ns.radix.radices),
-        "resolution": c.resolution,
-        "coeffs": _complex_pairs(c.coeffs),
-    }
-
-
-def coeffs_from_dict(d: dict) -> CoefficientVector:
-    ns = number_system(d["radix"])
-    return CoefficientVector(ns, int(d["resolution"]), _pairs_complex(d["coeffs"]))
-
-
-def dump_step(f: StepFunction) -> str:
-    return json.dumps(step_to_dict(f), sort_keys=True)
-
-
 def load_step(text: str) -> StepFunction:
     return step_from_dict(json.loads(text))
-
-
-def dump_coeffs(c: CoefficientVector) -> str:
-    return json.dumps(coeffs_to_dict(c), sort_keys=True)
-
-
-def load_coeffs(text: str) -> CoefficientVector:
-    return coeffs_from_dict(json.loads(text))

@@ -7,6 +7,13 @@ import vilenkin as vk
 from vilenkin.characters import (analysis_matrix, character_block, root_table,
                                  synthesis_matrix, vilenkin_on_cells)
 from vilenkin.errors import ValidationError
+from vilenkin.group import digit_matrix
+
+
+def _sum_cell(ns, i, j):
+    """Cell index of x_i + x_j: the digit rows added mod m."""
+    D = digit_matrix(ns, ns.resolution)
+    return int(((D[i] + D[j]) % np.array(ns.radix.radices)) @ np.array(ns.M[:-1]))
 
 
 def test_root_table_values():
@@ -21,14 +28,12 @@ def test_root_table_values():
 def test_rademacher_values(mixed):
     # r_k = psi_{M_k}, read at the cell of x
     def rademacher(x, k):
-        return vilenkin_on_cells(mixed, mixed.M[k])[x.cell_index()]
+        return vilenkin_on_cells(mixed, mixed.M[k])[x]
 
-    x = vk.element_of(mixed, 1)          # digits (1, 0, 0, 0), m_0 = 2
-    assert rademacher(x, 0) == -1
-    y = vk.element_of(mixed, 2)          # digits (0, 1, 0, 0), m_1 = 3
-    assert rademacher(y, 1) == pytest.approx(
+    assert rademacher(1, 0) == -1        # x = 1: digits (1, 0, 0, 0), m_0 = 2
+    assert rademacher(2, 1) == pytest.approx(  # x = 2: digits (0, 1, 0, 0), m_1 = 3
         complex(-0.5, np.sqrt(3) / 2), abs=1e-15)
-    assert rademacher(vk.zero(mixed), 2) == 1
+    assert rademacher(0, 2) == 1
 
 
 def test_vilenkin_unit_modulus(ns):
@@ -43,9 +48,8 @@ def test_vilenkin_zero_is_one(ns):
 
 def test_walsh_case_is_sign_pattern(walsh):
     # psi_3 = r_0 r_1 evaluated at digits (1, 1) gives (-1)(-1) = 1
-    x = vk.element_of(walsh, 3)
     vals = vilenkin_on_cells(walsh, 3)
-    assert vals[x.cell_index()] == 1
+    assert vals[3] == 1
     assert set(np.unique(vals.real)) == {-1.0, 1.0}
     assert np.max(np.abs(vals.imag)) == 0.0
 
@@ -56,10 +60,8 @@ def test_character_law_multiplicative(ns, rng):
     for n in rng.integers(0, ns.cell_count, size=6):
         vals = vilenkin_on_cells(ns, int(n), r)
         for i in rng.integers(0, ns.cell_count, size=8):
-            x = vk.element_of(ns, int(i))
             for j in rng.integers(0, ns.cell_count, size=8):
-                y = vk.element_of(ns, int(j))
-                lhs = vals[vk.add(x, y).cell_index(r)]
+                lhs = vals[_sum_cell(ns, i, j)]
                 assert lhs == pytest.approx(vals[int(i)] * vals[int(j)], abs=1e-12)
 
 
@@ -68,8 +70,7 @@ def test_character_law_multiplicative(ns, rng):
 def test_character_law_hypothesis(n, i, j):
     ns = vk.number_system([2, 3, 4, 2])
     vals = vilenkin_on_cells(ns, n)
-    x, y = vk.element_of(ns, i), vk.element_of(ns, j)
-    lhs = vals[vk.add(x, y).cell_index(ns.resolution)]
+    lhs = vals[_sum_cell(ns, i, j)]
     assert lhs == pytest.approx(vals[i] * vals[j], abs=1e-12)
 
 

@@ -362,6 +362,17 @@ MALFORMED = {
     "lipschitz_bound_infinite": ("oscillation", {"functions": [{"family": "random_lipschitz",
                                                                 "bound": float("inf")}]}),
     "out_names_a_file": ("converge", {"out": "cfg.json"}),
+    # json reads NaN, Infinity and integers past any float; no number key may be one
+    "stability_factor_nan": ("kernel-scan", {"thresholds": {"stability_factor": float("nan")}}),
+    "stability_factor_infinite": ("kernel-scan",
+                                  {"thresholds": {"stability_factor": float("inf")}}),
+    "final_over_first_nan": ("converge", {"thresholds": {"final_over_first": float("nan")}}),
+    "stability_factor_int_overflows": ("kernel-scan",
+                                       {"thresholds": {"stability_factor": 10**400}}),
+    "lacunary_coeff_nan": ("converge", {"functions": [{"family": "lacunary",
+                                                       "coeffs": [float("nan")]}]}),
+    "lacunary_coeff_nan_oscillation": ("oscillation", {"functions": [{"family": "lacunary",
+                                                                      "coeffs": [float("nan")]}]}),
     "suite_name_a_list": ("verify", {"suites": [[1]]}),
     # keys the schema forbids; the message must name them
     "scan_key_typo": ("kernel-scan", {"kernel_scan": {"levle": 3}}, "levle"),

@@ -4,8 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
+from vilenkin import oracles
 from vilenkin.errors import ConfigurationError, UsageError, ValidationError
 from vilenkin.group import coset_key_table, digit_matrix, radix_from_spec
+
+
+def _cells(ns, digit_rows):
+    """Cell index of each row of digits, reduced mod m: the group law on digit rows."""
+    rows = np.asarray(digit_rows, dtype=np.int64)
+    r = rows.shape[-1]
+    return (rows % np.array(ns.radix.radices[:r], dtype=np.int64)) \
+        @ np.array(ns.M[:r], dtype=np.int64)
 
 
 def test_radix_validation():
@@ -43,7 +52,9 @@ def test_overflow_guard():
 
 def test_digit_round_trip_exhaustive(ns):
     for n in range(ns.cell_count):
-        assert vk.index_of(ns, vk.digits_of(ns, n)) == n
+        assert _cells(ns, vk.digits_of(ns, n)) == n
+    with pytest.raises(UsageError):
+        vk.digits_of(ns, ns.cell_count)
 
 
 def test_digit_matrix_matches_digits(ns):
@@ -53,32 +64,33 @@ def test_digit_matrix_matches_digits(ns):
 
 
 def test_group_laws_exhaustive_pairs(ns):
-    elems = [vk.element_of(ns, n) for n in range(ns.cell_count)]
-    z = vk.zero(ns)
-    for x in elems:
-        assert vk.add(x, z) == x
-        assert vk.add(x, vk.neg(x)) == z
-        assert vk.sub(x, x) == z
-    for x in elems[::7]:
-        for y in elems[::5]:
-            assert vk.add(x, y) == vk.add(y, x)
+    # the translations act as the group: 0 fixes every function, t then -t
+    # is the identity, and every pair commutes
+    r = ns.resolution
+    D = digit_matrix(ns, r)
+    index = _index_function(ns, r)
+    assert np.array_equal(index.translate(0).cells, index.cells)
+    for t in range(ns.cell_count):
+        assert np.array_equal(index.translate(t).translate(_cells(ns, -D[t])).cells, index.cells)
+    for s in range(0, ns.cell_count, 7):
+        for t in range(0, ns.cell_count, 5):
+            assert np.array_equal(index.translate(s).translate(t).cells,
+                                  index.translate(_cells(ns, D[s] + D[t])).cells)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_associativity_sampled(data):
+    # (x + y) + z = x + (y + z) under the digit-row law, read through the translations
     ns = vk.number_system([2, 3, 4, 2])
+    D = digit_matrix(ns, ns.resolution)
     pick = st.integers(0, ns.cell_count - 1)
-    x, y, z = (vk.element_of(ns, data.draw(pick)) for _ in range(3))
-    assert vk.add(vk.add(x, y), z) == vk.add(x, vk.add(y, z))
-
-
-def test_truncate_drops_high_digits(ns):
-    for n in (1, 5, ns.cell_count - 1):
-        assert vk.truncate(ns, n, -1) == 0
-        for A in range(ns.resolution):
-            t = vk.truncate(ns, n, A)
-            assert t == n % ns.M[A + 1]
+    x, y, z = (data.draw(pick) for _ in range(3))
+    index = _index_function(ns, ns.resolution)
+    left = index.translate(_cells(ns, D[x] + D[y])).translate(z)
+    right = index.translate(x).translate(_cells(ns, D[y] + D[z]))
+    assert np.array_equal(left.cells, right.cells)
+    assert np.array_equal(left.cells, index.translate(x).translate(y).translate(z).cells)
 
 
 def test_scale_of_brackets(ns):
@@ -92,14 +104,16 @@ def test_scale_of_brackets(ns):
 
 
 def test_coset_rep_bijective(ns):
-    for k in range(ns.resolution + 1):
-        seen = set()
-        for beta in range(ns.M[k]):
-            z = vk.coset_rep(ns, beta, k)
-            assert all(d == 0 for d in z.digits[k:])
-            seen.add(z.digits[:k])
-            assert vk.coset_index(ns, z, k) == beta
-        assert len(seen) == ns.M[k]
+    r = ns.resolution
+    for k in range(r + 1):
+        cells = [oracles.coset_rep(ns, beta, k) for beta in range(ns.M[k])]
+        # no digit at or above k, one representative per coset, and coset_key_table inverts it
+        assert sorted(cells) == list(range(ns.M[k]))
+        assert coset_key_table(ns, r, k)[cells].tolist() == list(range(ns.M[k]))
+    with pytest.raises(UsageError):
+        oracles.coset_rep(ns, ns.M[1], 1)
+    with pytest.raises(UsageError):
+        oracles.coset_rep(ns, 0, r + 1)
 
 
 def test_coset_rep_weight_bracket(ns):
@@ -107,8 +121,8 @@ def test_coset_rep_weight_bracket(ns):
     # M_k/M_{q+1} <= beta <= M_k/M_q - 1
     for k in range(1, ns.resolution + 1):
         for beta in range(1, ns.M[k]):
-            z = vk.coset_rep(ns, beta, k)
-            q = min(j for j in range(k) if z.digits[j] != 0)
+            digits = vk.digits_of(ns, oracles.coset_rep(ns, beta, k))
+            q = min(j for j in range(k) if digits[j] != 0)
             assert ns.M[k] // ns.M[q + 1] <= beta <= ns.M[k] // ns.M[q] - 1
 
 
@@ -116,7 +130,7 @@ def test_coset_rep_cells_matches_coset_rep(ns):
     for k in range(ns.resolution + 1):
         for r in range(ns.resolution + 1):
             table = vk.coset_rep_cells(ns, k, r)
-            want = [vk.coset_rep(ns, beta, k).cell_index(r) for beta in range(ns.M[k])]
+            want = [oracles.coset_rep(ns, beta, k) % ns.M[r] for beta in range(ns.M[k])]
             assert table.dtype == np.int64
             assert not table.flags.writeable
             assert table.tolist() == want
@@ -129,23 +143,20 @@ def test_coset_rep_cells_rejects_bad_args(ns):
         vk.coset_rep_cells(ns, 1, ns.resolution + 1)
 
 
-def _index_function(ns, r):
-    return vk.StepFunction(ns, r, np.arange(ns.cells_at(r)))
-
-
 def test_translate_is_group_translation(ns, rng):
     for r in (ns.resolution, ns.resolution - 2, 0):
         index = _index_function(ns, r)
-        for t_idx in [0, *rng.integers(0, ns.cell_count, size=8)]:
-            t = vk.element_of(ns, int(t_idx))
+        D = digit_matrix(ns, ns.resolution)
+        for t in [0, *rng.integers(0, ns.cell_count, size=8).tolist()]:
             moved = index.translate(t)
             assert not np.shares_memory(moved.cells, index.cells)
-            # cell i of the translated function reads from the cell of x - t
-            for i in rng.integers(0, ns.cells_at(r), size=16):
-                x = vk.element_of(ns, int(i))
-                assert moved.cells[int(i)] == vk.sub(x, t).cell_index(r)
-            back = moved.translate(vk.neg(t))
+            # cell x of the translated function reads from the cell of x - t
+            assert np.array_equal(moved.cells, _cells(ns, digit_matrix(ns, r) - D[t, :r]))
+            back = moved.translate(_cells(ns, -D[t]))
             assert np.array_equal(back.cells, index.cells)
+        for t in (-1, ns.cell_count):
+            with pytest.raises(UsageError):
+                index.translate(t)
 
 
 def test_reflect_is_negation_and_involution(ns):
@@ -153,9 +164,12 @@ def test_reflect_is_negation_and_involution(ns):
         index = _index_function(ns, r)
         reflected = index.reflect()
         assert not np.shares_memory(reflected.cells, index.cells)
-        want = [vk.neg(vk.element_of(ns, i)).cell_index(r) for i in range(ns.cells_at(r))]
-        assert np.array_equal(reflected.cells, want)
+        assert np.array_equal(reflected.cells, _cells(ns, -digit_matrix(ns, r)))
         assert np.array_equal(reflected.reflect().cells, index.cells)
+
+
+def _index_function(ns, r):
+    return vk.StepFunction(ns, r, np.arange(ns.cells_at(r)))
 
 
 def test_coset_key_partitions(ns):
@@ -166,8 +180,43 @@ def test_coset_key_partitions(ns):
         assert np.all(counts == ns.cell_count // ns.M[k])
 
 
-def test_basis_element_digits(ns):
+def test_basis_element_digits(ns, rng):
+    # e_k is the cell index M_k: digit 1 at k alone, and translating by it rolls digit k by one
+    f = vk.StepFunction(ns, ns.resolution, rng.standard_normal(ns.cell_count))
+    tensor = f.cells.reshape(ns.radix.radices[::-1])
     for k in range(ns.resolution):
-        e = vk.basis_element(ns, k)
-        assert e.digits[k] == 1
-        assert sum(e.digits) == 1
+        digits = vk.digits_of(ns, ns.M[k])
+        assert digits[k] == 1 and sum(digits) == 1
+        rolled = np.roll(tensor, 1, axis=ns.resolution - 1 - k).reshape(-1)
+        assert np.array_equal(f.translate(ns.M[k]).cells, rolled)
+
+
+@st.composite
+def _grids(draw):
+    """Radix tuples with m in 2..40 and at most 4096 cells."""
+    radices, cells = [], 1
+    while cells * 2 <= 4096 and (not radices or draw(st.booleans())):
+        radices.append(draw(st.integers(2, min(40, 4096 // cells))))
+        cells *= radices[-1]
+    return radices
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translate_and_reflect_match_digit_rows_hypothesis(data):
+    ns = vk.number_system(data.draw(_grids()))
+    r = data.draw(st.integers(0, ns.resolution))
+    t = data.draw(st.integers(0, ns.cell_count - 1))
+    x = data.draw(st.integers(0, ns.cells_at(r) - 1))
+    index = _index_function(ns, r)
+    D = digit_matrix(ns, r)
+    t_digits = np.array(vk.digits_of(ns, t)[:r], dtype=np.int64)
+    moved = index.translate(t)
+    assert moved.cells[x] == _cells(ns, np.array(vk.digits_of(ns, x)[:r]) - t_digits)
+    assert np.array_equal(moved.cells, _cells(ns, D - t_digits))
+    assert np.array_equal(index.reflect().cells, _cells(ns, -D))
+    minus_t = int(_cells(ns, -np.array(vk.digits_of(ns, t), dtype=np.int64)))
+    assert np.array_equal(moved.translate(minus_t).cells, index.cells)
+    for bad in (-1, ns.cell_count):
+        with pytest.raises(UsageError):
+            index.translate(bad)

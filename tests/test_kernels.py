@@ -70,10 +70,11 @@ def test_dirichlet_rejects_bad_order(ns):
 
 
 def test_fejer_is_cesaro_order_one_mirror(ns, rng):
-    # the Fejer kernel averages the first n Dirichlet kernels
+    # the Fejer kernel, the synthesized Fejer weights, averages the first n Dirichlet kernels
     T = oracles.dirichlet_table(ns, ns.cell_count)
     for n in (1, 3, ns.M[2], ns.cell_count):
-        k = kernels.fejer_kernel(ns, n, resolution=ns.resolution)
+        numerators, denominator = transform.fejer_weights(n)
+        k = transform.synthesize(ns, numerators / denominator, ns.resolution)
         avg = T[1 : n + 1].mean(axis=0)
         assert np.max(np.abs(k.cells - avg)) < 1e-11
 
@@ -179,9 +180,9 @@ def test_coset_decay_scan_shape_and_stability(ns):
 
 
 def _coset_decay_loop(ns, alpha, k, n):
-    """Per-beta oracle: build Z_beta^(k) as a GroupElement for every beta."""
+    """Per-beta oracle: decode the cell of Z_beta^(k) one beta at a time."""
     K = kernels.cesaro_kernel(ns, n, alpha)
-    cells = np.array([vk.coset_rep(ns, beta, k).cell_index(K.resolution)
+    cells = np.array([oracles.coset_rep(ns, beta, k) % ns.M[K.resolution]
                       for beta in range(1, ns.M[k])])
     ratios = np.array([abs(K.cells[c]) * beta ** (1.0 - alpha) / ns.M[k]
                        for beta, c in enumerate(cells, start=1)])
@@ -198,12 +199,6 @@ def test_coset_decay_scan_matches_loop(ns):
                 assert rec.sup_ratio == pytest.approx(want.max(), rel=1e-12)
                 # ratios agree to rounding, so a tie may break either way
                 assert rec.argmax_cell in cells[want >= want.max() * (1 - 1e-12)]
-
-
-def test_coset_decay_scan_builds_no_coset_reps(ns, count_calls):
-    calls = count_calls("coset_rep")
-    kernels.coset_decay_scan(ns, 0.5, ns.resolution - 1)
-    assert calls == []
 
 
 def test_coset_decay_rejects_bad_alpha(ns):

@@ -70,10 +70,6 @@ def _synthesized_full_resolution(ns, w, resolution):
     return inverse(CoefficientVector(ns, resolution, out)).cells
 
 
-def fejer_kernel_weights(n):
-    return (n - np.arange(n)) / n
-
-
 def cesaro_kernel_weights(n, alpha):
     t = binomials.cesaro_table(-alpha, n - 1)
     return t.values[::-1] / t.a(n - 1)
@@ -122,9 +118,8 @@ def test_kernels_bitwise(ns):
     for n in _orders(ns):
         for resolution in (None, ns.resolution):
             r = transform.minimal_resolution(ns, n) if resolution is None else resolution
-            kernels_of_n = [(kernels.fejer_kernel(ns, n, resolution), fejer_kernel_weights(n))]
-            kernels_of_n += [(kernels.cesaro_kernel(ns, n, alpha, resolution),
-                              cesaro_kernel_weights(n, alpha)) for alpha in (0.25, 0.5, 0.75)]
+            kernels_of_n = [(kernels.cesaro_kernel(ns, n, alpha, resolution),
+                             cesaro_kernel_weights(n, alpha)) for alpha in (0.25, 0.5, 0.75)]
             for kernel, w in kernels_of_n:
                 assert kernel.resolution == r
                 assert kernel.cells.tobytes() == _synthesized(ns, w, r).tobytes()
