@@ -25,7 +25,7 @@ def main():
     g = families.random_lipschitz(ns, rng)
     profile_table("random Lipschitz draw:", g)
 
-    M2 = oscillation.YoungFunction(kind="power", p=2.0)
+    M2 = oscillation.YoungFunction(p=2.0)
     for label, h in (("lacunary", f), ("lipschitz", g)):
         score = oscillation.young_oscillation_score(h, M2)
         print(f"Young score (p=2) for {label}: {score:.4e}")

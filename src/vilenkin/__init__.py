@@ -3,7 +3,8 @@
 Group and digit plumbing (group), the character system (characters), Cesaro
 binomials (binomials), step functions and transforms (transform), kernels and
 bound scans (kernels), oscillation functionals (oscillation), test-function
-families (families), and a CLI (cli, entry point `vilenkin`).
+families (families), the config format (config), and a CLI (cli, entry point
+`vilenkin`).
 """
 
 from .group import (
@@ -13,7 +14,6 @@ from .group import (
     coset_rep_cells,
     digits_of,
     number_system,
-    radix_from_spec,
     scale_of,
 )
 from .errors import (
@@ -29,7 +29,7 @@ from .characters import (
     unity_gap_residual,
     vilenkin_on_cells,
 )
-from .binomials import CesaroTable, cesaro_coefficient, cesaro_table, identity_report
+from .binomials import CesaroTable, cesaro_table, identity_report
 from .transform import (
     CoefficientVector,
     StepFunction,
@@ -68,7 +68,6 @@ from .oscillation import (
     young_oscillation_score,
     young_series,
 )
-from .families import family_from_spec
 from . import families
 
 __version__ = "0.1.0"

@@ -49,12 +49,6 @@ def cesaro_table(alpha: float, n_max: int) -> CesaroTable:
     return CesaroTable(alpha=alpha, values=values)
 
 
-def cesaro_coefficient(n: int, alpha: float) -> float:
-    if n < 0:
-        return 0.0
-    return cesaro_table(alpha, n).a(n)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Residuals of the defining identities on 1..n_max.

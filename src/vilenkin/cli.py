@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
-Subcommands: verify, converge, kernel-scan, oscillation, bench.  Settings
-merge as flags > VILENKIN_* environment variables > --config JSON file >
-defaults.  For a fixed config and seed every CSV/JSON artifact is
-byte-identical across runs, except timings.json, which holds wall-clock
-measurements and is excluded from that contract.
+Subcommands: verify, converge, kernel-scan, oscillation, bench.  main
+merges and parses the config (config.py) before any work, and each runner
+reads the resulting Config.  For a fixed config and seed every CSV/JSON
+artifact is byte-identical across runs, except timings.json, which holds
+wall-clock measurements and is excluded from that contract.
 
 Exit codes: 0 all checks pass, 1 an assertion failed, 2 bad configuration.
 """
@@ -12,7 +12,6 @@ Exit codes: 0 all checks pass, 1 an assertion failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -21,112 +20,16 @@ import time
 import numpy as np
 
 from . import __version__
-from . import binomials, kernels, oracles, oscillation, transform
+from . import binomials, config, kernels, oracles, oscillation, transform
 from .characters import character_block, character_shift_residual, unity_gap_residual
-from .errors import ConfigurationError, VilenkinError, config_object, config_value
-from .families import family_from_spec, random_cells
-from .group import (NumberSystem, build_number_system, coset_key_table, digit_matrix,
-                    radix_from_spec, scale_of)
+from .config import Config, merge_config, n_schedule, parse
+from .errors import ConfigurationError, VilenkinError
+from .families import random_cells
+from .group import NumberSystem, coset_key_table, digit_matrix, scale_of
 from .oscillation import difference_condition, oscillation_profile
 from .transform import StepFunction, forward, inverse, sup_distance
 
 SCHEMA_VERSION = 1
-
-DEFAULTS = {
-    "radix": {"constant": 2, "length": 8},
-    "alphas": [0.25, 0.5, 0.75],
-    "functions": [{"family": "lacunary", "decay": "inverse_scale"}],
-    "n_schedule": {"kind": "scales_and_neighbors"},
-    "out": None,
-    "seed": 0,
-    "suites": None,
-    "max_cells": 1 << 20,
-    "thresholds": {"stability_factor": 1.5, "final_over_first": 0.25,
-                   "trailing_points": 4},
-    "kernel_scan": {"kinds": ["majorant", "coset_decay"], "level": None,
-                    "n": None},
-    "bench": {"sizes": [{"constant": 2, "length": 12}], "repeats": 3},
-}
-
-_ENV_PREFIX = "VILENKIN_"
-
-
-def _env_overrides() -> dict:
-    out = {}
-    if v := os.environ.get(_ENV_PREFIX + "OUT"):
-        out["out"] = v
-    if v := os.environ.get(_ENV_PREFIX + "SUITES"):
-        out["suites"] = [s.strip() for s in v.split(",") if s.strip()]
-    for key, name in (("seed", "SEED"), ("max_cells", "MAX_CELLS")):
-        if v := os.environ.get(_ENV_PREFIX + name):
-            try:
-                out[key] = int(v)
-            except ValueError:
-                raise ConfigurationError(f"{_ENV_PREFIX}{name}={v!r} is not an integer")
-    return out
-
-
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"config {path} is not valid JSON: {e}")
-    except RecursionError:
-        raise ConfigurationError(f"config {path} nests too deeply")
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
-        raise ConfigurationError(f"cannot read config {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    unknown = set(cfg) - set(DEFAULTS)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-# sub-configs merged key by key; everything else is replaced whole
-_MERGE_KEYS = ("thresholds", "kernel_scan", "bench")
-
-
-def merge_config(args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(DEFAULTS)
-    file_cfg = load_config(getattr(args, "config", None)
-                           or os.environ.get(_ENV_PREFIX + "CONFIG"))
-    for key, val in file_cfg.items():
-        if key in _MERGE_KEYS:
-            cfg[key].update(config_object(val, DEFAULTS[key], key))
-        else:
-            cfg[key] = val
-    cfg.update(_env_overrides())
-    for key in ("out", "seed", "max_cells"):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            cfg[key] = v
-    if getattr(args, "suites", None):
-        cfg["suites"] = [s.strip() for s in args.suites.split(",") if s.strip()]
-    return cfg
-
-
-def resolve_ns(cfg: dict) -> NumberSystem:
-    ns = build_number_system(radix_from_spec(cfg["radix"]))
-    if ns.cell_count > config_value(cfg["max_cells"], int, "max_cells", 1):
-        raise ConfigurationError(
-            f"group has {ns.cell_count} cells, over the max_cells cap {cfg['max_cells']}")
-    return ns
-
-
-def _check_alphas(alphas) -> list[float]:
-    out = [config_value(a, float, "alphas") for a in config_value(alphas, list, "alphas")]
-    for a in out:
-        if not 0.0 < a < 1.0:
-            raise ConfigurationError(f"alpha={a} outside (0, 1)")
-    return out
-
-
-def _rng(cfg: dict) -> np.random.Generator:
-    return np.random.default_rng(config_value(cfg["seed"], int, "seed", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,57 +56,22 @@ def write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_run_meta(out_dir: str, cfg: dict, command: str) -> None:
+def write_run_meta(cfg: Config, command: str) -> None:
     meta = {
         "command": command,
-        "config": {k: cfg[k] for k in sorted(cfg) if k != "out"},
+        "config": {k: cfg.merged[k] for k in sorted(cfg.merged) if k != "out"},
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
     }
-    write_json(os.path.join(out_dir, "run_meta.json"), meta)
+    write_json(os.path.join(cfg.out, "run_meta.json"), meta)
 
 
-def _out_dir(cfg: dict, command: str) -> str:
-    out = config_value(cfg["out"] or os.path.join("runs", command), str, "out")
+def _out_dir(cfg: Config) -> str:
     try:
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(cfg.out, exist_ok=True)
     except (OSError, ValueError) as e:
-        raise ConfigurationError(f"cannot create output directory {out!r}: {e}")
-    return out
-
-
-_SCHEDULE_KEYS = ("kind", "start", "stop", "values")
-
-
-def n_schedule(ns: NumberSystem, spec: dict) -> list[int]:
-    """Order schedule: scale points by default, plus near-scale offsets."""
-    kind = config_object(spec, _SCHEDULE_KEYS, "n_schedule").get("kind", "scales_and_neighbors")
-    top = ns.cell_count
-    if kind == "list":
-        values = [config_value(n, int, "n_schedule.values")
-                  for n in config_value(spec.get("values", []), list, "n_schedule.values")]
-        if not values:
-            raise ConfigurationError("n_schedule list needs 'values'")
-    elif kind == "dense":
-        start = config_value(spec.get("start", 1), int, "n_schedule.start")
-        stop = config_value(spec.get("stop", top), int, "n_schedule.stop")
-        values = list(range(start, stop + 1))
-    elif kind == "scales":
-        values = [ns.M[k] for k in range(1, ns.resolution + 1)]
-    elif kind == "scales_and_neighbors":
-        values = set()
-        for k in range(1, ns.resolution + 1):
-            values.add(ns.M[k])
-            values.add(ns.M[k] - 1)
-            if k >= 2 and ns.M[k] + ns.M[k - 1] <= top:
-                values.add(ns.M[k] + ns.M[k - 1])
-        values = sorted(values)
-    else:
-        raise ConfigurationError(f"unknown n_schedule kind {kind!r}")
-    for n in values:
-        if not 1 <= n <= top:
-            raise ConfigurationError(f"order {n} outside 1..{top}")
-    return values
+        raise ConfigurationError(f"cannot create output directory {cfg.out!r}: {e}")
+    return cfg.out
 
 
 # ---------------------------------------------------------------------------
@@ -335,57 +203,43 @@ def _suite_transform(ns: NumberSystem, rng: np.random.Generator) -> dict:
                         "permuted_stages": permuted, "parseval": parseval}}
 
 
-SUITES = {
-    "group": _suite_group,
-    "characters": _suite_characters,
-    "binomials": _suite_binomials,
-    "dirichlet": _suite_dirichlet,
-    "block": _suite_block,
-    "routes": _suite_routes,
-    "transform": _suite_transform,
-}
+# the suite of each name the config accepts, in config order
+SUITES = {name: globals()[f"_suite_{name}"] for name in config.SUITES}
 
 
-def run_verify(cfg: dict) -> int:
-    ns = resolve_ns(cfg)
-    names = [config_value(s, str, "suites")
-             for s in config_value(cfg["suites"] or list(SUITES), list, "suites")]
-    unknown = [s for s in names if s not in SUITES]
-    if unknown:
-        raise ConfigurationError(f"unknown suites {unknown}; have {list(SUITES)}")
-    out = _out_dir(cfg, "verify")
+def run_verify(cfg: Config) -> int:
+    out = _out_dir(cfg)
     results, timings = {}, {}
-    for name in names:
-        rng = _rng(cfg)
+    for name in cfg.suites:
         t0 = time.perf_counter()
-        results[name] = SUITES[name](ns, rng)
+        results[name] = SUITES[name](cfg.ns, np.random.default_rng(cfg.seed))
         timings[name] = time.perf_counter() - t0
         state = "pass" if results[name]["passed"] else "FAIL"
         print(f"{name:12s} {state}  max_residual={results[name]['max_residual']:.3e}")
     all_passed = all(r["passed"] for r in results.values())
     report = {
         "all_passed": all_passed,
-        "radix": list(ns.radix.radices),
+        "radix": list(cfg.ns.radix.radices),
         "schema_version": SCHEMA_VERSION,
-        "seed": cfg["seed"],
+        "seed": cfg.seed,
         "suites": results,
     }
     write_json(os.path.join(out, "report.json"), report)
     write_json(os.path.join(out, "timings.json"), timings)
-    write_run_meta(out, cfg, "verify")
+    write_run_meta(cfg, "verify")
     return 0 if all_passed else 1
 
 
 # ---------------------------------------------------------------------------
 # converge
 
-def _converge_group(ns: NumberSystem, label: str, f, alpha: float, values: list[int],
-                    thresholds: dict) -> list[list]:
+def _converge_group(cfg: Config, label: str, f, alpha: float) -> list[list]:
+    ns = cfg.ns
     series = oscillation.oscillation_series(f, alpha)
     rows = []
     errors_at_scale = {}
     conditions = {}  # the condition depends on (f, k_cond, alpha) only, not on n
-    for n, mean in zip(values, transform.cesaro_means(f, values, alpha)):
+    for n, mean in zip(cfg.orders, transform.cesaro_means(f, cfg.orders, alpha)):
         err = sup_distance(mean, f)
         k = scale_of(ns, n) if n < ns.cell_count else ns.resolution
         k_cond = min(max(k, 1), ns.resolution - 1)
@@ -399,11 +253,11 @@ def _converge_group(ns: NumberSystem, label: str, f, alpha: float, values: list[
             errors_at_scale[n] = err
         rows.append([n, err, partial, cond])
     scale_errs = [errors_at_scale[m] for m in sorted(errors_at_scale)]
-    tail = thresholds["trailing_points"]
+    tail = cfg.trailing_points
     decreasing = all(b <= a * (1 + 1e-12)
                      for a, b in zip(scale_errs[-tail:], scale_errs[-tail + 1:]))
     shrunk = len(scale_errs) >= 2 and \
-        scale_errs[-1] <= thresholds["final_over_first"] * max(scale_errs[0], 1e-300)
+        scale_errs[-1] <= cfg.final_over_first * max(scale_errs[0], 1e-300)
     verdict = "converging" if (decreasing and shrunk) else "inconclusive"
     if scale_errs and max(scale_errs) <= 1e-12:
         verdict = "exact"
@@ -411,22 +265,17 @@ def _converge_group(ns: NumberSystem, label: str, f, alpha: float, values: list[
              fmt_float(c), verdict] for (n, e, p, c) in rows]
 
 
-def run_converge(cfg: dict) -> int:
-    ns = resolve_ns(cfg)
-    alphas = _check_alphas(cfg["alphas"])
-    values = n_schedule(ns, cfg["n_schedule"])
-    config_value(cfg["thresholds"]["trailing_points"], int, "thresholds.trailing_points", 2)
-    config_value(cfg["thresholds"]["final_over_first"], float, "thresholds.final_over_first")
-    out = _out_dir(cfg, "converge")
+def run_converge(cfg: Config) -> int:
+    out = _out_dir(cfg)
     rows = []
-    for spec in config_value(cfg["functions"], list, "functions"):
-        label, f = family_from_spec(ns, spec, _rng(cfg))
-        for alpha in alphas:
-            rows += _converge_group(ns, label, f, alpha, values, cfg["thresholds"])
+    for label, build in cfg.functions:
+        f = build(np.random.default_rng(cfg.seed))
+        for alpha in cfg.alphas:
+            rows += _converge_group(cfg, label, f, alpha)
     header = ["schema_version", "family", "alpha", "n", "sup_error",
               "oscillation_partial", "difference_condition", "verdict"]
     write_csv(os.path.join(out, "converge.csv"), header, rows)
-    write_run_meta(out, cfg, "converge")
+    write_run_meta(cfg, "converge")
     finite = all(np.isfinite(float(r[4])) for r in rows)
     print(f"converge: {len(rows)} rows -> {out}/converge.csv")
     return 0 if finite else 1
@@ -436,7 +285,7 @@ def run_converge(cfg: dict) -> int:
 # kernel-scan
 
 def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
-                values: list[int]) -> tuple[str, float, list, list]:
+                values) -> tuple[str, float, list, list]:
     if kind == "majorant":
         records = kernels.majorant_ratio_scan(ns, alpha, values)
     else:
@@ -447,33 +296,20 @@ def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
     return kind, alpha, records, rows
 
 
-def run_kernel_scan(cfg: dict) -> int:
-    ns = resolve_ns(cfg)
-    alphas = _check_alphas(cfg["alphas"])
-    sub = cfg["kernel_scan"]
-    kinds = config_value(sub["kinds"], list, "kernel_scan.kinds")
-    for kind in kinds:
-        if kind not in ("majorant", "coset_decay"):
-            raise ConfigurationError(f"unknown scan kind {kind!r}")
-    level = (ns.resolution - 1 if sub["level"] is None
-             else config_value(sub["level"], int, "kernel_scan.level"))
-    if not 1 <= level <= ns.resolution:
-        raise ConfigurationError(f"scan level {level} outside 1..{ns.resolution}")
-    given_n = [config_value(n, int, "kernel_scan.n")
-               for n in config_value(sub["n"] or [], list, "kernel_scan.n")]
-    majorant_n = sorted(set(given_n or n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]))
-    coset_n = given_n or list(range(ns.M[level - 1], ns.M[level] + 1))
-    out = _out_dir(cfg, "kernel-scan")
-    results = [_scan_group(ns, kind, alpha, level,
-                           majorant_n if kind == "majorant" else coset_n)
-               for kind in kinds for alpha in alphas]
+def run_kernel_scan(cfg: Config) -> int:
+    ns = cfg.ns
+    majorant_n = sorted(set(cfg.scan_n or n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]))
+    # None: the coset-decay scan takes its block [M_{level-1}, M_level]; it rejects
+    # level 0, the default on a one-digit radix, so the scans run before any output
+    results = [_scan_group(ns, kind, alpha, cfg.scan_level,
+                           majorant_n if kind == "majorant" else list(cfg.scan_n) or None)
+               for kind in cfg.scan_kinds for alpha in cfg.alphas]
+    out = _out_dir(cfg)
     rows = [row for (_, _, _, block) in results for row in block]
     header = ["schema_version", "radix", "kind", "alpha", "n", "sup_ratio",
               "argmax_cell", "resolution"]
     write_csv(os.path.join(out, "kernel_scan.csv"), header, rows)
 
-    factor = config_value(cfg["thresholds"]["stability_factor"], float,
-                          "thresholds.stability_factor")
     summary, stable_all, finite_all = {}, True, True
     for kind, alpha, records, _ in results:
         ratios = [r.sup_ratio for r in records]
@@ -495,14 +331,14 @@ def run_kernel_scan(cfg: dict) -> int:
             entry["stable_reason"] = (f"the halves hold {halves[0]} and {halves[1]} orders; "
                                       "the verdict needs at least 2 in each")
         else:
-            entry["stable"] = finite and (lo == 0.0 or hi <= factor * lo)
+            entry["stable"] = finite and (lo == 0.0 or hi <= cfg.stability_factor * lo)
             stable_all &= entry["stable"]
         summary[f"{kind}_alpha_{alpha}"] = entry
         finite_all &= finite
     summary["schema_version"] = SCHEMA_VERSION
-    summary["stability_factor"] = factor
+    summary["stability_factor"] = cfg.stability_factor
     write_json(os.path.join(out, "kernel_scan_summary.json"), summary)
-    write_run_meta(out, cfg, "kernel-scan")
+    write_run_meta(cfg, "kernel-scan")
     print(f"kernel-scan: {len(rows)} rows -> {out}/kernel_scan.csv "
           f"(stable={stable_all})")
     return 0 if (stable_all and finite_all) else 1
@@ -511,16 +347,13 @@ def run_kernel_scan(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # oscillation
 
-def run_oscillation(cfg: dict) -> int:
-    ns = resolve_ns(cfg)
-    alphas = _check_alphas(cfg["alphas"])
-    out = _out_dir(cfg, "oscillation")
+def run_oscillation(cfg: Config) -> int:
+    out = _out_dir(cfg)
     rows = []
     finite = True
-    for spec in config_value(cfg["functions"], list, "functions"):
-        label, f = family_from_spec(ns, spec, _rng(cfg))
-        prof = oscillation_profile(f)
-        for alpha in alphas:
+    for label, build in cfg.functions:
+        prof = oscillation_profile(build(np.random.default_rng(cfg.seed)))
+        for alpha in cfg.alphas:
             for k in range(1, prof.resolution + 1):
                 term = prof.nu[k] / prof.scale_cells[k] ** (1.0 - alpha)
                 finite &= bool(np.isfinite(term))
@@ -531,7 +364,7 @@ def run_oscillation(cfg: dict) -> int:
     header = ["schema_version", "family", "alpha", "k", "scale_cells",
               "omega", "total", "nu", "series_term"]
     write_csv(os.path.join(out, "oscillation.csv"), header, rows)
-    write_run_meta(out, cfg, "oscillation")
+    write_run_meta(cfg, "oscillation")
     print(f"oscillation: {len(rows)} rows -> {out}/oscillation.csv")
     return 0 if finite else 1
 
@@ -539,17 +372,13 @@ def run_oscillation(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # bench
 
-def run_bench(cfg: dict) -> int:
-    out = _out_dir(cfg, "bench")
-    repeats = config_value(cfg["bench"]["repeats"], int, "bench.repeats", 1)
+def run_bench(cfg: Config) -> int:
+    out = _out_dir(cfg)
+    repeats = cfg.bench_repeats
     report, timings = {}, {}
     failed = False
-    for spec in config_value(cfg["bench"]["sizes"], list, "bench.sizes"):
-        ns = build_number_system(radix_from_spec(spec))
-        if ns.cell_count > config_value(cfg["max_cells"], int, "max_cells", 1):
-            raise ConfigurationError(
-                f"bench size {ns.cell_count} over max_cells {cfg['max_cells']}")
-        f = random_cells(ns, _rng(cfg))
+    for ns in cfg.bench_systems:
+        f = random_cells(ns, np.random.default_rng(cfg.seed))
         label = "-".join(map(str, ns.radix.radices))
         fast = forward(f)
         naive = oracles.forward(f)
@@ -568,7 +397,7 @@ def run_bench(cfg: dict) -> int:
     report["schema_version"] = SCHEMA_VERSION
     write_json(os.path.join(out, "bench.json"), report)
     write_json(os.path.join(out, "timings.json"), timings)
-    write_run_meta(out, cfg, "bench")
+    write_run_meta(cfg, "bench")
     return 1 if failed else 0
 
 
@@ -609,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = merge_config(args)
+        cfg = parse(merge_config(args), args.command)
         return COMMANDS[args.command](cfg)
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)

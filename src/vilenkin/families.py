@@ -1,13 +1,16 @@
-"""Built-in test-function families, shared by the CLI and the test suite."""
+"""Built-in test-function families, shared by the CLI and the test suite.
+
+Only the builders live here; config.family_from_spec reads a function spec.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, config_object, config_value
+from .errors import UsageError
 from .group import NumberSystem, coset_rep_cells, digit_axis, digit_matrix, digit_tensor
 from .characters import root_table
-from .transform import StepFunction, load_step
+from .transform import StepFunction
 
 
 def lacunary(ns: NumberSystem, coeffs, resolution: int | None = None) -> StepFunction:
@@ -63,50 +66,3 @@ def random_cells(ns: NumberSystem, rng: np.random.Generator,
     if not real:
         cells = cells + 1j * rng.standard_normal(ns.cells_at(r))
     return StepFunction(ns, r, cells.astype(np.complex128))
-
-
-_SPEC_KEYS = ("family", "decay", "coeffs", "level", "coset", "bound", "path")
-
-
-def family_from_spec(ns: NumberSystem, spec: dict, rng: np.random.Generator):
-    """Build (label, StepFunction) from a config fragment."""
-    if "family" not in config_object(spec, _SPEC_KEYS, "functions"):
-        raise ConfigurationError(f"function spec {spec!r} needs a 'family'")
-    name = spec["family"]
-    if name == "lacunary":
-        if spec.get("decay") == "inverse_scale":
-            coeffs = inverse_scale_coeffs(ns)
-            label = "lacunary-inverse_scale"
-        else:
-            coeffs = [config_value(c, float, "coeffs")
-                      for c in config_value(spec.get("coeffs", []), list, "coeffs")]
-            if not coeffs:
-                raise ConfigurationError("lacunary spec needs 'coeffs' or decay='inverse_scale'")
-            label = "lacunary-" + ",".join(repr(c) for c in coeffs)
-        return label, lacunary(ns, coeffs)
-    if name == "digit_indicator":
-        level = config_value(spec.get("level", 1), int, "level")
-        coset = config_value(spec.get("coset", 0), int, "coset")
-        return f"digit_indicator-{level}-{coset}", digit_indicator(ns, level, coset)
-    if name == "random_lipschitz":
-        bound = config_value(spec.get("bound", 1.0), float, "bound", 0)
-        if not np.isfinite(2.0 * bound):  # rng.uniform needs a finite width
-            raise ConfigurationError(f"bound={bound!r} spans no finite interval [-bound, bound]")
-        return f"random_lipschitz-{bound!r}", random_lipschitz(ns, rng, bound)
-    if name == "file":
-        path = spec.get("path")
-        if not path:
-            raise ConfigurationError("file spec needs a 'path'")
-        try:
-            with open(config_value(path, str, "path"), "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
-            raise ConfigurationError(f"cannot read function file {path}: {e}")
-        try:
-            f = load_step(text)
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigurationError(f"function file {path} is not a step function: {e!r}")
-        if f.ns != ns:
-            raise ConfigurationError(f"function in {path} lives on a different group")
-        return f"file-{path}", f
-    raise ConfigurationError(f"unknown function family {name!r}")

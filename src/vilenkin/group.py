@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, ValidationError, config_value
+from .errors import ConfigurationError, UsageError, ValidationError
 
 # Cell counts must stay addressable as signed 64-bit indices.
 _INDEX_LIMIT = 2**62
@@ -49,40 +49,6 @@ class RadixSequence:
     @property
     def max_radix(self) -> int:
         return max(self.radices)
-
-
-# the keys of each mapping form of a radix spec, the first one naming the form
-_RADIX_FORMS = (("list",), ("constant", "length"), ("pattern", "length"))
-
-
-def radix_from_spec(spec) -> RadixSequence:
-    """Build a RadixSequence from a config fragment.
-
-    Accepted forms: a bare list of ints, {"list": [...]},
-    {"constant": m, "length": N}, or {"pattern": [...], "length": N}
-    (pattern cycled to total length N).
-    """
-    if isinstance(spec, (list, tuple)):
-        return RadixSequence(tuple(config_value(m, int, "radix") for m in spec))
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"radix spec {spec!r} is not a list or mapping")
-    form = next((keys for keys in _RADIX_FORMS if keys[0] in spec), ())
-    if not form or set(spec) - set(form):
-        raise ConfigurationError(
-            f"radix spec keys {sorted(spec)} fit none of the forms {list(_RADIX_FORMS)}")
-    if form[0] == "list":
-        return RadixSequence(tuple(config_value(m, int, "radix.list")
-                                   for m in config_value(spec["list"], list, "radix.list")))
-    n = config_value(spec.get("length", 0), int, "radix.length")
-    if form[0] == "constant":
-        if n < 1:
-            raise ConfigurationError("constant radix spec needs length >= 1")
-        return RadixSequence((config_value(spec["constant"], int, "radix.constant"),) * n)
-    pat = [config_value(m, int, "radix.pattern")
-           for m in config_value(spec["pattern"], list, "radix.pattern")]
-    if not pat or n < 1:
-        raise ConfigurationError("pattern radix spec needs a nonempty pattern and length >= 1")
-    return RadixSequence(tuple(pat[k % len(pat)] for k in range(n)))
 
 
 @dataclass(frozen=True)

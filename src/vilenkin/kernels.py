@@ -272,6 +272,7 @@ class BoundScanRecord:
     sup_ratio: float
     argmax_cell: int
     resolution: int
+    # never filled, as a scan keeps no per-beta row; kept for readers of the attribute
     beta_ratios: np.ndarray | None = None
 
 
@@ -334,7 +335,7 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
         out.append(BoundScanRecord(kind="coset_decay", n=n, alpha=alpha,
                                    sup_ratio=float(ratios[arg]),
                                    argmax_cell=int(cells_at[arg]),
-                                   resolution=r, beta_ratios=ratios))
+                                   resolution=r))
     return out
 
 

@@ -96,48 +96,23 @@ def oscillation_profile(f: StepFunction) -> OscillationProfile:
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """Convex M with M(0) = 0, strictly increasing; power or tabulated."""
+    """The power Young function M(u) = u^p, p >= 1: convex, M(0) = 0, strictly increasing."""
 
-    kind: str
-    p: float = 0.0
-    grid: np.ndarray | None = None
-    values: np.ndarray | None = None
+    p: float
 
     def __post_init__(self):
-        if self.kind == "power":
-            if self.p < 1.0:
-                raise ValidationError(f"power Young function needs p >= 1, got {self.p}")
-        elif self.kind == "table":
-            g, v = np.asarray(self.grid, float), np.asarray(self.values, float)
-            if g.shape != v.shape or g.ndim != 1 or len(g) < 2:
-                raise ValidationError("tabulated Young function needs matching 1-d grids")
-            if g[0] != 0.0 or v[0] != 0.0:
-                raise ValidationError("tabulated Young function must start at (0, 0)")
-            if np.any(np.diff(g) <= 0) or np.any(np.diff(v) <= 0):
-                raise ValidationError("tabulated Young function must be strictly increasing")
-            slopes = np.diff(v) / np.diff(g)
-            if np.any(np.diff(slopes) < -1e-12 * max(1.0, float(np.abs(slopes).max()))):
-                raise ValidationError("tabulated Young function must be convex")
-        else:
-            raise ValidationError(f"unknown Young function kind {self.kind!r}")
+        if self.p < 1.0:
+            raise ValidationError(f"power Young function needs p >= 1, got {self.p}")
 
     def __call__(self, u: float) -> float:
         if u < 0:
             raise DomainError(f"Young function argument {u} is negative")
-        if self.kind == "power":
-            return float(u) ** self.p
-        if u > self.grid[-1]:
-            raise DomainError(f"argument {u} beyond tabulated range {self.grid[-1]}")
-        return float(np.interp(u, self.grid, self.values))
+        return float(u) ** self.p
 
     def inverse(self, v: float) -> float:
         if v < 0:
             raise DomainError(f"Young function value {v} is negative")
-        if self.kind == "power":
-            return float(v) ** (1.0 / self.p)
-        if v > self.values[-1]:
-            raise DomainError(f"value {v} beyond tabulated range {self.values[-1]}")
-        return float(np.interp(v, self.values, self.grid))
+        return float(v) ** (1.0 / self.p)
 
 
 def young_oscillation_score(f: StepFunction, M: YoungFunction) -> float:

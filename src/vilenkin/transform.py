@@ -92,26 +92,6 @@ class StepFunction:
             arr = np.roll(arr, 1, axis=axis)
         return StepFunction(self.ns, r, arr.reshape(-1) if r else self.cells.copy())
 
-    def _check_compatible(self, other: "StepFunction"):
-        if self.ns != other.ns or self.resolution != other.resolution:
-            raise ValidationError("operands live on different grids")
-
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        self._check_compatible(other)
-        return StepFunction(self.ns, self.resolution, self.cells + other.cells)
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        self._check_compatible(other)
-        return StepFunction(self.ns, self.resolution, self.cells - other.cells)
-
-    def __mul__(self, other):
-        if isinstance(other, StepFunction):
-            self._check_compatible(other)
-            return StepFunction(self.ns, self.resolution, self.cells * other.cells)
-        return StepFunction(self.ns, self.resolution, self.cells * complex(other))
-
-    __rmul__ = __mul__
-
 
 @dataclass
 class CoefficientVector:

@@ -184,7 +184,7 @@ def test_criterion_09_hypothesis_evaluators():
                 zero_ok &= oscillation.difference_condition(const, k, alpha) == 0.0
                 zero_ok &= oscillation.difference_condition(coarse, k, alpha) == 0.0
     ns10 = vk.number_system([2] * 10)
-    M = oscillation.YoungFunction(kind="power", p=2.0)
+    M = oscillation.YoungFunction(p=2.0)
     conv = oscillation.young_series(M, ns10, 0.25).converges
     div = oscillation.young_series(M, ns10, 0.75).converges
     ok = zero_ok and conv is True and div is False

@@ -12,8 +12,8 @@ def test_known_values():
     assert np.array_equal(t1.values, np.arange(1, 12, dtype=float))
     t0 = binomials.cesaro_table(0.0, 10)
     assert np.array_equal(t0.values, np.ones(11))
-    assert binomials.cesaro_coefficient(2, -0.5) == pytest.approx(0.375, abs=1e-15)
-    assert binomials.cesaro_coefficient(0, -0.5) == 1.0
+    assert binomials.cesaro_table(-0.5, 2).a(2) == pytest.approx(0.375, abs=1e-15)
+    assert binomials.cesaro_table(-0.5, 0).a(0) == 1.0
 
 
 def test_table_matches_recurrence_bitwise():

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin import cli, families, kernels, transform
-from vilenkin.group import number_system
+from vilenkin import cli, config, families, kernels, transform
 
 
 def run(args):
@@ -184,10 +183,12 @@ def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch
 
 
 def test_converge_group_transforms_f_once(staged_passes):
-    ns = number_system([2, 3, 4, 2])
-    f = families.random_cells(ns, np.random.default_rng(5))
     values = [1, 2, 5, 6, 24, 47, 48]
-    rows = cli._converge_group(ns, "random", f, 0.5, values, cli.DEFAULTS["thresholds"])
+    cfg = config.parse(dict(config.DEFAULTS, radix=[2, 3, 4, 2],
+                            n_schedule={"kind": "list", "values": values}), "converge")
+    ns = cfg.ns
+    f = families.random_cells(ns, np.random.default_rng(5))
+    rows = cli._converge_group(cfg, "random", f, 0.5)
     # f is folded and transformed once per distinct resolution of the orders, not per order
     levels = sorted({transform.minimal_resolution(ns, n) for n in values})
     assert sorted(k for k, analysis in staged_passes if analysis) == levels
@@ -291,18 +292,30 @@ def test_scientific_notation_for_small_values():
 def test_n_schedule_kinds(small_cfg):
     import vilenkin as vk
     ns = vk.number_system([2] * 5)
-    scales = cli.n_schedule(ns, {"kind": "scales"})
+    scales = config.n_schedule(ns, {"kind": "scales"})
     assert scales == [2, 4, 8, 16, 32]
-    dense = cli.n_schedule(ns, {"kind": "dense", "start": 3, "stop": 6})
+    dense = config.n_schedule(ns, {"kind": "dense", "start": 3, "stop": 6})
     assert dense == [3, 4, 5, 6]
-    explicit = cli.n_schedule(ns, {"kind": "list", "values": [1, 32]})
+    explicit = config.n_schedule(ns, {"kind": "list", "values": [1, 32]})
     assert explicit == [1, 32]
-    both = cli.n_schedule(ns, {"kind": "scales_and_neighbors"})
+    both = config.n_schedule(ns, {"kind": "scales_and_neighbors"})
     assert set(scales) <= set(both)
     assert max(both) <= ns.cell_count
     from vilenkin.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
-        cli.n_schedule(ns, {"kind": "list", "values": [99]})
+        config.n_schedule(ns, {"kind": "list", "values": [99]})
+
+
+def test_one_digit_radix_outcomes(tmp_path):
+    # N = 1 leaves the default scan level N - 1 = 0, which only a coset-decay scan rejects
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radix": [4], "bench": {"sizes": [[4]], "repeats": 1}}),
+                   encoding="utf-8")
+    for command in sorted(cli.COMMANDS):
+        out = tmp_path / command
+        rc = run([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == (2 if command == "kernel-scan" else 0), command
+        assert out.exists() == (command != "kernel-scan"), command
 
 
 def test_converge_on_a_length_one_radix(tmp_path):
@@ -386,6 +399,20 @@ MALFORMED = {
     "function_key_typo": ("converge", {"functions": [{"family": "random_lipschitz", "bnd": 5}]},
                           "bnd"),
     "schedule_key_typo": ("converge", {"n_schedule": {"kind": "dense", "strat": 3}}, "strat"),
+    # a dense schedule's bounds are checked before its range is built
+    "dense_stop_overflows": ("converge", {"n_schedule": {"kind": "dense", "stop": 10**400}}),
+    "dense_stop_past_the_group": ("converge", {"n_schedule": {"kind": "dense", "stop": 10**12}}),
+    "radix_length_overflows": ("converge", {"radix": {"constant": 2, "length": 10**30}}),
+    # every key is checked before any work, whatever the command
+    "scan_n_out_of_range": ("kernel-scan", {"kernel_scan": {"n": [1, 99]}}),
+    "indicator_level_out_of_range": ("converge", {"functions": [{"family": "digit_indicator",
+                                                                 "level": 9}]}),
+    "second_function_unknown": ("converge", {"functions": [{"family": "lacunary",
+                                                            "coeffs": [0.5]},
+                                                           {"family": "nope"}]}),
+    "verify_alpha_string": ("verify", {"alphas": ["x"]}),
+    "lacunary_too_many_coeffs": ("oscillation", {"functions": [{"family": "lacunary",
+                                                                "coeffs": [1, 1, 1, 1]}]}),
 }
 
 
@@ -415,6 +442,8 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, name):
     assert "configuration error" in proc.stderr
     for key in named:
         assert repr(key) in proc.stderr
+    # the parse runs before any work, so a bad config leaves no output behind
+    assert not (tmp_path / "runs").exists()
 
 
 # config files that the JSON harness above cannot write
@@ -448,10 +477,11 @@ _radix = st.sampled_from([[2, 2, 2], {"constant": 2, "length": 4}, {"list": [3, 
 
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(sorted(cli.COMMANDS)), radix=_radix,
-       fragment=st.dictionaries(st.sampled_from(sorted(cli.DEFAULTS)), _value, max_size=4))
+       fragment=st.dictionaries(st.sampled_from(sorted(config.DEFAULTS)), _value, max_size=4))
 def test_exit_code_contract(command, radix, fragment):
-    # the fragment's own radix, when it draws one, replaces the drawn radix
-    body = {"radix": radix, **fragment}
+    # the fragment's own radix or bench, when it draws one, replaces the drawn radix or
+    # the bench size under the cap: max_cells caps every group the config names
+    body = {"radix": radix, "bench": {"sizes": [[2, 2]], "repeats": 1}, **fragment}
     env = {k: v for k, v in os.environ.items() if not k.startswith("VILENKIN_")}
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
         path = os.path.join(tmp, "cfg.json")

@@ -1,0 +1,85 @@
+import glob
+import json
+import os
+
+import pytest
+
+from vilenkin import config, families
+from vilenkin.errors import ConfigurationError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _schema():
+    with open(os.path.join(ROOT, "docs", "config-schema.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_schema_keys_match_defaults_and_parser():
+    schema = _schema()
+    props = schema["properties"]
+    assert set(props) == set(config.DEFAULTS)
+    for key in config._MERGE_KEYS:
+        assert set(props[key]["properties"]) == set(config.DEFAULTS[key]), key
+    assert set(props["functions"]["items"]["properties"]) == set(config._SPEC_KEYS)
+    assert set(props["n_schedule"]["properties"]) == set(config._SCHEDULE_KEYS)
+    forms = [set(form["properties"]) for form in props["radix"]["oneOf"] if "properties" in form]
+    assert forms == [set(keys) for keys in config._RADIX_FORMS]
+    assert props["suites"]["items"]["enum"] == list(config.SUITES)
+
+
+def test_schema_accepts_defaults_and_shipped_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _schema()
+    jsonschema.Draft7Validator.check_schema(schema)
+    jsonschema.validate(config.DEFAULTS, schema)
+    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            jsonschema.validate(json.load(fh), schema)
+
+
+def test_schema_bounds_match_the_parser():
+    # the parser accepts a zero Lipschitz bound and rejects a negative seed, as the schema does
+    props = _schema()["properties"]
+    assert props["functions"]["items"]["properties"]["bound"]["minimum"] == 0
+    assert props["seed"]["minimum"] == 0
+    ns = config.parse(config.DEFAULTS, "converge").ns
+    label, _ = config.family_from_spec(ns, {"family": "random_lipschitz", "bound": 0})
+    assert label == "random_lipschitz-0.0"
+    with pytest.raises(ConfigurationError, match="seed"):
+        config.parse(dict(config.DEFAULTS, seed=-1), "converge")
+
+
+def test_parse_builds_no_function(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse built a function")
+
+    for name in ("lacunary", "digit_indicator", "random_lipschitz"):
+        monkeypatch.setattr(families, name, refuse)
+    merged = dict(config.DEFAULTS, functions=[
+        {"family": "lacunary", "decay": "inverse_scale"}, {"family": "lacunary", "coeffs": [0.5]},
+        {"family": "digit_indicator", "level": 2}, {"family": "random_lipschitz"}])
+    cfg = config.parse(merged, "converge")
+    assert [label for label, _ in cfg.functions] == [
+        "lacunary-inverse_scale", "lacunary-0.5", "digit_indicator-2-0", "random_lipschitz-1.0"]
+    assert cfg.merged is merged
+
+
+def test_parse_resolves_every_command_alike():
+    merged = dict(config.DEFAULTS, radix=[2] * 5, kernel_scan={"kinds": ["majorant"],
+                                                               "level": None, "n": [3, 32]})
+    parsed = {command: config.parse(merged, command) for command in ("verify", "bench")}
+    assert parsed["verify"].out == os.path.join("runs", "verify")
+    assert parsed["bench"].out == os.path.join("runs", "bench")
+    cfg = parsed["verify"]
+    assert cfg.scan_level == 4 and cfg.scan_n == (3, 32) and cfg.scan_kinds == ("majorant",)
+    assert cfg.suites == config.SUITES
+    assert [ns.cell_count for ns in cfg.bench_systems] == [4096]
+    # a key the command does not read is still checked
+    with pytest.raises(ConfigurationError, match="kernel_scan.n"):
+        config.parse(dict(merged, kernel_scan={"kinds": [], "level": None, "n": ["x"]}), "verify")
+    # max_cells caps every group the config names, the bench sizes too
+    with pytest.raises(ConfigurationError, match="bench size"):
+        config.parse(dict(merged, max_cells=1024), "converge")

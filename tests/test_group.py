@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import oracles
 from vilenkin.errors import ConfigurationError, UsageError, ValidationError
-from vilenkin.group import coset_key_table, digit_matrix, radix_from_spec
+from vilenkin.config import radix_from_spec
+from vilenkin.group import coset_key_table, digit_matrix
 
 
 def _cells(ns, digit_rows):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import families, oracles, oscillation, transform
-from vilenkin.errors import UsageError, ValidationError
+from vilenkin import config, families, oracles, oscillation, transform
+from vilenkin.errors import UsageError
 from vilenkin.group import coset_key_table
 from vilenkin.oscillation import YoungFunction
 
@@ -195,7 +195,7 @@ def _coset_values_sorted(f, k):
 
 
 def _oscillation_functionals(f):
-    M = YoungFunction(kind="power", p=2.0)
+    M = YoungFunction(p=2.0)
     prof = oscillation.oscillation_profile(f)
     return (prof.omega, prof.total, prof.nu,
             [oscillation.modulus_of_continuity(f, k) for k in range(f.resolution + 1)],
@@ -234,7 +234,7 @@ def test_oscillation_and_families_make_no_coset_key_call(ns, rng, count_calls):
     keys = count_calls("coset_key_table")
     f = families.random_cells(ns, rng)
     _oscillation_functionals(f)
-    families.family_from_spec(ns, {"family": "digit_indicator", "level": 2, "coset": 1}, rng)
+    config.family_from_spec(ns, {"family": "digit_indicator", "level": 2, "coset": 1})[1](rng)
     assert keys == []
 
 
@@ -263,69 +263,61 @@ def test_oscillation_series_terms(walsh):
 
 
 def test_young_power_round_trip():
-    M = YoungFunction(kind="power", p=2.0)
+    M = YoungFunction(p=2.0)
     for u in (0.0, 0.25, 1.0, 3.0):
         assert M.inverse(M(u)) == pytest.approx(u, abs=1e-12)
     assert M(2.0) == 4.0
 
 
-def test_young_table_interpolates():
-    M = YoungFunction(kind="table", grid=(0.0, 1.0, 2.0), values=(0.0, 1.0, 4.0))
-    assert M(1.5) == pytest.approx(2.5)
-    assert M.inverse(2.5) == pytest.approx(1.5)
-
-
-def test_young_table_must_be_convex():
-    with pytest.raises(ValidationError):
-        YoungFunction(kind="table", grid=(0.0, 1.0, 2.0), values=(0.0, 3.0, 4.0))
-    with pytest.raises(ValidationError):
-        YoungFunction(kind="table", grid=(1.0, 2.0), values=(1.0, 2.0))
-
-
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(1.0, 5.0), u=st.floats(0.0, 10.0))
 def test_young_power_inverse_hypothesis(p, u):
-    M = YoungFunction(kind="power", p=p)
+    M = YoungFunction(p=p)
     assert M.inverse(M(u)) == pytest.approx(u, abs=1e-9)
 
 
 def test_young_series_boundary():
     ns = vk.number_system([2] * 10)
-    M = YoungFunction(kind="power", p=2.0)
+    M = YoungFunction(p=2.0)
     assert oscillation.young_series(M, ns, 0.25).converges is True
     assert oscillation.young_series(M, ns, 0.75).converges is False
 
 
 def test_young_score_monotone_in_scale(ns, rng):
     f = families.random_lipschitz(ns, rng)
-    M = YoungFunction(kind="power", p=2.0)
+    M = YoungFunction(p=2.0)
     score = oscillation.young_oscillation_score(f, M)
     assert np.isfinite(score) and score >= 0.0
 
 
 def test_jensen_step(ns, rng):
     f = families.random_lipschitz(ns, rng, bound=0.5)
-    M = YoungFunction(kind="power", p=2.0)
+    M = YoungFunction(p=2.0)
     assert oscillation.jensen_step_residual(f, M) >= -1e-12
 
 
 def test_family_from_spec_labels(ns, rng):
-    label, f = families.family_from_spec(
-        ns, {"family": "lacunary", "decay": "inverse_scale"}, rng)
+    label, build = config.family_from_spec(ns, {"family": "lacunary", "decay": "inverse_scale"})
     assert label == "lacunary-inverse_scale"
-    assert f.cells.shape == (ns.cell_count,)
-    label, g = families.family_from_spec(
-        ns, {"family": "digit_indicator", "level": 2, "coset": 1}, rng)
+    assert build(rng).cells.shape == (ns.cell_count,)
+    label, build = config.family_from_spec(ns, {"family": "digit_indicator", "level": 2,
+                                                "coset": 1})
     assert label == "digit_indicator-2-1"
-    assert set(np.unique(g.cells.real)) == {0.0, 1.0}
+    assert set(np.unique(build(rng).cells.real)) == {0.0, 1.0}
 
 
 def test_family_from_spec_rejects_unknown(ns, rng):
     from vilenkin.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
-        families.family_from_spec(ns, {"family": "nope"}, rng)
+        config.family_from_spec(ns, {"family": "nope"})
     with pytest.raises(ConfigurationError):
-        families.family_from_spec(ns, {"not_a_family": 1}, rng)
+        config.family_from_spec(ns, {"not_a_family": 1})
+    # a level or coset outside the group is rejected before anything is built
+    with pytest.raises(ConfigurationError):
+        config.family_from_spec(ns, {"family": "digit_indicator", "level": ns.resolution + 1})
+    with pytest.raises(ConfigurationError):
+        config.family_from_spec(ns, {"family": "digit_indicator", "level": 1,
+                                     "coset": ns.M[1]})
 
 
 def test_file_family_round_trip(ns, rng, tmp_path):
@@ -334,6 +326,6 @@ def test_file_family_round_trip(ns, rng, tmp_path):
     path.write_text(json.dumps({"radix": list(ns.radix.radices), "resolution": f.resolution,
                                 "cells": [[v.real, v.imag] for v in f.cells.tolist()]}),
                     encoding="utf-8")
-    label, back = families.family_from_spec(
-        ns, {"family": "file", "path": str(path)}, rng)
+    label, build = config.family_from_spec(ns, {"family": "file", "path": str(path)})
+    back = build(rng)
     assert np.array_equal(back.cells, f.cells)

@@ -370,7 +370,9 @@ def test_grid_mismatch_rejected(walsh, mixed, rng):
     f = random_f(walsh, rng)
     g = random_f(mixed, rng)
     with pytest.raises(ValidationError):
-        f + g
+        transform.convolve(f, g)
+    with pytest.raises(ValidationError):
+        sup_distance(f, g)
 
 
 def _step_json(f):
