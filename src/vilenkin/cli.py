@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 an assertion failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -44,11 +45,11 @@ def fmt_float(v: float) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One line per row; a cell holding a comma (a label such as lacunary-0.5,2.0) is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path: str, obj) -> None:

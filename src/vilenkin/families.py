@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .group import NumberSystem, coset_rep_cells, digit_axis, digit_matrix, digit_tensor
+from .group import NumberSystem, coset_rep_cells, digit_axis, digit_tensor
 from .characters import root_table
 from .transform import StepFunction
 
@@ -19,7 +19,7 @@ def lacunary(ns: NumberSystem, coeffs, resolution: int | None = None) -> StepFun
     r = ns.resolution if resolution is None else resolution
     if len(c) > r:
         raise UsageError(f"{len(c)} coefficients exceed resolution {r}")
-    cells = digit_tensor(np.zeros(ns.cells_at(r), dtype=np.complex128), ns, r)
+    cells = digit_tensor(np.zeros(ns.cells_at(r)), ns, r)
     for k, ck in enumerate(c):
         if ck:
             cells += ck * digit_axis(root_table(ns.radix.radices[k]).real, ns, r, k)
@@ -41,7 +41,7 @@ def digit_indicator(ns: NumberSystem, level: int, coset: int = 0,
         raise UsageError(f"coset {coset} outside 0..{ns.M[level] - 1}")
     residue = coset_rep_cells(ns, level, r)[coset]
     cells = np.arange(ns.cells_at(r)) % ns.M[level] == residue
-    return StepFunction(ns, r, cells.astype(np.complex128))
+    return StepFunction(ns, r, cells)
 
 
 def random_lipschitz(ns: NumberSystem, rng: np.random.Generator, bound: float = 1.0,
@@ -49,20 +49,23 @@ def random_lipschitz(ns: NumberSystem, rng: np.random.Generator, bound: float = 
     """f(x) = sum_k u_k x_k / (m_k M_k) with u_k uniform in [-bound, bound].
 
     Each digit change at scale k moves f by at most bound/M_k, a Lipschitz
-    profile matched to the scale ladder.
+    profile matched to the scale ladder. Term k is one broadcast of the
+    values x_k u_k / (m_k M_k) on digit k's axis, as in lacunary.
     """
     r = ns.resolution if resolution is None else resolution
     u = rng.uniform(-bound, bound, size=r)
-    D = digit_matrix(ns, r)
-    scale = np.array([u[k] / (ns.radix.radices[k] * ns.M[k]) for k in range(r)])
-    return StepFunction(ns, r, (D @ scale).astype(np.complex128))
+    cells = digit_tensor(np.zeros(ns.cells_at(r)), ns, r)
+    for k in range(r):
+        m = ns.radix.radices[k]
+        cells += digit_axis(np.arange(m) * (u[k] / (m * ns.M[k])), ns, r, k)
+    return StepFunction(ns, r, cells.reshape(-1))
 
 
 def random_cells(ns: NumberSystem, rng: np.random.Generator,
                  resolution: int | None = None, real: bool = False) -> StepFunction:
-    """Independent standard normal cells, complex unless real=True."""
+    """Independent standard normal cells, complex128 unless real=True (then float64)."""
     r = ns.resolution if resolution is None else resolution
     cells = rng.standard_normal(ns.cells_at(r))
     if not real:
         cells = cells + 1j * rng.standard_normal(ns.cells_at(r))
-    return StepFunction(ns, r, cells.astype(np.complex128))
+    return StepFunction(ns, r, cells)

@@ -38,7 +38,13 @@ def _coset_values(f: StepFunction, k: int) -> np.ndarray:
 
 
 def _row_diameters(rows: np.ndarray) -> np.ndarray:
-    """Per-row diameter max |z_i - z_j|; real rows use max - min."""
+    """Per-row diameter max |z_i - z_j|.
+
+    A real dtype takes max - min at once; so do complex rows whose imaginary
+    part is negligible.
+    """
+    if rows.dtype.kind != "c":
+        return rows.max(axis=1) - rows.min(axis=1)
     if float(np.abs(rows.imag).max(initial=0.0)) <= _IMAG_TOL * max(1.0, float(np.abs(rows).max(initial=0.0))):
         re = rows.real
         return re.max(axis=1) - re.min(axis=1)

@@ -1,19 +1,25 @@
 """Step functions on G_m, the Vilenkin transform, and Cesaro means.
 
-A StepFunction holds one complex value per I_r-cell, indexed by the mixed
-radix cell index, and a point t of G_m is its cell index too. Reshaped,
-the cells are a tensor with one axis per digit (group.digit_tensor; group
-owns the axis rule). Translation and reflection roll its axes, and the
-character system is a pure tensor product, so analysis and synthesis are
-the Kronecker product of one small DFT per digit. Adjacent digits are fused into blocks of bounded radix product; each
+A StepFunction holds one value per I_r-cell, indexed by the mixed radix
+cell index, and a point t of G_m is its cell index too. The dtype follows
+the data: float64 for real values (ints and bools included), complex128 for
+complex ones. Reshaped, the cells are a tensor with one axis per digit
+(group.digit_tensor; group owns the axis rule). Translation and reflection
+roll its axes, and the character system is a pure tensor product, so
+analysis and synthesis are the Kronecker product of one small DFT per
+digit. Adjacent digits are fused into blocks of bounded radix product; each
 block is one cached Kronecker matrix built from the shared root-of-unity
 tables and applied as one matmul. A block of radix-2 digits has a real
-matrix, and above the lowest block it is one real matmul on the float64
-view of the cells, where the real and imaginary parts are interleaved
-columns it acts on alike: half the flops of the complex matmul. The lowest
-block keeps the complex matmul; there each row is one complex value, and a
-(2P, 2P) real form on the float view measured no faster. The order of the
-factors is mathematically inert: oracles.staged_forward applies them one
+matrix. On a Walsh grid (every radix 2) every block, character, Cesaro
+weight and kernel is real-valued, so real values stay float64 end to end:
+float64 in, float64 out, every block one real matmul. Otherwise the values
+are complex128 from the transform's entry on; a real block above the lowest
+is then one real matmul on the float64 view of the cells, where the real
+and imaginary parts are interleaved columns it acts on alike: half the
+flops of the complex matmul. The lowest block of complex values keeps the
+complex matmul; there each row is one complex value, and a (2P, 2P) real
+form on the float view measured no faster. The order of the factors is
+mathematically inert: oracles.staged_forward applies them one
 digit at a time in any order, and the tests and the verify suite compare it
 with the fused path. Every mean, and convolution, is one spectral multiplier:
 forward, weight coefficient nu, inverse, at the coarsest resolution carrying
@@ -45,6 +51,12 @@ from .errors import UsageError, ValidationError
 from .group import NumberSystem, digit_tensor, digits_of, number_system, tensor_axis
 
 
+def _values(values) -> np.ndarray:
+    """values as complex128 when complex, else as float64 (ints and bools too)."""
+    arr = np.asarray(values)
+    return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
+
+
 @dataclass
 class StepFunction:
     """Function constant on the I_resolution cells of G_m."""
@@ -54,7 +66,7 @@ class StepFunction:
     cells: np.ndarray
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.complex128)
+        self.cells = _values(self.cells)
         if self.cells.ndim != 1:
             raise ValidationError("cells must be one-dimensional")
         expect = self.ns.cells_at(self.resolution)
@@ -102,7 +114,7 @@ class CoefficientVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        self.coeffs = _values(self.coeffs)
         if self.coeffs.ndim != 1:
             raise ValidationError("coeffs must be one-dimensional")
         expect = self.ns.cells_at(self.resolution)
@@ -160,18 +172,22 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     (M_r / M_j1, P, M_j0) take one matmul K @ cells, and the lowest block
     (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size. values
     may hold several rows of M_resolution cells back to back; each row is
-    transformed alone, as the cells of the lowest digits. Real values are
-    taken as complex, and the result is always a new complex128 array.
+    transformed alone, as the cells of the lowest digits. The result is a
+    new array. Real values stay float64 when every radix up to the
+    resolution is 2, so every K is real; otherwise they are taken as complex
+    once, here at the entry, and the result is complex128.
 
     A real K (a block of radix-2 digits) above the lowest block acts on the
-    float64 view, (rows, P, 2 M_j0): the real and imaginary parts are
-    interleaved columns that K treats alike, so the block is one real
-    matmul with half the flops of the complex one. The lowest block keeps
-    the complex matmul; there each row holds one complex value, and a
-    (2P, 2P) real form on the float view measured no faster.
+    float64 view, (rows, P, w M_j0) with w floats per value: for complex
+    values the real and imaginary parts are interleaved columns that K
+    treats alike, so the block is one real matmul with half the flops of
+    the complex one. The lowest block of complex values keeps the complex
+    matmul; there each row holds one complex value, and a (2P, 2P) real form
+    on the float view measured no faster.
     """
     radices = ns.radix.radices[:resolution]
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    real = values.dtype.kind != "c" and radices.count(2) == len(radices)
+    arr = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
     if resolution == 0:
         return arr.copy()
     for j0, j1 in _digit_blocks(radices):
@@ -180,7 +196,8 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
         if low == 1:
             arr = arr.reshape(-1, p) @ K.T
         elif K.dtype == np.float64:
-            arr = np.matmul(K, arr.view(np.float64).reshape(-1, p, 2 * low)).view(np.complex128)
+            width = arr.itemsize // 8 * low  # floats per (row, mid) slice of the view
+            arr = np.matmul(K, arr.view(np.float64).reshape(-1, p, width)).view(arr.dtype)
         else:
             arr = np.matmul(K, arr.reshape(-1, p, low))
     return arr.reshape(-1)
@@ -232,14 +249,14 @@ def synthesize(ns: NumberSystem, weights, resolution: int | None = None) -> Step
 
     The sum is synthesized at minimal_resolution(len(weights)), the coarsest
     grid carrying its characters, and lifted to resolution (by default that
-    grid itself).
+    grid itself). Real weights on a Walsh grid give a float64 function.
     """
-    w = np.asarray(weights, dtype=np.complex128)
+    w = _values(weights)
     k = minimal_resolution(ns, len(w))
     r = k if resolution is None else resolution
     if len(w) > ns.cells_at(r):
         raise UsageError(f"{len(w)} weights exceed M_{r} = {ns.cells_at(r)}")
-    padded = np.zeros(ns.cells_at(k), dtype=np.complex128)
+    padded = np.zeros(ns.cells_at(k), dtype=w.dtype)
     padded[: len(w)] = w
     return _lifted(inverse(CoefficientVector(ns, k, padded)), r)
 
@@ -252,7 +269,9 @@ def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFuncti
     folded to resolution k (_spectrum), weighted, synthesized there and
     lifted to f's resolution with one tile. At k = f.resolution there is no
     fold and no lift. The division follows the product with fhat, so a mean
-    rounds as (fhat w) / A, not fhat (w / A).
+    rounds as (fhat w) / A, not fhat (w / A). The product takes the result
+    type of fhat and the weights, so a real f and real weights on a Walsh
+    grid stay float64.
     """
     k = minimal_resolution(f.ns, min(len(weights), len(f.cells)))
     c = CoefficientVector(f.ns, k, _spectrum(f, k))
@@ -263,19 +282,21 @@ def _weighted_inverse(c: CoefficientVector, weights, denominator: float,
                       resolution: int) -> StepFunction:
     """The weight step and inverse of multiplier on a resolution-k spectrum, then the lift."""
     cut = min(len(weights), len(c.coeffs))
-    out = np.zeros_like(c.coeffs)
-    np.multiply(c.coeffs[:cut], weights[:cut], out=out[:cut])
+    w = _values(weights[:cut])
+    out = np.zeros(len(c.coeffs), dtype=np.result_type(c.coeffs, w))
+    np.multiply(c.coeffs[:cut], w, out=out[:cut])
     _scale(out[:cut], denominator)
     return _lifted(inverse(CoefficientVector(c.ns, c.resolution, out)), resolution)
 
 
 def _scale(values: np.ndarray, denominator: float) -> None:
-    """values /= denominator in place, for a contiguous complex array and a real denominator.
+    """values /= denominator in place, for a contiguous float64 or complex128 array.
 
-    Both parts are multiplied by 1/denominator on the float64 view. Complex
-    division by a real number computes the same products (Smith's algorithm
-    with a zero imaginary divisor) at several times the cost; only the sign
-    of an exactly zero part can differ.
+    Every float of the float64 view, both parts of a complex value, is
+    multiplied by 1/denominator, a real number. Complex division by a real
+    number computes the same products (Smith's algorithm with a zero
+    imaginary divisor) at several times the cost; only the sign of an
+    exactly zero part can differ.
     """
     parts = values.view(np.float64)
     parts *= 1.0 / denominator

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -129,6 +130,23 @@ def test_converge_csv_schema(tmp_path, small_cfg):
     # default lacunary family converges at every alpha
     verdicts = {line.split(",")[-1] for line in lines[1:]}
     assert verdicts == {"converging"}
+
+
+def test_csv_label_with_a_comma_stays_one_field(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "radix": {"pattern": [2, 3, 4, 2], "length": 4},
+        "functions": [{"family": "lacunary", "coeffs": [0.5, 2]}],
+    }), encoding="utf-8")
+    for command, name, width in (("converge", "converge.csv", 8),
+                                 ("oscillation", "oscillation.csv", 9)):
+        out = tmp_path / command
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        assert all(len(row) == width for row in rows)
+        assert {row[1] for row in rows[1:]} == {"lacunary-0.5,2.0"}
 
 
 def test_converge_exact_for_constant(tmp_path):

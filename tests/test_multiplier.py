@@ -56,9 +56,9 @@ def _cesaro_weight(n, alpha):
 
 
 def _synthesized(ns, w, resolution):
-    """sum_nu w[nu] psi_nu: padded to M_k, inverse at k = minimal_resolution(len(w)), tiled."""
+    """sum_nu w[nu] psi_nu: padded to M_k in w's dtype, inverse at k = minimal_resolution(len(w)), tiled."""
     k = transform.minimal_resolution(ns, len(w))
-    out = np.zeros(ns.cells_at(k), dtype=np.complex128)
+    out = np.zeros(ns.cells_at(k), dtype=w.dtype)
     out[: len(w)] = w
     cells = inverse(CoefficientVector(ns, k, out)).cells
     return np.tile(cells, ns.cells_at(resolution) // len(cells))
@@ -120,8 +120,12 @@ def test_kernels_bitwise(ns):
             r = transform.minimal_resolution(ns, n) if resolution is None else resolution
             kernels_of_n = [(kernels.cesaro_kernel(ns, n, alpha, resolution),
                              cesaro_kernel_weights(n, alpha)) for alpha in (0.25, 0.5, 0.75)]
+            # real weights: float64 exactly when every radix below the synthesis level is 2
+            k = transform.minimal_resolution(ns, n)
+            real = set(ns.radix.radices[:k]) <= {2}
             for kernel, w in kernels_of_n:
                 assert kernel.resolution == r
+                assert kernel.cells.dtype == (np.float64 if real else np.complex128)
                 assert kernel.cells.tobytes() == _synthesized(ns, w, r).tobytes()
                 assert _close(kernel.cells, _synthesized_full_resolution(ns, w, r))
 

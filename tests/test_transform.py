@@ -122,15 +122,21 @@ def test_staged_input_forms_agree(radices):
     r = ns.resolution
     rng = np.random.default_rng(8)
     real = rng.standard_normal(ns.M[r])
+    ints = rng.integers(-9, 10, ns.M[r])
     wide = rng.standard_normal(3 * ns.M[r]) + 1j * rng.standard_normal(3 * ns.M[r])
     strided = wide[: 2 * ns.M[r] : 2]
     assert not strided.flags.c_contiguous
+    walsh = set(radices) == {2}
     for analysis in (True, False):
-        for values in (real, strided):
-            copy = np.array(values, dtype=np.complex128)
+        for values in (real, ints, strided):
+            # real input stays real on a Walsh grid and is taken as complex once otherwise
+            dtype = np.float64 if walsh and values is not strided else np.complex128
+            copy = np.array(values, dtype=dtype)
             got = transform._staged(values, ns, r, analysis)
-            assert got.dtype == np.complex128
+            assert got.dtype == dtype
             assert got.tobytes() == transform._staged(copy, ns, r, analysis).tobytes()
+            as_complex = transform._staged(values + 0j, ns, r, analysis)
+            assert np.max(np.abs(got - as_complex)) <= 1e-12 * np.max(np.abs(as_complex))
         # several rows of M_k values back to back, against the rows one by one;
         # BLAS may block a taller matmul differently, so equal to rounding
         for k in (1, r - 1, r):
