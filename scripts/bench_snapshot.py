@@ -1,10 +1,10 @@
 """Write BENCH_<n>.json: the end-to-end benchmark metrics of this checkout plus machine facts.
 
-    python3 scripts/bench_snapshot.py --number N [--seed 0] [--seconds 30]
-        [--workloads large_grid,scan,cli]
+    python3 scripts/bench_snapshot.py --number N
 
 Each workload runs as one untraced `perfbench/run.py` process, one after the
-other. The last line of its standard output is the result (`correct`,
+other, at seed 0 for 30 s; these are fixed so that every snapshot measures
+the same thing. The last line of its standard output is the result (`correct`,
 `attempted`, `failed`, `metrics`); the JSON line above it holds the run
 facts (cores, Python, numpy, OpenBLAS, caches, computed working sets), which
 go into the snapshot beside the metrics. The file is written at the root of
@@ -23,6 +23,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 WORKLOADS = ("large_grid", "scan", "cli")
+SEED = 0
+SECONDS = 30
 
 
 def _json_lines(stdout: str) -> list[dict]:
@@ -37,10 +39,10 @@ def _json_lines(stdout: str) -> list[dict]:
     return out
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
+def run_workload(name: str) -> dict:
     """One untraced run of a workload: its result line plus the facts it printed."""
-    cmd = [sys.executable, RUN, "--workload", name, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, RUN, "--workload", name, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT, check=False)
     lines = _json_lines(proc.stdout)
     if proc.returncode != 0 or not lines or "metrics" not in lines[-1]:
@@ -61,27 +63,19 @@ def run_workload(name: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--number", type=int, required=True, help="n of BENCH_<n>.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workloads", default=",".join(WORKLOADS),
-                   help="comma-separated subset of " + ",".join(WORKLOADS))
     args = p.parse_args(argv)
-    names = [w for w in args.workloads.split(",") if w]
-    unknown = sorted(set(names) - set(WORKLOADS))
-    if unknown:
-        p.error(f"unknown workloads: {', '.join(unknown)}")
     snapshot = {
         "bench": args.number,
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d"),
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                   f"--seconds {SECONDS} --trace 0",
+        "seed": SEED,
+        "seconds": SECONDS,
         "workloads": {},
     }
-    for name in names:
+    for name in WORKLOADS:
         print(f"bench_snapshot: {name} ...", file=sys.stderr, flush=True)
-        snapshot["workloads"][name] = run_workload(name, args.seed, args.seconds)
+        snapshot["workloads"][name] = run_workload(name)
     path = os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")

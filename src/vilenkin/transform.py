@@ -173,9 +173,12 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size. values
     may hold several rows of M_resolution cells back to back; each row is
     transformed alone, as the cells of the lowest digits. The result is a
-    new array. Real values stay float64 when every radix up to the
-    resolution is 2, so every K is real; otherwise they are taken as complex
-    once, here at the entry, and the result is complex128.
+    new array. Real values stay float64 on a Walsh grid (every radix of ns
+    is 2), where every K is real; otherwise they are taken as complex once,
+    here at the entry, and the result is complex128. The rule looks at the
+    whole grid, not at the resolution the transform runs at, so every
+    result on a mixed grid takes the complex path, a mean or kernel that it
+    computes on a prefix of radix-2 digits included.
 
     A real K (a block of radix-2 digits) above the lowest block acts on the
     float64 view, (rows, P, w M_j0) with w floats per value: for complex
@@ -186,7 +189,7 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     on the float view measured no faster.
     """
     radices = ns.radix.radices[:resolution]
-    real = values.dtype.kind != "c" and radices.count(2) == len(radices)
+    real = values.dtype.kind != "c" and ns.radix.max_radix == 2
     arr = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
     if resolution == 0:
         return arr.copy()

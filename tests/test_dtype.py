@@ -1,10 +1,10 @@
 """The dtype follows the data: float64 in, float64 out on an all-radix-2 grid; complex128 otherwise.
 
-A real f runs the transform in real arithmetic exactly when every radix
-below the resolution the transform runs at is 2 (then every Kronecker block
-is real); otherwise it is taken as complex once, at the transform's entry.
-Either way the result equals, to rounding, the same call on f taken as
-complex.
+A real f runs the transform in real arithmetic exactly when every radix of
+the grid is 2 (then every Kronecker block is real), whatever the resolution
+the transform runs at; otherwise it is taken as complex once, at the
+transform's entry. Either way the result equals, to rounding, the same call
+on f taken as complex.
 """
 
 import numpy as np
@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import characters, families, oscillation
 from vilenkin.transform import (CoefficientVector, StepFunction, cesaro_means, convolve,
-                                forward, inverse, minimal_resolution, multiplier,
-                                synthesize)
+                                forward, inverse, multiplier, synthesize)
 
 from test_oscillation import _difference_condition_full  # the np.fft.fftn reference
 
@@ -36,9 +35,9 @@ def _grids(draw):
     return radices
 
 
-def _dtype_at(ns, k):
-    """The dtype of a real input's result when the transform runs at resolution k."""
-    return np.float64 if set(ns.radix.radices[:k]) <= {2} else np.complex128
+def _dtype(ns):
+    """The dtype of a real input's result: float64 on a Walsh grid, complex128 otherwise."""
+    return np.float64 if set(ns.radix.radices) == {2} else np.complex128
 
 
 def _matches(got, want, dtype):
@@ -57,15 +56,13 @@ def test_real_input_matches_complex_and_keeps_its_dtype(data):
     alpha = data.draw(st.floats(0.05, 0.95))
 
     c, cc = forward(f), forward(fc)
-    _matches(c.coeffs, cc.coeffs, _dtype_at(ns, r))
-    _matches(inverse(c).cells, inverse(cc).cells, _dtype_at(ns, r))
+    _matches(c.coeffs, cc.coeffs, _dtype(ns))
+    _matches(inverse(c).cells, inverse(cc).cells, _dtype(ns))
 
     weights = rng.standard_normal(data.draw(st.integers(1, ns.cells_at(r))))
-    k = minimal_resolution(ns, len(weights))
-    _matches(multiplier(f, weights, 3.0).cells, multiplier(fc, weights, 3.0).cells,
-             _dtype_at(ns, k))
+    _matches(multiplier(f, weights, 3.0).cells, multiplier(fc, weights, 3.0).cells, _dtype(ns))
     real = synthesize(ns, weights).cells
-    _matches(real, synthesize(ns, weights + 0j).cells, _dtype_at(ns, k))
+    _matches(real, synthesize(ns, weights + 0j).cells, _dtype(ns))
     imag = rng.standard_normal(len(weights))
     _matches(synthesize(ns, weights + 1j * imag).cells,
              real + 1j * synthesize(ns, imag).cells, np.complex128)
@@ -73,13 +70,12 @@ def test_real_input_matches_complex_and_keeps_its_dtype(data):
     orders = data.draw(st.lists(st.integers(1, ns.cell_count), min_size=1, max_size=4))
     for n, got, want in zip(orders, cesaro_means(f, orders, alpha),
                             cesaro_means(fc, orders, alpha)):
-        _matches(got.cells, want.cells,
-                 _dtype_at(ns, minimal_resolution(ns, min(n, ns.cells_at(r)))))
+        _matches(got.cells, want.cells, _dtype(ns))
 
     rg = data.draw(st.integers(0, ns.resolution))
     g = StepFunction(ns, rg, rng.standard_normal(ns.cells_at(rg)))
     gc = StepFunction(ns, rg, g.cells + 0j)
-    _matches(convolve(f, g).cells, convolve(fc, gc).cells, _dtype_at(ns, min(r, rg)))
+    _matches(convolve(f, g).cells, convolve(fc, gc).cells, _dtype(ns))
     # a complex operand makes the product complex
     h = StepFunction(ns, rg, g.cells + 1j * rng.standard_normal(ns.cells_at(rg)))
     _matches(convolve(f, h).cells, convolve(fc, h).cells, np.complex128)

@@ -120,9 +120,8 @@ def test_kernels_bitwise(ns):
             r = transform.minimal_resolution(ns, n) if resolution is None else resolution
             kernels_of_n = [(kernels.cesaro_kernel(ns, n, alpha, resolution),
                              cesaro_kernel_weights(n, alpha)) for alpha in (0.25, 0.5, 0.75)]
-            # real weights: float64 exactly when every radix below the synthesis level is 2
-            k = transform.minimal_resolution(ns, n)
-            real = set(ns.radix.radices[:k]) <= {2}
+            # real weights: float64 exactly on a Walsh grid, whatever the synthesis level
+            real = ns.radix.max_radix == 2
             for kernel, w in kernels_of_n:
                 assert kernel.resolution == r
                 assert kernel.cells.dtype == (np.float64 if real else np.complex128)
