@@ -72,20 +72,35 @@ def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -
 def character_block(ns: NumberSystem, start: int, stop: int, resolution: int | None = None) -> np.ndarray:
     """Rows psi_n on all cells for n = start..stop-1, shape (stop-start, M_r).
 
-    Row n is the outer product of the synthesis matrix rows F_j[n_j], each
-    broadcast on digit j's axis.
+    Row n is the outer product of the synthesis matrix rows F_j[n_j], grown
+    from digit 0 upward in the output itself: the first M_j cells of a row
+    hold the product of the low j digits, and slab x of the first M_{j+1}
+    cells is that product times F_j[n_j][x], one broadcast multiply per
+    digit value. The slabs are written from the top down, so slab 0, the
+    product itself, is multiplied in place last. Each entry is multiplied
+    in the order digit 0, 1, .. and always as the product so far times the
+    new factor; swapping the operands changes the last bits on some grids.
+    A digit that is 0 in every row copies the product to its other slabs.
     """
     r = ns.resolution if resolution is None else resolution
     if not 0 <= start <= stop <= ns.M[r]:
         raise UsageError(f"character range {start}..{stop} outside 0..{ns.M[r]}")
     rows = np.arange(start, stop, dtype=np.int64)
-    out = digit_tensor(np.ones((stop - start, ns.cells_at(r)), dtype=np.complex128), ns, r)
+    out = np.empty((stop - start, ns.cells_at(r)), dtype=np.complex128)
+    out[:, :1] = 1.0
     for j in range(r):
-        m = ns.radix.radices[j]
-        nj = (rows // ns.M[j]) % m
-        if np.any(nj):
-            out *= digit_axis(synthesis_matrix(m)[nj], ns, r, j)
-    return out.reshape(stop - start, ns.cells_at(r))
+        m, low = ns.radix.radices[j], ns.M[j]
+        nj = (rows // low) % m
+        product = out[:, :low]
+        factors = synthesis_matrix(m)[nj] if np.any(nj) else None
+        for x in range(m - 1, -1 if factors is not None else 0, -1):
+            slab = out[:, x * low : (x + 1) * low]
+            # ufuncs, not assignments: an assignment would copy the overlapping source first
+            if factors is None:
+                np.positive(product, out=slab)
+            else:
+                np.multiply(product, factors[:, x, None], out=slab)
+    return out
 
 
 def character_shift_residual(ns: NumberSystem) -> float:

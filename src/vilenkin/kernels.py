@@ -9,7 +9,6 @@ be asserted rather than assumed.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,19 +17,13 @@ import numpy as np
 from . import binomials
 from .characters import character_block, synthesis_matrix, vilenkin_on_cells
 from .errors import DomainError, UsageError
-from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, digits_of,
-                    scale_of, trailing_zero_digits)
+from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, scale_of,
+                    trailing_zero_digits)
 from .oscillation import modulus_of_continuity
-from .transform import StepFunction, cesaro_weights, convolve, synthesize
+from .transform import StepFunction, cesaro_weights, convolve, synthesize, synthesize_rows
 
-_ROW_BLOCK = 1 << 20  # entries in one block of D_n rows
-
-
-def _extended_digits(ns: NumberSystem, n: int) -> list[int]:
-    """Digits of 1 <= n <= M_N; n = M_N gets the virtual digit n_N = 1."""
-    if n == ns.cell_count:
-        return [0] * ns.resolution + [1]
-    return list(digits_of(ns, n))
+_ROW_BLOCK = 1 << 19  # entries in one block of D_n rows
+_TERM_BLOCK = 1 << 18  # entries in one batch of block-decomposition or product-form rows
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
@@ -59,18 +52,40 @@ def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -
     r = scale + 1 if resolution is None else resolution
     if r <= scale:
         raise UsageError(f"resolution {r} cannot carry the digit product form of D_{n}")
-    cells = ns.cells_at(r)
-    idx = digit_tensor(np.arange(cells), ns, r)
-    acc = np.zeros_like(idx, dtype=np.complex128)
-    for j, nj in enumerate(digits_of(ns, n)):
-        if nj == 0:
-            continue
+    return StepFunction(ns, r, _product_rows(ns, n, n + 1, r)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _root_tails(m: int) -> np.ndarray:
+    """(m, m) rows sum_{a=m-q}^{m-1} r^a for q = 0..m-1, each summed upward from zero."""
+    F = synthesis_matrix(m)
+    out = np.zeros((m, m), dtype=np.complex128)
+    for q in range(1, m):
+        for a in range(m - q, m):
+            out[q] += F[a]
+    out.setflags(write=False)
+    return out
+
+
+def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> np.ndarray:
+    """The digit product form of D_n for n = start..stop-1, shape (stop-start, M_r), n < M_r.
+
+    Every entry takes the operations of a lone order in the same order:
+    the digit terms M_j 1_{I_j} (sum of r_j^a) added upward from digit 0,
+    then psi_n times their sum. A digit that is 0 in some rows but not all
+    adds a zero term to those rows and character_block multiplies them by
+    r_j^0 = 1; either changes at most the sign of a zero.
+    """
+    r = resolution
+    rows = np.arange(start, stop, dtype=np.int64)
+    idx = digit_tensor(np.arange(ns.cells_at(r)), ns, r)
+    acc = np.zeros((stop - start,) + idx.shape, dtype=np.complex128)
+    for j in range(r):
         m = ns.radix.radices[j]
-        gsum = np.zeros(m, dtype=np.complex128)
-        for a in range(m - nj, m):
-            gsum += synthesis_matrix(m)[a]
-        acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(gsum, ns, r, j)
-    return StepFunction(ns, r, vilenkin_on_cells(ns, n, r) * acc.reshape(-1))
+        nj = (rows // ns.M[j]) % m
+        if np.any(nj):
+            acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(_root_tails(m)[nj], ns, r, j)
+    return character_block(ns, start, stop, r) * acc.reshape(stop - start, -1)
 
 
 def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
@@ -151,8 +166,9 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     - product_form: D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a
 
     The rows come from _dirichlet_rows, so no more than a few blocks of them
-    are held at once. digit_split is block_geometric for r < m_k and is
-    evaluated once.
+    are held at once; the product form of each block's orders is formed a
+    few rows at a time (_product_form_residual). digit_split is
+    block_geometric for r < m_k and is evaluated once.
     """
     N = ns.resolution
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
@@ -166,12 +182,15 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
 
     # every row once, in order: the scale indicators, the means and the product form
     idx = np.arange(ns.cell_count)
-    for n, D in enumerate(itertools.chain.from_iterable(_dirichlet_rows(ns, 0, ns.cell_count))):
-        if n in ns.M:
-            bump("scale_indicator", D - np.where(idx % n == 0, n, 0).astype(np.complex128))
-        if n:
-            bump("mean", D.mean() - 1.0)
-            bump("product_form", dirichlet_product(ns, n).lift(N).cells - D)
+    first = 0
+    for rows in _dirichlet_rows(ns, 0, ns.cell_count):
+        for n, D in enumerate(rows, start=first):
+            if n in ns.M:
+                bump("scale_indicator", D - np.where(idx % n == 0, n, 0).astype(np.complex128))
+            if n:
+                bump("mean", D.mean() - 1.0)
+        res["product_form"] = max(res["product_form"], _product_form_residual(ns, first, rows))
+        first += len(rows)
 
     # rows n_k M_k + j beside the rows D_j, j < M_k; r_k^a is row a % m_k of F_k on digit k's axis
     for k in range(N):
@@ -203,6 +222,27 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     return RecursionReport(residuals=res)
 
 
+def _product_form_residual(ns: NumberSystem, first: int, rows: np.ndarray) -> float:
+    """max |product form - D_n| over the rows D_first, D_first+1, .. (D_0 is skipped).
+
+    The orders of scale s are formed at resolution s + 1, a few rows at a
+    time, and broadcast over the lift; M_N takes its closed form.
+    """
+    worst = 0.0
+    height = max(1, _TERM_BLOCK // ns.cell_count)
+    for s in range(ns.resolution):
+        lo, hi = max(first, ns.M[s]), min(first + len(rows), ns.M[s + 1])
+        for a in range(lo, hi, height):
+            b = min(a + height, hi)
+            prod = _product_rows(ns, a, b, s + 1)
+            D = rows[a - first : b - first].reshape(b - a, -1, ns.M[s + 1])
+            worst = max(worst, float(np.abs(prod[:, None, :] - D).max()))
+    if first + len(rows) > ns.cell_count:
+        last = dirichlet_product(ns, ns.cell_count).cells - rows[-1]
+        worst = max(worst, float(np.abs(last).max()))
+    return worst
+
+
 def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -> np.ndarray:
     """Residual of the digit-block expansion of sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j, per n.
 
@@ -213,53 +253,161 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
         (prod_{l>k} psi_{n_l M_l}) [ D_{n_k M_k} A_{n^(k)-1}^{-alpha}
             - psi_{n_k M_k - 1} sum_{j<n_k M_k} A_{n^(k-1)+j}^{-alpha-1} conj(D_j) ].
 
-    Zero digits contribute nothing and are skipped, so psi_{-1} never arises.
-    orders defaults to 1 .. M_N. The left side, each D_{n_k M_k} and each
-    inner sum are one _dirichlet_sum each. The two binomial tables are built
-    once, for the largest order, and sliced per n: cumprod rounds every prefix
-    as a table built for that n would. psi_{base-1}, psi_base and D_base are
-    built once per base = n_k M_k.
+    Zero digits contribute nothing, so psi_{-1} never arises. orders
+    defaults to 1 .. M_N.
+
+    The bracket of digit k depends on t = n mod M_{k+1} = n^(k) alone and
+    lives at resolution k + 1 (_BlockTerms). So the right side R(n) of an
+    order of scale s, M_s <= n < M_{s+1}, is the level recursion
+
+        R(n) = T_s(n) + psi_{n_s M_s} R(n mod M_s),   R(0) = 0,
+
+    at resolution s + 1, and n = M_N is the one term of its virtual digit
+    n_N = 1. Each term is synthesized once, with the left sides of the same
+    orders, in batches of rows at that resolution (_TERM_BLOCK entries at
+    most). The rows of R below M_L, for the largest L with M_L^2 <=
+    _TERM_BLOCK, are one table lifted to resolution L; the orders above are
+    reached depth first from batches of that table's rows, one frame per
+    digit above L, so no more than a few batches are held at once. The
+    batches depend on the grid only, so an order gets the same bytes
+    whichever orders are asked for with it. The two binomial tables are
+    built once, up to M_N, and sliced per n: cumprod rounds every prefix as
+    a table built for that n would, and so does the cumsum of A^{-alpha-1}
+    that weights the left sides.
     """
-    orders = range(1, ns.cell_count + 1) if orders is None else list(orders)
+    every = orders is None
+    orders = range(1, ns.cell_count + 1) if every else list(orders)
     for n in orders:
         if not 1 <= n <= ns.cell_count:
             raise UsageError(f"order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
-    N = ns.resolution
-    n_top = max(orders, default=1)
-    t0 = binomials.cesaro_table(-alpha, n_top - 1)
-    t1 = binomials.cesaro_table(-alpha - 1, n_top - 1)
+    N, M = ns.resolution, ns.M
+    terms = _BlockTerms(ns, alpha)
+    found = np.zeros(ns.cell_count + 1)
 
-    @functools.cache
-    def psi(k):
-        return vilenkin_on_cells(ns, k, N)
+    def record(s, n, R):
+        found[n] = terms.residuals(s, n, R)
 
-    @functools.cache
-    def dirichlet_at(base):
-        return _dirichlet_sum(ns, np.arange(1, base + 1) == base, N).cells
+    L = max(k for k in range(N + 1) if M[k] * M[k] <= _TERM_BLOCK)
+    height = max(1, _TERM_BLOCK // ns.cell_count)  # rows of one batch above the table
+    if every:
+        top, wanted = L, None
+    else:
+        # the table up to the scales asked for; a batch above it is the key (its first
+        # table row, n - n mod M_L), and the batches on each order's path are wanted
+        top = max((scale_of(ns, n) + 1 for n in orders if n < M[L]), default=0)
+        wanted = set()
+        for n in set(orders):
+            if M[L] <= n < M[N]:
+                top, a = L, n % M[L] // height * height
+                for k in range(L, N):
+                    if n // M[k] % ns.radix.radices[k]:
+                        wanted.add((a, n % M[k + 1] - n % M[L]))
 
-    out = np.empty(len(orders))
-    for i, n in enumerate(orders):
-        lhs = _dirichlet_sum(ns, t1.values[:n][::-1], N).cells
-        dd = _extended_digits(ns, n)
-        rhs = np.zeros(ns.cell_count, dtype=np.complex128)
-        suffix = np.ones(ns.cell_count, dtype=np.complex128)  # prod_{l>k} psi_{n_l M_l}
-        trunc = n  # n^(k) going down
-        for k in range(len(dd) - 1, -1, -1):
-            nk = dd[k]
-            if nk == 0:
-                continue
-            base = nk * ns.M[k]
-            below = trunc - base  # n^(k-1)
-            # the weights are real, so conjugating the sum equals summing the conjugates; D_0 = 0
-            inner = _dirichlet_sum(ns, t1.values[below + 1 : below + base], N).cells.conj()
-            rhs += suffix * (dirichlet_at(base) * t0.a(trunc - 1) - psi(base - 1) * inner)
-            if k < N:
-                suffix = suffix * psi(base)
-            trunc = below
-        out[i] = np.abs(lhs - rhs).max()
-    return out
+    # the table: rows R(t), t < M_L, lifted to resolution L; batches of one scale and top digit
+    table = np.zeros((M[L], M[L]), dtype=terms.dtype)
+    for s in range(top):
+        rows = max(1, _TERM_BLOCK // M[s + 1])
+        for d in range(1, ns.radix.radices[s]):
+            for a in range(d * M[s], (d + 1) * M[s], rows):
+                n = np.arange(a, min(a + rows, (d + 1) * M[s]))
+                R = terms.level(s, d, n, table[n % M[s], : M[s]])
+                table[n] = np.tile(R, M[L] // M[s + 1])
+                record(s, n, R)
+
+    def climb(n, R, low, key):
+        # n: orders whose digits below low are fixed, R their right sides
+        for s in range(low, N):
+            for d in range(1, ns.radix.radices[s]):
+                up = (key[0], key[1] + d * M[s])
+                if wanted is None or up in wanted:
+                    R_up = terms.level(s, d, n + d * M[s], R)
+                    record(s, n + d * M[s], R_up)
+                    climb(n + d * M[s], R_up, s + 1, up)
+
+    if L < N and top == L:
+        for a in range(0, M[L], height):
+            n = np.arange(a, min(a + height, M[L]))
+            climb(n, table[n], L, (a, 0))
+    if M[N] in orders:
+        n = np.array([M[N]])
+        record(N, n, terms.level(N, 1, n, None))
+    return found[np.asarray(orders, dtype=np.int64)]
+
+
+class _BlockTerms:
+    """The batched pieces of block_decomposition_residuals for one alpha.
+
+    t0 and t1 are A^{-alpha} and A^{-alpha-1} up to index M_N - 1, whatever
+    the orders asked for, since a batch may hold orders above them. The
+    left side of order n weighs psi_nu with prefix[n - 1 - nu], the running
+    sum of t1, which is what the suffix sums of its coefficients come to;
+    both are read as windows of one array. On a Walsh grid the characters
+    are real, so their real parts stand in for them and every row is
+    float64: a complex product with a zero imaginary part computes the same
+    real part, so the residuals are the same.
+    """
+
+    def __init__(self, ns: NumberSystem, alpha: float):
+        self.ns = ns
+        self.dtype = np.float64 if ns.radix.max_radix == 2 else np.complex128
+        self.t0 = binomials.cesaro_table(-alpha, ns.cell_count - 1).values
+        self.t1 = binomials.cesaro_table(-alpha - 1, ns.cell_count - 1).values
+        # prefix[n - 1 - nu] for nu < n and 0 past it is the window at M_N - n
+        self.lhs_weights = np.concatenate([np.zeros(ns.cell_count), np.cumsum(self.t1)])[::-1]
+        self._bases = {}
+
+    def _character(self, n: int, r: int) -> np.ndarray:
+        psi = vilenkin_on_cells(self.ns, n, r)
+        return psi.real.copy() if self.dtype == np.float64 else psi
+
+    def base(self, s: int, d: int):
+        """D_base and psi_{base-1} at resolution min(s + 1, N), base = d M_s, built once."""
+        if (s, d) not in self._bases:
+            r = min(s + 1, self.ns.resolution)
+            base = d * self.ns.M[s]
+            self._bases[s, d] = (_dirichlet_sum(self.ns, np.arange(1, base + 1) == base, r).cells,
+                                 self._character(base - 1, r))
+        return self._bases[s, d]
+
+    def level(self, s: int, d: int, n: np.ndarray, low) -> np.ndarray:
+        """R(n) for orders n with top digit n_s = d from the rows low = R(n mod M_s).
+
+        The digit-s term is D_base A_{n-1}^{-alpha} - psi_{base-1} conj(inner),
+        base = d M_s, inner = sum_{j<base} A_{n mod M_s + j}^{-alpha-1} D_j:
+        the synthesis of its coefficients' suffix sums. The rows are at
+        resolution s + 1; s = N is the order M_N alone, the term with base
+        M_N and no rows below.
+        """
+        ns, M = self.ns, self.ns.M
+        r = min(s + 1, ns.resolution)
+        base = d * M[s]
+        weights = np.zeros((len(n), M[r]))
+        if base > 1:
+            # coefficients t1[n mod M_s + j], j = 1 .. base-1, summed from the top down
+            coeffs = np.lib.stride_tricks.sliding_window_view(self.t1, base - 1)[n - base + 1]
+            np.cumsum(coeffs[:, ::-1], axis=1, out=weights[:, base - 2 :: -1])
+        inner = synthesize_rows(ns, weights, r)
+        D, psi = self.base(s, d)
+        term = D * self.t0[n - 1][:, None] - psi * inner.conj()
+        if s == ns.resolution:
+            return term
+        m, q = ns.radix.radices[s], low.shape[1]
+        factor = synthesis_matrix(m)[d]  # psi_{d M_s} on digit s's axis
+        if self.dtype == np.float64:
+            factor = factor.real
+        # low broadcasts over the digits from q up
+        R = term.reshape(len(n), m, M[s] // q, q) + factor[:, None, None] * low[:, None, None, :]
+        return R.reshape(len(n), M[s + 1])
+
+    def residuals(self, s: int, n: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """max over cells of |left side - R| per order, both at R's resolution."""
+        ns = self.ns
+        r = min(s + 1, ns.resolution)
+        windows = np.lib.stride_tricks.sliding_window_view(self.lhs_weights, ns.M[r])
+        lhs = synthesize_rows(ns, windows[ns.cell_count - n], r)
+        return np.abs(lhs - R).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -276,21 +424,33 @@ class BoundScanRecord:
     beta_ratios: np.ndarray | None = None
 
 
+def _scan_table(ns: NumberSystem, alpha: float, n_values):
+    """The checked orders of a scan and the one table A^{-alpha} up to the largest of them.
+
+    cumprod is a sequential fold, so the prefix of the table that order n
+    reads is the table cesaro_weights(n, alpha) builds, to the byte.
+    """
+    n_values = list(n_values)
+    for n in n_values:
+        if not 1 <= n <= ns.cell_count:
+            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
+    return n_values, binomials.cesaro_table(-alpha, max(n_values, default=1) - 1)
+
+
 def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundScanRecord]:
     """|K_n^{-alpha}| |A_{n-1}^{-alpha}| against sum_{l<=A} M_l^{-alpha} D_{M_l}.
 
     The l = 0 term is identically 1, so the majorant never vanishes. Cell x
     takes the terms l <= min(v(x), A), v(x) its trailing zero digits, so the
-    majorant is one gather from the running sums of M_l^{1-alpha}. K_n and
-    A_{n-1}^{-alpha} come from one Cesaro table.
+    majorant is one gather from the running sums of M_l^{1-alpha}. Every
+    K_n and A_{n-1}^{-alpha} come from one Cesaro table (_scan_table).
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
+    n_values, table = _scan_table(ns, alpha, n_values)
     out = []
     for n in n_values:
-        if not 1 <= n <= ns.cell_count:
-            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
-        numerators, a_n = cesaro_weights(n, alpha)
+        numerators, a_n = table.values[n - 1 :: -1], table.a(n - 1)
         K = synthesize(ns, numerators / a_n)
         r = K.resolution
         A = scale_of(ns, n) if n < ns.cell_count else ns.resolution
@@ -315,19 +475,20 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
 
     Each kernel is read at the representatives through the cached cell
     table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row.
+    The kernels come from one Cesaro table (_scan_table), as cesaro_kernel
+    would build them.
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
     if not 1 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 1..{ns.resolution}")
     if n_values is None:
-        n_values = list(range(ns.M[k - 1], ns.M[k] + 1))
+        n_values = range(ns.M[k - 1], ns.M[k] + 1)
+    n_values, table = _scan_table(ns, alpha, n_values)
     decay = np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - alpha)
     out = []
     for n in n_values:
-        if not 1 <= n <= ns.cell_count:
-            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
-        K = cesaro_kernel(ns, n, alpha)
+        K = synthesize(ns, table.values[n - 1 :: -1] / table.a(n - 1))
         r = K.resolution
         cells_at = coset_rep_cells(ns, k, r)[1:]
         ratios = np.abs(K.cells[cells_at]) * decay / ns.M[k]

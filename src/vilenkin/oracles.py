@@ -15,15 +15,20 @@ from .group import NumberSystem, digit_matrix, digit_tensor, tensor_axis
 from .transform import CoefficientVector, StepFunction, forward as fast_forward
 
 def forward(f: StepFunction) -> CoefficientVector:
-    """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)) as a literal character sum."""
+    """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)) as a literal character sum.
+
+    Each block of characters meets f as conj(block @ conj(f)), which is
+    block.conj() @ f without a conjugated copy of the block.
+    """
     ns, r = f.ns, f.resolution
     cells = ns.cells_at(r)
     coeffs = np.empty(cells, dtype=np.complex128)
     chunk = max(1, min(cells, (1 << 22) // max(cells, 1)))
+    f_conj = f.cells.conj()
     for start in range(0, cells, chunk):
         stop = min(cells, start + chunk)
         block = character_block(ns, start, stop, r)
-        coeffs[start:stop] = block.conj() @ f.cells / cells
+        coeffs[start:stop] = np.conj(block @ f_conj) / cells
     return CoefficientVector(ns, r, coeffs)
 
 
@@ -119,3 +124,24 @@ def cesaro_mean_partial_sums(f: StepFunction, n: int, alpha: float) -> StepFunct
             running = running + c.coeffs[nu - 1] * psi[nu - 1]
         acc += t1.a(n - nu) * running
     return StepFunction(f.ns, f.resolution, acc / t0.a(n - 1))
+
+
+def partial_sum_rows(f: StepFunction, n_top: int) -> np.ndarray:
+    """(n_top, M_r) rows S_1 f .. S_{n_top} f: one cumulative sum of the rows fhat(nu) psi_nu."""
+    c = fast_forward(f).coeffs
+    psi = character_block(f.ns, 0, n_top, f.resolution)
+    return np.cumsum(c[:n_top, None] * psi, axis=0)
+
+
+def cesaro_means_of_partial_sums(f: StepFunction, sums: np.ndarray, alpha: float):
+    """sigma_n^{-alpha} f for n = 1 .. len(sums), as cesaro_mean_partial_sums defines it.
+
+    sums holds the rows S_1 f .. S_{n_top} f of partial_sum_rows; mean n
+    weighs the first n of them by A_{n-nu}^{-alpha-1}, nu = 1..n, in one
+    contraction. The two binomial tables are built once, for n_top.
+    """
+    n_top = len(sums)
+    t0 = binomials.cesaro_table(-alpha, n_top - 1)
+    t1 = binomials.cesaro_table(-alpha - 1, n_top - 1)
+    for n in range(1, n_top + 1):
+        yield StepFunction(f.ns, f.resolution, t1.values[n - 1 :: -1] @ sums[:n] / t0.a(n - 1))

@@ -264,6 +264,18 @@ def synthesize(ns: NumberSystem, weights, resolution: int | None = None) -> Step
     return _lifted(inverse(CoefficientVector(ns, k, padded)), r)
 
 
+def synthesize_rows(ns: NumberSystem, weights: np.ndarray, resolution: int) -> np.ndarray:
+    """sum_nu weights[i, nu] psi_nu for each row i of a (rows, M_resolution) array.
+
+    The rows are synthesized back to back in one transform pass. A row's
+    bytes can depend on how many rows share the pass, so a caller that wants
+    the same row from different calls must pass the same rows.
+    """
+    rows = len(weights)
+    return _staged(_values(weights).reshape(-1), ns, resolution, analysis=False).reshape(
+        rows, ns.cells_at(resolution))
+
+
 def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFunction:
     """sum_{nu < len(weights)} fhat(nu) weights[nu] / denominator psi_nu.
 

@@ -7,7 +7,9 @@ byte for byte, signed zeros included.
 """
 
 import numpy as np
+import pytest
 
+import vilenkin as vk
 from vilenkin import characters, families, kernels
 from vilenkin.characters import root_table, synthesis_matrix
 from vilenkin.group import digit_matrix, digits_of, scale_of
@@ -135,6 +137,24 @@ def test_character_block_bitwise(ns):
     assert _same(characters.character_block(ns, start, stop),
                  character_block_oracle(ns, start, stop, ns.resolution))
     assert characters.character_block(ns, 5, 5).shape == (0, ns.cell_count)
+
+
+@pytest.mark.parametrize("radices", [[3, 5, 2], [7, 2, 3], [2, 3, 4, 2, 3, 2, 2], [40, 2, 3]],
+                         ids=str)
+def test_character_block_bitwise_more_grids(radices):
+    # grids where the product's operand order shows in the last bits, and a radix above
+    # the block cap; the short blocks leave some digits 0 in every row
+    ns = vk.number_system(radices)
+    M = ns.M
+    for r in range(ns.resolution + 1):
+        assert _same(characters.character_block(ns, 0, M[r], r),
+                     character_block_oracle(ns, 0, M[r], r))
+    for start, stop in ((ns.cell_count // 3, 2 * ns.cell_count // 3), (0, 1), (1, 2),
+                        (M[1], M[1] + 1), (M[2], M[2] + M[1]), (M[-1] - 1, M[-1])):
+        for r in range(ns.resolution + 1):
+            if stop <= M[r]:
+                assert _same(characters.character_block(ns, start, stop, r),
+                             character_block_oracle(ns, start, stop, r)), (start, stop, r)
 
 
 def test_vilenkin_on_cells_bitwise(ns):

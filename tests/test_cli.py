@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vilenkin as vk
 from vilenkin import cli, config, families, kernels, transform
 
 
@@ -49,6 +50,18 @@ def test_verify_suite_subset(tmp_path, small_cfg):
     assert rc == 0
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert set(report["suites"]) == {"group", "binomials"}
+
+
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2]], ids=str)
+def test_gram_row_blocks_match_the_whole_gram(radices, monkeypatch):
+    # a few Gram rows per block give the residual of the whole (M, M) Gram up to rounding
+    ns = vk.number_system(radices)
+    F = vk.character_block(ns, 0, ns.cell_count)
+    whole = float(np.abs(F.conj() @ F.T / ns.cell_count - np.eye(ns.cell_count)).max())
+    for rows in (1, 5, ns.cell_count):
+        monkeypatch.setattr(cli, "_GRAM_BLOCK", rows * ns.cell_count)
+        got = cli._suite_characters(ns, np.random.default_rng(0))["details"]["gram"]
+        assert got <= 1e-14 and abs(got - whole) <= 1e-15
 
 
 def test_verify_negative_control(tmp_path, small_cfg, monkeypatch):

@@ -113,6 +113,25 @@ def test_block_residuals_match_per_order(ns):
         assert all_orders.tobytes() == np.array(each).tobytes()
 
 
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2], [3, 5, 2]], ids=str)
+def test_block_residuals_match_per_order_in_small_batches(radices, monkeypatch):
+    # a few rows per batch: several batches per resolution, and the orders above the
+    # table reached depth first, must still give each order the bytes it gets alone
+    ns = vk.number_system(radices)
+    want = kernels.block_decomposition_residuals(ns, 0.4)
+    for rows in (1, 3):
+        monkeypatch.setattr(kernels, "_TERM_BLOCK", rows * ns.cell_count)
+        all_orders = kernels.block_decomposition_residuals(ns, 0.4)
+        each = [kernels.block_decomposition_residuals(ns, 0.4, [n])[0]
+                for n in range(1, ns.cell_count + 1)]
+        assert all_orders.tobytes() == np.array(each).tobytes()
+        some = [ns.cell_count, 5, 1, 5]
+        assert kernels.block_decomposition_residuals(ns, 0.4, some).tobytes() == \
+            all_orders[np.array(some) - 1].tobytes()
+        # the batches move the residuals by rounding only
+        assert np.max(np.abs(all_orders - want)) <= 1e-13
+
+
 def test_block_residuals_build_tables_and_characters_once(ns, count_calls):
     tables = count_calls("cesaro_table", module=binomials)
     chars = count_calls("vilenkin_on_cells", module=characters)
@@ -159,10 +178,16 @@ def test_majorant_scan_byte_equal_to_level_loop(radices):
             assert (rec.argmax_cell, rec.resolution) == (arg, r)
 
 
-def test_majorant_scan_builds_one_table_per_order(ns, count_calls):
+def test_scans_build_one_table_per_call(ns, count_calls):
     tables = count_calls("cesaro_table", module=binomials)
     kernels.majorant_ratio_scan(ns, 0.5, range(1, ns.cell_count + 1))
-    assert len(tables) == ns.cell_count
+    assert tables == [(-0.5, ns.cell_count - 1)]
+    kernels.coset_decay_scan(ns, 0.5, ns.resolution - 1)
+    assert tables[1:] == [(-0.5, ns.M[ns.resolution - 1] - 1)]
+    # a one-order call builds the table of that order alone, as cesaro_kernel does
+    kernels.majorant_ratio_scan(ns, 0.5, [5])
+    kernels.coset_decay_scan(ns, 0.5, 1, [7])
+    assert tables[2:] == [(-0.5, 4), (-0.5, 6)]
 
 
 def test_coset_decay_scan_shape_and_stability(ns):

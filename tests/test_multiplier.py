@@ -16,7 +16,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from vilenkin import binomials, families, kernels, transform
+import vilenkin as vk
+from vilenkin import binomials, families, kernels, oracles, transform
 from vilenkin.transform import CoefficientVector, forward, inverse, synthesize
 
 SRC = pathlib.Path(transform.__file__).parent
@@ -195,3 +196,18 @@ def test_digit_matrix_guard_detects_a_read():
                  "from . import group\ngroup.digit_matrix(ns, 3)"):
         assert _reads_name(ast.parse(line), "digit_matrix")
     assert not _reads_name(ast.parse("from .group import digit_axis"), "digit_matrix")
+
+
+@pytest.mark.parametrize("radices", [[2] * 7, [2, 3, 4, 2], [3, 5, 2]], ids=str)
+def test_shared_partial_sums_match_the_partial_sum_oracle(radices):
+    # the routes suite's reference: S_1 f .. S_n f built once, each mean a weighted sum of them
+    ns = vk.number_system(radices)
+    f = families.random_cells(ns, np.random.default_rng(5))
+    n_top = min(40, ns.cell_count)
+    sums = oracles.partial_sum_rows(f, n_top)
+    for alpha in (0.25, 0.6):
+        means = list(oracles.cesaro_means_of_partial_sums(f, sums, alpha))
+        assert len(means) == n_top
+        for n, got in enumerate(means, start=1):
+            want = oracles.cesaro_mean_partial_sums(f, n, alpha).cells
+            assert np.max(np.abs(got.cells - want)) <= 1e-12 * np.max(np.abs(want))
