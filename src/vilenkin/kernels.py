@@ -268,15 +268,16 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
     most). The rows of R below M_L, for the largest L with M_L^2 <=
     _TERM_BLOCK, are one table lifted to resolution L; the orders above are
     reached depth first from batches of that table's rows, one frame per
-    digit above L, so no more than a few batches are held at once. The
-    batches depend on the grid only, so an order gets the same bytes
-    whichever orders are asked for with it. The two binomial tables are
+    digit above L, so no more than a few batches are held at once. Every
+    order is computed, in batches fixed by the grid, and orders only
+    selects from them, so an order gets the same bytes whichever orders are
+    asked for with it; an order that no batch reached raises RuntimeError
+    rather than reading as a zero residual. The two binomial tables are
     built once, up to M_N, and sliced per n: cumprod rounds every prefix as
     a table built for that n would, and so does the cumsum of A^{-alpha-1}
     that weights the left sides.
     """
-    every = orders is None
-    orders = range(1, ns.cell_count + 1) if every else list(orders)
+    orders = range(1, ns.cell_count + 1) if orders is None else list(orders)
     for n in orders:
         if not 1 <= n <= ns.cell_count:
             raise UsageError(f"order {n} outside 1..{ns.cell_count}")
@@ -284,30 +285,17 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
         raise UsageError(f"alpha={alpha} outside (0, 1)")
     N, M = ns.resolution, ns.M
     terms = _BlockTerms(ns, alpha)
-    found = np.zeros(ns.cell_count + 1)
+    found = np.full(ns.cell_count + 1, np.nan)  # an order no batch reaches stays NaN
 
     def record(s, n, R):
         found[n] = terms.residuals(s, n, R)
 
     L = max(k for k in range(N + 1) if M[k] * M[k] <= _TERM_BLOCK)
     height = max(1, _TERM_BLOCK // ns.cell_count)  # rows of one batch above the table
-    if every:
-        top, wanted = L, None
-    else:
-        # the table up to the scales asked for; a batch above it is the key (its first
-        # table row, n - n mod M_L), and the batches on each order's path are wanted
-        top = max((scale_of(ns, n) + 1 for n in orders if n < M[L]), default=0)
-        wanted = set()
-        for n in set(orders):
-            if M[L] <= n < M[N]:
-                top, a = L, n % M[L] // height * height
-                for k in range(L, N):
-                    if n // M[k] % ns.radix.radices[k]:
-                        wanted.add((a, n % M[k + 1] - n % M[L]))
 
     # the table: rows R(t), t < M_L, lifted to resolution L; batches of one scale and top digit
-    table = np.zeros((M[L], M[L]), dtype=terms.dtype)
-    for s in range(top):
+    table = np.zeros((M[L], M[L]), dtype=np.complex128)
+    for s in range(L):
         rows = max(1, _TERM_BLOCK // M[s + 1])
         for d in range(1, ns.radix.radices[s]):
             for a in range(d * M[s], (d + 1) * M[s], rows):
@@ -316,51 +304,42 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
                 table[n] = np.tile(R, M[L] // M[s + 1])
                 record(s, n, R)
 
-    def climb(n, R, low, key):
+    def climb(n, R, low):
         # n: orders whose digits below low are fixed, R their right sides
         for s in range(low, N):
             for d in range(1, ns.radix.radices[s]):
-                up = (key[0], key[1] + d * M[s])
-                if wanted is None or up in wanted:
-                    R_up = terms.level(s, d, n + d * M[s], R)
-                    record(s, n + d * M[s], R_up)
-                    climb(n + d * M[s], R_up, s + 1, up)
+                R_up = terms.level(s, d, n + d * M[s], R)
+                record(s, n + d * M[s], R_up)
+                climb(n + d * M[s], R_up, s + 1)
 
-    if L < N and top == L:
+    if L < N:
         for a in range(0, M[L], height):
             n = np.arange(a, min(a + height, M[L]))
-            climb(n, table[n], L, (a, 0))
-    if M[N] in orders:
-        n = np.array([M[N]])
-        record(N, n, terms.level(N, 1, n, None))
+            climb(n, table[n], L)
+    n = np.array([M[N]])
+    record(N, n, terms.level(N, 1, n, None))
+    missed = np.flatnonzero(np.isnan(found[1:])) + 1
+    if len(missed):
+        raise RuntimeError(f"block terms reached no residual for orders {missed[:8].tolist()}")
     return found[np.asarray(orders, dtype=np.int64)]
 
 
 class _BlockTerms:
     """The batched pieces of block_decomposition_residuals for one alpha.
 
-    t0 and t1 are A^{-alpha} and A^{-alpha-1} up to index M_N - 1, whatever
-    the orders asked for, since a batch may hold orders above them. The
+    t0 and t1 are A^{-alpha} and A^{-alpha-1} up to index M_N - 1. The
     left side of order n weighs psi_nu with prefix[n - 1 - nu], the running
     sum of t1, which is what the suffix sums of its coefficients come to;
-    both are read as windows of one array. On a Walsh grid the characters
-    are real, so their real parts stand in for them and every row is
-    float64: a complex product with a zero imaginary part computes the same
-    real part, so the residuals are the same.
+    both are read as windows of one array.
     """
 
     def __init__(self, ns: NumberSystem, alpha: float):
         self.ns = ns
-        self.dtype = np.float64 if ns.radix.max_radix == 2 else np.complex128
         self.t0 = binomials.cesaro_table(-alpha, ns.cell_count - 1).values
         self.t1 = binomials.cesaro_table(-alpha - 1, ns.cell_count - 1).values
         # prefix[n - 1 - nu] for nu < n and 0 past it is the window at M_N - n
         self.lhs_weights = np.concatenate([np.zeros(ns.cell_count), np.cumsum(self.t1)])[::-1]
         self._bases = {}
-
-    def _character(self, n: int, r: int) -> np.ndarray:
-        psi = vilenkin_on_cells(self.ns, n, r)
-        return psi.real.copy() if self.dtype == np.float64 else psi
 
     def base(self, s: int, d: int):
         """D_base and psi_{base-1} at resolution min(s + 1, N), base = d M_s, built once."""
@@ -368,7 +347,7 @@ class _BlockTerms:
             r = min(s + 1, self.ns.resolution)
             base = d * self.ns.M[s]
             self._bases[s, d] = (_dirichlet_sum(self.ns, np.arange(1, base + 1) == base, r).cells,
-                                 self._character(base - 1, r))
+                                 vilenkin_on_cells(self.ns, base - 1, r))
         return self._bases[s, d]
 
     def level(self, s: int, d: int, n: np.ndarray, low) -> np.ndarray:
@@ -395,8 +374,6 @@ class _BlockTerms:
             return term
         m, q = ns.radix.radices[s], low.shape[1]
         factor = synthesis_matrix(m)[d]  # psi_{d M_s} on digit s's axis
-        if self.dtype == np.float64:
-            factor = factor.real
         # low broadcasts over the digits from q up
         R = term.reshape(len(n), m, M[s] // q, q) + factor[:, None, None] * low[:, None, None, :]
         return R.reshape(len(n), M[s + 1])
