@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .group import NumberSystem, digit_axis, digit_tensor, digits_of
+from .group import NumberSystem
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +52,7 @@ def analysis_matrix(m: int) -> np.ndarray:
 
 
 def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -> np.ndarray:
-    """psi_n evaluated on every cell at the given resolution.
+    """psi_n evaluated on every cell at the given resolution: the one row of character_block.
 
     psi_n depends only on digits below the scale of n, so the requested
     resolution must cover every nonzero digit of n.
@@ -62,11 +62,7 @@ def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -
         raise ValidationError(f"character index {n} outside 0..{ns.cell_count - 1}")
     if n >= ns.M[r]:
         raise UsageError(f"character {n} does not live at resolution {r}")
-    out = digit_tensor(np.ones(ns.cells_at(r), dtype=np.complex128), ns, r)
-    for j, nj in enumerate(digits_of(ns, n)[:r]):
-        if nj:
-            out *= digit_axis(synthesis_matrix(ns.radix.radices[j])[nj], ns, r, j)
-    return out.reshape(-1)
+    return character_block(ns, n, n + 1, r)[0]
 
 
 def character_block(ns: NumberSystem, start: int, stop: int, resolution: int | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, synthesize, synthesize_rows
 
 _ROW_BLOCK = 1 << 19  # entries in one block of D_n rows
-_TERM_BLOCK = 1 << 18  # entries in one batch of block-decomposition or product-form rows
+_TERM_BLOCK = 1 << 18  # entries in one batch of block-decomposition rows
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
@@ -85,7 +85,9 @@ def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> n
         nj = (rows // ns.M[j]) % m
         if np.any(nj):
             acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(_root_tails(m)[nj], ns, r, j)
-    return character_block(ns, start, stop, r) * acc.reshape(stop - start, -1)
+    out = character_block(ns, start, stop, r)
+    out *= acc.reshape(stop - start, -1)  # in place: one row block fewer at the check's peak
+    return out
 
 
 def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
@@ -166,9 +168,10 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     - product_form: D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a
 
     The rows come from _dirichlet_rows, so no more than a few blocks of them
-    are held at once; the product form of each block's orders is formed a
-    few rows at a time (_product_form_residual). digit_split is
-    block_geometric for r < m_k and is evaluated once.
+    are held at once. A block's orders of scale s, M_s <= n < M_{s+1}, meet
+    their means and their product form as one slice, the product form built
+    at resolution s + 1 and broadcast over the lift; M_N takes its closed
+    form. digit_split is block_geometric for r < m_k and is evaluated once.
     """
     N = ns.resolution
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
@@ -184,13 +187,21 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     idx = np.arange(ns.cell_count)
     first = 0
     for rows in _dirichlet_rows(ns, 0, ns.cell_count):
-        for n, D in enumerate(rows, start=first):
-            if n in ns.M:
-                bump("scale_indicator", D - np.where(idx % n == 0, n, 0).astype(np.complex128))
-            if n:
-                bump("mean", D.mean() - 1.0)
-        res["product_form"] = max(res["product_form"], _product_form_residual(ns, first, rows))
-        first += len(rows)
+        stop = first + len(rows)
+        for Mk in ns.M:
+            if first <= Mk < stop:
+                bump("scale_indicator",
+                     rows[Mk - first] - np.where(idx % Mk == 0, Mk, 0).astype(np.complex128))
+        for s in range(N):
+            a, b = max(first, ns.M[s]), min(stop, ns.M[s + 1])
+            if a < b:  # no name for the slice: it would hold its block past the loop
+                bump("mean", rows[a - first : b - first].mean(axis=1) - 1.0)
+                bump("product_form", _product_rows(ns, a, b, s + 1)[:, None, :]
+                     - rows[a - first : b - first].reshape(b - a, -1, ns.M[s + 1]))
+        if stop > ns.cell_count:
+            bump("mean", rows[-1].mean() - 1.0)
+            bump("product_form", dirichlet_product(ns, ns.cell_count).cells - rows[-1])
+        first = stop
 
     # rows n_k M_k + j beside the rows D_j, j < M_k; r_k^a is row a % m_k of F_k on digit k's axis
     for k in range(N):
@@ -222,28 +233,7 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     return RecursionReport(residuals=res)
 
 
-def _product_form_residual(ns: NumberSystem, first: int, rows: np.ndarray) -> float:
-    """max |product form - D_n| over the rows D_first, D_first+1, .. (D_0 is skipped).
-
-    The orders of scale s are formed at resolution s + 1, a few rows at a
-    time, and broadcast over the lift; M_N takes its closed form.
-    """
-    worst = 0.0
-    height = max(1, _TERM_BLOCK // ns.cell_count)
-    for s in range(ns.resolution):
-        lo, hi = max(first, ns.M[s]), min(first + len(rows), ns.M[s + 1])
-        for a in range(lo, hi, height):
-            b = min(a + height, hi)
-            prod = _product_rows(ns, a, b, s + 1)
-            D = rows[a - first : b - first].reshape(b - a, -1, ns.M[s + 1])
-            worst = max(worst, float(np.abs(prod[:, None, :] - D).max()))
-    if first + len(rows) > ns.cell_count:
-        last = dirichlet_product(ns, ns.cell_count).cells - rows[-1]
-        worst = max(worst, float(np.abs(last).max()))
-    return worst
-
-
-def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -> np.ndarray:
+def block_decomposition_residuals(ns: NumberSystem, alpha: float) -> np.ndarray:
     """Residual of the digit-block expansion of sum_{j=1}^{n} A_{n-j}^{-alpha-1} D_j, per n.
 
     The left side drives the order -alpha kernel (it equals
@@ -253,8 +243,8 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
         (prod_{l>k} psi_{n_l M_l}) [ D_{n_k M_k} A_{n^(k)-1}^{-alpha}
             - psi_{n_k M_k - 1} sum_{j<n_k M_k} A_{n^(k-1)+j}^{-alpha-1} conj(D_j) ].
 
-    Zero digits contribute nothing, so psi_{-1} never arises. orders
-    defaults to 1 .. M_N.
+    Zero digits contribute nothing, so psi_{-1} never arises. Entry n - 1
+    is order n, for n = 1 .. M_N.
 
     The bracket of digit k depends on t = n mod M_{k+1} = n^(k) alone and
     lives at resolution k + 1 (_BlockTerms). So the right side R(n) of an
@@ -268,19 +258,13 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
     most). The rows of R below M_L, for the largest L with M_L^2 <=
     _TERM_BLOCK, are one table lifted to resolution L; the orders above are
     reached depth first from batches of that table's rows, one frame per
-    digit above L, so no more than a few batches are held at once. Every
-    order is computed, in batches fixed by the grid, and orders only
-    selects from them, so an order gets the same bytes whichever orders are
-    asked for with it; an order that no batch reached raises RuntimeError
-    rather than reading as a zero residual. The two binomial tables are
-    built once, up to M_N, and sliced per n: cumprod rounds every prefix as
-    a table built for that n would, and so does the cumsum of A^{-alpha-1}
-    that weights the left sides.
+    digit above L, so no more than a few batches are held at once. The
+    batches are fixed by the grid; an order that no batch reached raises
+    RuntimeError rather than reading as a zero residual. The two binomial
+    tables are built once, up to M_N, and sliced per n: cumprod rounds
+    every prefix as a table built for that n would, and so does the cumsum
+    of A^{-alpha-1} that weights the left sides.
     """
-    orders = range(1, ns.cell_count + 1) if orders is None else list(orders)
-    for n in orders:
-        if not 1 <= n <= ns.cell_count:
-            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha={alpha} outside (0, 1)")
     N, M = ns.resolution, ns.M
@@ -321,7 +305,7 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float, orders=None) -
     missed = np.flatnonzero(np.isnan(found[1:])) + 1
     if len(missed):
         raise RuntimeError(f"block terms reached no residual for orders {missed[:8].tolist()}")
-    return found[np.asarray(orders, dtype=np.int64)]
+    return found[1:]
 
 
 class _BlockTerms:

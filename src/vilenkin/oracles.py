@@ -9,7 +9,7 @@ import this.
 import numpy as np
 
 from . import binomials
-from .characters import analysis_matrix, character_block, synthesis_matrix, vilenkin_on_cells
+from .characters import analysis_matrix, character_block, synthesis_matrix
 from .errors import UsageError
 from .group import NumberSystem, digit_matrix, digit_tensor, tensor_axis
 from .transform import CoefficientVector, StepFunction, forward as fast_forward
@@ -91,14 +91,6 @@ def coset_rep(ns: NumberSystem, beta: int, k: int) -> int:
         digit, rem = divmod(rem, ns.M[k] // ns.M[j + 1])
         cell += digit * ns.M[j]
     return cell
-
-
-def dirichlet(ns: NumberSystem, n: int, resolution: int) -> StepFunction:
-    """D_n = sum_{k<n} psi_k, one character at a time."""
-    acc = np.zeros(ns.cells_at(resolution), dtype=np.complex128)
-    for k in range(n):
-        acc += vilenkin_on_cells(ns, k, resolution)
-    return StepFunction(ns, resolution, acc)
 
 
 def dirichlet_table(ns: NumberSystem, n_max: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ import numpy as np
 from . import binomials
 from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
-from .group import NumberSystem, digit_tensor, digits_of, number_system, tensor_axis
+from .group import (NumberSystem, RadixSequence, build_number_system, digit_tensor, digits_of,
+                    tensor_axis)
 
 
 def _values(values) -> np.ndarray:
@@ -391,16 +393,35 @@ def sup_distance(f: StepFunction, g: StepFunction) -> float:
     return float(np.abs(fine.cells.reshape(-1, len(coarse.cells)) - coarse.cells).max())
 
 
+def _finite_number(v) -> bool:
+    """Whether v is an int or float, not a bool, that a finite float holds."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) \
+        and abs(v) <= sys.float_info.max
+
+
 def _pairs_complex(pairs) -> np.ndarray:
     out = np.empty(len(pairs), dtype=np.complex128)
-    for i, (re, im) in enumerate(pairs):
-        out[i] = complex(re, im)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_number, pair))):
+            raise ValidationError(f"cell {i} {pair!r} is not a pair of finite numbers")
+        out[i] = complex(*pair)
     return out
 
 
 def step_from_dict(d: dict) -> StepFunction:
-    ns = number_system(d["radix"])
-    return StepFunction(ns, int(d["resolution"]), _pairs_complex(d["cells"]))
+    """The file family's format: radix, resolution and one [re, im] pair per cell.
+
+    Every field is taken as it stands, never converted: the radix is a list
+    of ints, the resolution an int, each cell a pair of finite numbers, and
+    a bool is none of these. Anything else raises ValidationError.
+    """
+    radix, r = d["radix"], d["resolution"]
+    if not isinstance(radix, list):
+        raise ValidationError(f"radix {radix!r} is not a list")
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise ValidationError(f"resolution {r!r} is not an integer")
+    ns = build_number_system(RadixSequence(tuple(radix)))
+    return StepFunction(ns, r, _pairs_complex(d["cells"]))
 
 
 def load_step(text: str) -> StepFunction:

@@ -139,11 +139,13 @@ def test_character_block_bitwise(ns):
     assert characters.character_block(ns, 5, 5).shape == (0, ns.cell_count)
 
 
-@pytest.mark.parametrize("radices", [[3, 5, 2], [7, 2, 3], [2, 3, 4, 2, 3, 2, 2], [40, 2, 3]],
-                         ids=str)
+# grids where the product's operand order shows in the last bits, and a radix above the block cap
+MORE_GRIDS = [[3, 5, 2], [7, 2, 3], [2, 3, 4, 2, 3, 2, 2], [40, 2, 3]]
+
+
+@pytest.mark.parametrize("radices", MORE_GRIDS, ids=str)
 def test_character_block_bitwise_more_grids(radices):
-    # grids where the product's operand order shows in the last bits, and a radix above
-    # the block cap; the short blocks leave some digits 0 in every row
+    # the short blocks leave some digits 0 in every row
     ns = vk.number_system(radices)
     M = ns.M
     for r in range(ns.resolution + 1):
@@ -162,6 +164,11 @@ def test_vilenkin_on_cells_bitwise(ns):
         for n in range(ns.M[r]):
             assert _same(characters.vilenkin_on_cells(ns, n, r),
                          vilenkin_on_cells_oracle(ns, n, r))
+
+
+@pytest.mark.parametrize("radices", MORE_GRIDS, ids=str)
+def test_vilenkin_on_cells_bitwise_more_grids(radices):
+    test_vilenkin_on_cells_bitwise(vk.number_system(radices))
 
 
 def test_dirichlet_product_bitwise(ns):

@@ -447,12 +447,35 @@ MALFORMED = {
 }
 
 
+def _step_text(radix, resolution, cells, first="[0.5, 0]"):
+    """A step file's JSON text; cells pairs, the first of them first."""
+    pairs = ", ".join([first] + ["[0.5, -1]"] * (cells - 1))
+    return f'{{"radix": {radix}, "resolution": {resolution}, "cells": [{pairs}]}}'
+
+
+# step files on the configs' [2, 2, 2] group with one field malformed, each cell count the
+# one a reader that converted the field would expect
+STEP_FILES = {
+    "radix_string.json": _step_text('"222"', 3, 8),
+    "radix_entry_float.json": _step_text("[2, 2, 2.7]", 3, 8),
+    "resolution_float.json": _step_text("[2, 2, 2]", 2.9, 4),
+    "resolution_bool.json": _step_text("[2, 2, 2]", "true", 2),
+    "cell_overflows.json": _step_text("[2, 2, 2]", 3, 8, "[1e400, 0]"),
+    "cell_bool.json": _step_text("[2, 2, 2]", 3, 8, "[true, 0]"),
+}
+MALFORMED.update({f"step_{name[:-5]}": ("converge", {"functions": [{"family": "file",
+                                                                   "path": name}]})
+                  for name in STEP_FILES})
+
+
 def _run_cli(tmp_path, command, config: bytes):
     """Run the CLI on the config bytes in a fresh interpreter, in tmp_path."""
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(config)
     (tmp_path / "not_json.txt").write_text("not json", encoding="utf-8")
     (tmp_path / "not_utf8.txt").write_bytes(b"\xff\xfe not utf-8")
+    for name, text in STEP_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

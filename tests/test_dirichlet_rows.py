@@ -126,17 +126,6 @@ def test_row_block_bound_leaves_residuals_unchanged(radices, monkeypatch):
         assert kernels.verify_dirichlet_recursions(ns).residuals == want
 
 
-@pytest.mark.parametrize("radices", ([2, 3, 4, 2], [3, 5, 2], [2] * 6))
-def test_product_batch_bound_leaves_residuals_unchanged(radices, monkeypatch):
-    # the product form is checked a few orders at a time; each entry's operations are
-    # those of dirichlet_product, so no batch height moves a residual
-    ns = vk.number_system(radices)
-    want = kernels.verify_dirichlet_recursions(ns).residuals
-    for rows in (1, 3):
-        monkeypatch.setattr(kernels, "_TERM_BLOCK", rows * ns.cell_count)
-        assert kernels.verify_dirichlet_recursions(ns).residuals == want
-
-
 @pytest.mark.parametrize("first, last", [(0, 48), (48, 0), (7, 30), (30, 7), (5, 5)])
 def test_rows_are_bounded_blocks_of_the_table(first, last, monkeypatch):
     ns = vk.number_system([2, 3, 4, 2])

@@ -402,6 +402,30 @@ def test_serialization_bit_exact_hypothesis(vals):
     assert np.array_equal(load_step(_step_json(f)).cells, f.cells)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("radix", "2342"), ("radix", [2, 3, 4, 2.7]), ("radix", [2, 3, 4, True]),
+    ("resolution", 3.9), ("resolution", True), ("resolution", "4"),
+    ("cell", [1e400, 0]), ("cell", [10**400, 0]), ("cell", [0, float("nan")]),
+    ("cell", [True, 0]), ("cell", [1, 2, 3]), ("cell", "ab"), ("cell", 1.0)])
+def test_load_step_takes_no_field_it_would_convert(mixed, field, value):
+    f = StepFunction(mixed, 4, np.arange(48) + 0.5j)
+    d = json.loads(_step_json(f))
+    if field == "cell":
+        d["cells"][7] = value
+    else:
+        d[field] = value
+        if field == "resolution":
+            d["cells"] = d["cells"][: mixed.M[int(value)]]  # as many as a converting reader wants
+    with pytest.raises(ValidationError):
+        load_step(json.dumps(d))
+
+
+def test_load_step_reads_int_cells(mixed):
+    d = json.loads(_step_json(StepFunction(mixed, 4, np.arange(48) + 0.5j)))
+    d["cells"][7] = [3, -1]
+    assert load_step(json.dumps(d)).cells[7] == 3 - 1j
+
+
 def test_sup_distance_lifts(ns, rng):
     weights = rng.standard_normal(ns.M[1])
     f = synthesize(ns, weights, resolution=1)
