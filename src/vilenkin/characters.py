@@ -65,6 +65,9 @@ def vilenkin_on_cells(ns: NumberSystem, n: int, resolution: int | None = None) -
     return character_block(ns, n, n + 1, r)[0]
 
 
+ROW_BLOCK = 1 << 18  # entries in one block of reference rows: characters, D_n rows, block terms
+
+
 def character_block(ns: NumberSystem, start: int, stop: int, resolution: int | None = None) -> np.ndarray:
     """Rows psi_n on all cells for n = start..stop-1, shape (stop-start, M_r).
 

@@ -137,6 +137,8 @@ def n_schedule(ns: NumberSystem, spec: dict) -> list[int]:
         start = config_value(spec.get("start", 1), int, "n_schedule.start")
         stop = config_value(spec.get("stop", top), int, "n_schedule.stop")
         _check_orders((start, stop), top)  # before the range is built
+        if start > stop:
+            raise ConfigurationError(f"n_schedule dense start {start} exceeds stop {stop}")
         values = list(range(start, stop + 1))
     elif kind == "scales":
         values = [ns.M[k] for k in range(1, ns.resolution + 1)]

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binomials
-from .characters import character_block, synthesis_matrix, vilenkin_on_cells
+from .characters import ROW_BLOCK, character_block, synthesis_matrix, vilenkin_on_cells
 from .errors import DomainError, UsageError
 from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, scale_of,
                     trailing_zero_digits)
 from .oscillation import modulus_of_continuity
 from .transform import StepFunction, cesaro_weights, convolve, synthesize, synthesize_rows
-
-_ROW_BLOCK = 1 << 19  # entries in one block of D_n rows
-_TERM_BLOCK = 1 << 18  # entries in one batch of block-decomposition rows
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
@@ -112,7 +109,7 @@ def _dirichlet_sum(ns: NumberSystem, coeffs, resolution: int | None = None) -> S
 
 
 def _dirichlet_rows(ns: NumberSystem, first: int, last: int):
-    """Rows D_first .. D_last at full resolution, in blocks of at most _ROW_BLOCK entries.
+    """Rows D_first .. D_last at full resolution, in blocks of at most ROW_BLOCK entries.
 
     The rows run downward when last < first. D_first is one _dirichlet_sum;
     each further row adds psi_n to the row before it, or subtracts psi_{n-1}
@@ -121,7 +118,7 @@ def _dirichlet_rows(ns: NumberSystem, first: int, last: int):
     """
     N, cells = ns.resolution, ns.cell_count
     step = 1 if last >= first else -1
-    height = max(1, _ROW_BLOCK // cells)
+    height = max(1, ROW_BLOCK // cells)
     row = _dirichlet_sum(ns, np.arange(1, first + 1) == first, N).cells
     for a in range(first, last + step, step * height):
         b = a + step * min(height, abs(last - a) + 1)  # the block holds rows a, .., b - step
@@ -254,9 +251,9 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float) -> np.ndarray:
 
     at resolution s + 1, and n = M_N is the one term of its virtual digit
     n_N = 1. Each term is synthesized once, with the left sides of the same
-    orders, in batches of rows at that resolution (_TERM_BLOCK entries at
+    orders, in batches of rows at that resolution (ROW_BLOCK entries at
     most). The rows of R below M_L, for the largest L with M_L^2 <=
-    _TERM_BLOCK, are one table lifted to resolution L; the orders above are
+    ROW_BLOCK, are one table lifted to resolution L; the orders above are
     reached depth first from batches of that table's rows, one frame per
     digit above L, so no more than a few batches are held at once. The
     batches are fixed by the grid; an order that no batch reached raises
@@ -274,13 +271,13 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float) -> np.ndarray:
     def record(s, n, R):
         found[n] = terms.residuals(s, n, R)
 
-    L = max(k for k in range(N + 1) if M[k] * M[k] <= _TERM_BLOCK)
-    height = max(1, _TERM_BLOCK // ns.cell_count)  # rows of one batch above the table
+    L = max(k for k in range(N + 1) if M[k] * M[k] <= ROW_BLOCK)
+    height = max(1, ROW_BLOCK // ns.cell_count)  # rows of one batch above the table
 
     # the table: rows R(t), t < M_L, lifted to resolution L; batches of one scale and top digit
     table = np.zeros((M[L], M[L]), dtype=np.complex128)
     for s in range(L):
-        rows = max(1, _TERM_BLOCK // M[s + 1])
+        rows = max(1, ROW_BLOCK // M[s + 1])
         for d in range(1, ns.radix.radices[s]):
             for a in range(d * M[s], (d + 1) * M[s], rows):
                 n = np.arange(a, min(a + rows, (d + 1) * M[s]))

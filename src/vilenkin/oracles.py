@@ -9,7 +9,7 @@ import this.
 import numpy as np
 
 from . import binomials
-from .characters import analysis_matrix, character_block, synthesis_matrix
+from .characters import ROW_BLOCK, analysis_matrix, character_block, synthesis_matrix
 from .errors import UsageError
 from .group import NumberSystem, digit_matrix, digit_tensor, tensor_axis
 from .transform import CoefficientVector, StepFunction, forward as fast_forward
@@ -17,13 +17,14 @@ from .transform import CoefficientVector, StepFunction, forward as fast_forward
 def forward(f: StepFunction) -> CoefficientVector:
     """fhat(k) = (1/M_r) sum_cells f(x) conj(psi_k(x)) as a literal character sum.
 
-    Each block of characters meets f as conj(block @ conj(f)), which is
-    block.conj() @ f without a conjugated copy of the block.
+    Each block of characters, ROW_BLOCK entries at most, meets f as
+    conj(block @ conj(f)), which is block.conj() @ f without a conjugated
+    copy of the block.
     """
     ns, r = f.ns, f.resolution
     cells = ns.cells_at(r)
     coeffs = np.empty(cells, dtype=np.complex128)
-    chunk = max(1, min(cells, (1 << 22) // max(cells, 1)))
+    chunk = max(1, min(cells, ROW_BLOCK // max(cells, 1)))
     f_conj = f.cells.conj()
     for start in range(0, cells, chunk):
         stop = min(cells, start + chunk)

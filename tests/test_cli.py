@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import vilenkin as vk
 from vilenkin import cli, config, families, kernels, transform
 
+from test_character_tensor import MORE_GRIDS
+
 
 def run(args):
     return cli.main(args)
@@ -52,16 +54,36 @@ def test_verify_suite_subset(tmp_path, small_cfg):
     assert set(report["suites"]) == {"group", "binomials"}
 
 
-@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2]], ids=str)
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2]] + MORE_GRIDS, ids=str)
 def test_gram_row_blocks_match_the_whole_gram(radices, monkeypatch):
-    # a few Gram rows per block give the residual of the whole (M, M) Gram up to rounding
+    # the analysis of a few character rows per block gives the residual of the whole
+    # (M, M) Gram up to rounding
     ns = vk.number_system(radices)
     F = vk.character_block(ns, 0, ns.cell_count)
     whole = float(np.abs(F.conj() @ F.T / ns.cell_count - np.eye(ns.cell_count)).max())
     for rows in (1, 5, ns.cell_count):
-        monkeypatch.setattr(cli, "_GRAM_BLOCK", rows * ns.cell_count)
+        monkeypatch.setattr(cli, "ROW_BLOCK", rows * ns.cell_count)
         got = cli._suite_characters(ns, np.random.default_rng(0))["details"]["gram"]
         assert got <= 1e-14 and abs(got - whole) <= 1e-15
+
+
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2]], ids=str)
+@pytest.mark.parametrize("corruption", ["swap", "scale"])
+def test_characters_suite_fails_on_corrupted_rows(radices, corruption, monkeypatch):
+    # psi_4 and psi_5 trade places across a block boundary, or psi_{M/2} is off by a
+    # relative 1e-8
+    ns = vk.number_system(radices)
+    M = ns.cell_count
+    F = vk.character_block(ns, 0, M)
+    if corruption == "swap":
+        F = F[np.r_[0:4, 5, 4, 6:M]]
+    else:
+        F[M // 2] *= 1 + 1e-8
+    monkeypatch.setattr(cli, "ROW_BLOCK", 5 * M)
+    monkeypatch.setattr(cli, "character_block", lambda ns, a, b, r=None: F[a:b].copy())
+    got = cli._suite_characters(ns, np.random.default_rng(0))
+    assert got["passed"] is False
+    assert got["details"]["gram"] >= 1e-9
 
 
 def test_verify_negative_control(tmp_path, small_cfg, monkeypatch):
@@ -433,6 +455,9 @@ MALFORMED = {
     # a dense schedule's bounds are checked before its range is built
     "dense_stop_overflows": ("converge", {"n_schedule": {"kind": "dense", "stop": 10**400}}),
     "dense_stop_past_the_group": ("converge", {"n_schedule": {"kind": "dense", "stop": 10**12}}),
+    # an empty range would write a header-only converge.csv and exit 0
+    "dense_start_after_stop": ("converge", {"n_schedule": {"kind": "dense", "start": 5,
+                                                           "stop": 3}}),
     "radix_length_overflows": ("converge", {"radix": {"constant": 2, "length": 10**30}}),
     # every key is checked before any work, whatever the command
     "scan_n_out_of_range": ("kernel-scan", {"kernel_scan": {"n": [1, 99]}}),

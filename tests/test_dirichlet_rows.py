@@ -122,7 +122,7 @@ def test_row_block_bound_leaves_residuals_unchanged(radices, monkeypatch):
     ns = vk.number_system(radices)
     want = kernels.verify_dirichlet_recursions(ns).residuals
     for rows in (1, 3):
-        monkeypatch.setattr(kernels, "_ROW_BLOCK", rows * ns.cell_count)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", rows * ns.cell_count)
         assert kernels.verify_dirichlet_recursions(ns).residuals == want
 
 
@@ -130,7 +130,7 @@ def test_row_block_bound_leaves_residuals_unchanged(radices, monkeypatch):
 def test_rows_are_bounded_blocks_of_the_table(first, last, monkeypatch):
     ns = vk.number_system([2, 3, 4, 2])
     T = oracles.dirichlet_table(ns, ns.cell_count)
-    monkeypatch.setattr(kernels, "_ROW_BLOCK", 5 * ns.cell_count)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", 5 * ns.cell_count)
     blocks = list(kernels._dirichlet_rows(ns, first, last))
     assert all(1 <= len(b) <= 5 for b in blocks)
     step = 1 if last >= first else -1

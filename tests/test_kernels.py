@@ -112,7 +112,7 @@ def test_small_term_batches_move_block_residuals_by_rounding_only(radices, monke
     ns = vk.number_system(radices)
     want = kernels.block_decomposition_residuals(ns, 0.4)
     for rows in (1, 3):
-        monkeypatch.setattr(kernels, "_TERM_BLOCK", rows * ns.cell_count)
+        monkeypatch.setattr(kernels, "ROW_BLOCK", rows * ns.cell_count)
         got = kernels.block_decomposition_residuals(ns, 0.4)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
