@@ -27,7 +27,7 @@ from .config import Config, merge_config, n_schedule, parse
 from .errors import ConfigurationError, VilenkinError
 from .families import random_cells
 from .group import NumberSystem, coset_key_table, digit_matrix, scale_of
-from .oscillation import difference_condition, oscillation_profile
+from .oscillation import difference_conditions, oscillation_profile
 from .transform import StepFunction, forward, inverse, sup_distance
 
 SCHEMA_VERSION = 1
@@ -89,16 +89,20 @@ def _suite_group(ns: NumberSystem, rng: np.random.Generator) -> dict:
     # the digit-axis actions against digit-row arithmetic on every cell: cell x
     # of the index function translated by t holds the cell of x - t,
     # sum_j ((x_j - t_j) mod m_j) M_j, and row a of table j holds that term for
-    # t_j = a and every x; translating back by -t is the identity
+    # t_j = a and every x; translating back by -t is the identity. A block of M_l
+    # t (ROW_BLOCK entries at most) shares its digits from l up with its first t, a
     tables = [((D[:, j] - np.arange(m)[:, None]) % m) * ns.M[j]
               for j, m in enumerate(ns.radix.radices)]
     index = StepFunction(ns, r, np.arange(cells))
-    for t in range(cells):
-        minus_t = sum(table[a] for table, a in zip(tables, D[t]))  # cell of x - t
-        moved = index.translate(t)
-        failures += int(not np.array_equal(moved.cells, minus_t))
-        back = moved.translate(int(minus_t[0]))
-        failures += int(not np.array_equal(back.cells, index.cells))
+    block = max(m for m in ns.M if m <= max(1, ROW_BLOCK // cells))
+    first = sum(table[D[:block, j]] for j, table in enumerate(tables))  # x - t for t < M_l
+    for a in range(0, cells, block):
+        minus = first + sum(table[D[a, j]] - table[0] for j, table in enumerate(tables))
+        for t, minus_t in enumerate(minus, start=a):
+            moved = index.translate(t)
+            failures += int(not np.array_equal(moved.cells, minus_t))
+            back = moved.translate(int(minus_t[0]))
+            failures += int(not np.array_equal(back.cells, index.cells))
     reflected = index.reflect()
     # and the reflection holds the cell of -x
     failures += int(not np.array_equal(reflected.cells, (-D % ns.radix.radices) @ weights))
@@ -234,45 +238,50 @@ def run_verify(cfg: Config) -> int:
 # ---------------------------------------------------------------------------
 # converge
 
-def _converge_group(cfg: Config, label: str, f, alpha: float) -> list[list]:
+def _sup_error(mean, f, extremes) -> float:
+    """sup_distance(mean, f) for an unlifted mean; a float64 one meets f's extremes only."""
+    if extremes is None or mean.cells.dtype != np.float64:
+        return sup_distance(mean, f)
+    return float(np.max([np.abs(e - mean.cells).max() for e in extremes[mean.resolution]]))
+
+
+def _converge_group(cfg: Config, label: str, f) -> list[list]:
+    """A family's rows for every alpha: one extremes ladder, one difference spectrum per scale."""
     ns = cfg.ns
-    series = oscillation.oscillation_series(f, alpha)
+    extremes = oscillation.coset_extremes(f)
+    profile = oscillation._profile(f, extremes)
+    scales = [scale_of(ns, n) if n < ns.cell_count else ns.resolution for n in cfg.orders]
+    # one condition per (k_cond, alpha); with one digit no 1 <= k < N exists: the sum is empty
+    k_conds = [min(max(k, 1), ns.resolution - 1) for k in scales]
+    conditions = {k: difference_conditions(f, k, cfg.alphas) if k else [0.0] * len(cfg.alphas)
+                  for k in set(k_conds)}
     rows = []
-    errors_at_scale = {}
-    conditions = {}  # the condition depends on (f, k_cond, alpha) only, not on n
-    for n, mean in zip(cfg.orders, transform.cesaro_means(f, cfg.orders, alpha)):
-        err = sup_distance(mean, f)
-        k = scale_of(ns, n) if n < ns.cell_count else ns.resolution
-        k_cond = min(max(k, 1), ns.resolution - 1)
-        if k_cond not in conditions:
-            # with one digit (N = 1) no scale 1 <= k < N exists: the sum is empty
-            conditions[k_cond] = difference_condition(f, k_cond, alpha) if k_cond else 0.0
-        cond = conditions[k_cond]
-        # scale 0 (n = 1) sums no series terms: its partial is the empty sum
-        partial = float(series.partials[min(k, len(series.partials)) - 1]) if k else 0.0
-        if n in ns.M:
-            errors_at_scale[n] = err
-        rows.append([n, err, partial, cond])
-    scale_errs = [errors_at_scale[m] for m in sorted(errors_at_scale)]
-    tail = cfg.trailing_points
-    decreasing = all(b <= a * (1 + 1e-12)
-                     for a, b in zip(scale_errs[-tail:], scale_errs[-tail + 1:]))
-    shrunk = len(scale_errs) >= 2 and \
-        scale_errs[-1] <= cfg.final_over_first * max(scale_errs[0], 1e-300)
-    verdict = "converging" if (decreasing and shrunk) else "inconclusive"
-    if scale_errs and max(scale_errs) <= 1e-12:
-        verdict = "exact"
-    return [[SCHEMA_VERSION, label, alpha, n, fmt_float(e), fmt_float(p),
-             fmt_float(c), verdict] for (n, e, p, c) in rows]
+    for i, alpha in enumerate(cfg.alphas):
+        series, group = profile.series(alpha), []
+        means = transform._cesaro_means(f, cfg.orders, alpha)
+        for n, k, k_cond, mean in zip(cfg.orders, scales, k_conds, means):
+            # scale 0 (n = 1) sums no series terms: its partial is the empty sum
+            partial = float(series.partials[min(k, len(series.partials)) - 1]) if k else 0.0
+            group.append([n, _sup_error(mean, f, extremes), partial, conditions[k_cond][i]])
+        scale_errs = [e for _, e in sorted({n: e for n, e, _, _ in group if n in ns.M}.items())]
+        tail = cfg.trailing_points
+        decreasing = all(b <= a * (1 + 1e-12)
+                         for a, b in zip(scale_errs[-tail:], scale_errs[-tail + 1:]))
+        shrunk = len(scale_errs) >= 2 and \
+            scale_errs[-1] <= cfg.final_over_first * max(scale_errs[0], 1e-300)
+        verdict = "converging" if (decreasing and shrunk) else "inconclusive"
+        if scale_errs and max(scale_errs) <= 1e-12:
+            verdict = "exact"
+        rows += [[SCHEMA_VERSION, label, alpha, n, fmt_float(e), fmt_float(p),
+                  fmt_float(c), verdict] for (n, e, p, c) in group]
+    return rows
 
 
 def run_converge(cfg: Config) -> int:
     out = _out_dir(cfg)
     rows = []
     for label, build in cfg.functions:
-        f = build(np.random.default_rng(cfg.seed))
-        for alpha in cfg.alphas:
-            rows += _converge_group(cfg, label, f, alpha)
+        rows += _converge_group(cfg, label, build(np.random.default_rng(cfg.seed)))
     header = ["schema_version", "family", "alpha", "n", "sup_error",
               "oscillation_partial", "difference_condition", "verdict"]
     write_csv(os.path.join(out, "converge.csv"), header, rows)
@@ -355,13 +364,10 @@ def run_oscillation(cfg: Config) -> int:
     for label, build in cfg.functions:
         prof = oscillation_profile(build(np.random.default_rng(cfg.seed)))
         for alpha in cfg.alphas:
-            for k in range(1, prof.resolution + 1):
-                term = prof.nu[k] / prof.scale_cells[k] ** (1.0 - alpha)
+            for k, term in enumerate(prof.series(alpha).terms, start=1):
                 finite &= bool(np.isfinite(term))
-                rows.append([SCHEMA_VERSION, label, alpha, k,
-                             prof.scale_cells[k], fmt_float(prof.omega[k]),
-                             fmt_float(prof.total[k]), fmt_float(prof.nu[k]),
-                             fmt_float(term)])
+                rows.append([SCHEMA_VERSION, label, alpha, k, prof.scale_cells[k],
+                             *map(fmt_float, (prof.omega[k], prof.total[k], prof.nu[k], term))])
     header = ["schema_version", "family", "alpha", "k", "scale_cells",
               "omega", "total", "nu", "series_term"]
     write_csv(os.path.join(out, "oscillation.csv"), header, rows)

@@ -57,13 +57,14 @@ def config_value(value, kind: type, name: str, minimum=None):
 
     Raises ConfigurationError naming the key when the value has another type
     (a boolean is not a number), is a number no finite float holds (json
-    reads NaN, Infinity and integers of any size), or lies below minimum.
+    reads NaN, Infinity and integers of any size), or lies below minimum. A
+    list's minimum bounds its length: an empty list would check nothing.
     """
     what, accepted = _CONFIG_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted) \
             or (kind is float and not abs(value) <= sys.float_info.max) \
-            or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
+            or (minimum is not None and (len(value) if kind is list else value) < minimum):
+        bound = "" if minimum is None else f"{' of length' if kind is list else ''} >= {minimum}"
         raise ConfigurationError(f"{name}={value!r} is not {what}{bound}")
     return kind(value)
 
@@ -294,7 +295,7 @@ def parse(merged: dict, command: str) -> Config:
     max_cells = config_value(merged["max_cells"], int, "max_cells", 1)
     ns = _number_system(merged["radix"], max_cells, "group")
     alphas = tuple(config_value(a, float, "alphas")
-                   for a in config_value(merged["alphas"], list, "alphas"))
+                   for a in config_value(merged["alphas"], list, "alphas", 1))
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ConfigurationError(f"alpha={a} outside (0, 1)")
@@ -304,10 +305,6 @@ def parse(merged: dict, command: str) -> Config:
     if unknown:
         raise ConfigurationError(f"unknown suites {unknown}; have {list(SUITES)}")
     thresholds, scan, bench = merged["thresholds"], merged["kernel_scan"], merged["bench"]
-    kinds = tuple(config_value(scan["kinds"], list, "kernel_scan.kinds"))
-    for kind in kinds:
-        if kind not in ("majorant", "coset_decay"):
-            raise ConfigurationError(f"unknown scan kind {kind!r}")
     level = ns.resolution - 1
     if scan["level"] is not None:
         level = config_value(scan["level"], int, "kernel_scan.level")
@@ -316,6 +313,10 @@ def parse(merged: dict, command: str) -> Config:
     scan_n = tuple(config_value(n, int, "kernel_scan.n")
                    for n in config_value(scan["n"] or [], list, "kernel_scan.n"))
     _check_orders(scan_n, ns.cell_count)
+    kinds = tuple(config_value(scan["kinds"], list, "kernel_scan.kinds", 1))
+    for kind in kinds:
+        if kind not in ("majorant", "coset_decay"):
+            raise ConfigurationError(f"unknown scan kind {kind!r}")
     return Config(
         ns=ns, alphas=alphas, orders=tuple(n_schedule(ns, merged["n_schedule"])),
         out=config_value(merged["out"] or os.path.join("runs", command), str, "out"),
@@ -328,8 +329,8 @@ def parse(merged: dict, command: str) -> Config:
                                      "thresholds.trailing_points", 2),
         scan_kinds=kinds, scan_level=level, scan_n=scan_n,
         bench_systems=tuple(_number_system(spec, max_cells, "bench size")
-                            for spec in config_value(bench["sizes"], list, "bench.sizes")),
+                            for spec in config_value(bench["sizes"], list, "bench.sizes", 1)),
         bench_repeats=config_value(bench["repeats"], int, "bench.repeats", 1),
         functions=tuple(family_from_spec(ns, spec)
-                        for spec in config_value(merged["functions"], list, "functions")),
+                        for spec in config_value(merged["functions"], list, "functions", 1)),
         merged=merged)

@@ -113,18 +113,18 @@ def scale_of(ns: NumberSystem, n: int) -> int:
 def coset_rep_cells(ns: NumberSystem, k: int, resolution: int) -> np.ndarray:
     """Resolution-r cell index of Z_beta^(k) for every beta = 0..M_k-1.
 
-    Digit j of Z_beta^(k) is (beta // (M_k/M_{j+1})) mod m_j for j < k, and
-    digits at or above the resolution are dropped; oracles.coset_rep decodes
-    one beta greedily.
+    Digit j of Z_beta^(k) is (beta // (M_k/M_{j+1})) mod m_j for j < k: the
+    outer sum of arange(m_j) * M_j over the digits, digit 0 outermost, with 0
+    for a digit at or above the resolution. oracles.coset_rep decodes one beta.
     """
     if not 0 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 0..{ns.resolution}")
     if not 0 <= resolution <= ns.resolution:
         raise UsageError(f"resolution {resolution} outside 0..{ns.resolution}")
-    beta = np.arange(ns.M[k], dtype=np.int64)
-    cells = np.zeros(ns.M[k], dtype=np.int64)
-    for j in range(min(k, resolution)):
-        cells += (beta // (ns.M[k] // ns.M[j + 1])) % ns.radix.radices[j] * ns.M[j]
+    cells = np.zeros(1, dtype=np.int64)
+    for j, m in enumerate(ns.radix.radices[:k]):
+        term = np.arange(m, dtype=np.int64) * (ns.M[j] if j < resolution else 0)
+        cells = np.add.outer(cells, term).reshape(-1)
     cells.setflags(write=False)
     return cells
 

@@ -5,29 +5,24 @@ cell index, and a point t of G_m is its cell index too. The dtype follows
 the data: float64 for real values (ints and bools included), complex128 for
 complex ones. Reshaped, the cells are a tensor with one axis per digit
 (group.digit_tensor; group owns the axis rule). Translation and reflection
-roll its axes, and the character system is a pure tensor product, so
+cycle its axes, and the character system is a pure tensor product, so
 analysis and synthesis are the Kronecker product of one small DFT per
 digit. Adjacent digits are fused into blocks of bounded radix product; each
 block is one cached Kronecker matrix built from the shared root-of-unity
 tables and applied as one matmul. A block of radix-2 digits has a real
 matrix. On a Walsh grid (every radix 2) every block, character, Cesaro
-weight and kernel is real-valued, so real values stay float64 end to end:
-float64 in, float64 out, every block one real matmul. Otherwise the values
-are complex128 from the transform's entry on; a real block above the lowest
-is then one real matmul on the float64 view of the cells, where the real
-and imaginary parts are interleaved columns it acts on alike: half the
-flops of the complex matmul. The lowest block of complex values keeps the
-complex matmul; there each row is one complex value, and a (2P, 2P) real
-form on the float view measured no faster. The order of the factors is
-mathematically inert: oracles.staged_forward applies them one
-digit at a time in any order, and the tests and the verify suite compare it
-with the fused path. Every mean, and convolution, is one spectral multiplier:
-forward, weight coefficient nu, inverse, at the coarsest resolution carrying
-the weights, then lifted. A sum over nu < M_k uses characters of the low k
-digits alone, so it is constant on the cosets of I_k and needs only the
-coefficients of E_k f, the average of f over the high digits: f is folded to
-M_k cells, transformed, weighted and synthesized at resolution k, and tiled
-back to its own grid (S_{M_k} f = E_k f is the classical case).
+weight and kernel is real-valued, so real values stay float64 end to end;
+otherwise the values are complex128 from the transform's entry on (_staged
+gives the rules). The order of the factors is mathematically inert:
+oracles.staged_forward applies them one digit at a time in any order, and
+the tests and the verify suite compare it with the fused path. Every mean,
+and convolution, is one spectral multiplier: forward, weight coefficient
+nu, inverse, at the coarsest resolution carrying the weights, then lifted.
+A sum over nu < M_k uses characters of the low k digits alone, so it is
+constant on the cosets of I_k and needs only the coefficients of E_k f, the
+average of f over the high digits: f is folded to M_k cells, transformed,
+weighted and synthesized at resolution k, and tiled back to its own grid
+(S_{M_k} f = E_k f is the classical case); converge reads means untiled.
 
 Cesaro mean convention (the tests and the routes suite check all three):
 
@@ -49,8 +44,7 @@ import numpy as np
 from . import binomials
 from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
-from .group import (NumberSystem, RadixSequence, build_number_system, digit_tensor, digits_of,
-                    tensor_axis)
+from .group import NumberSystem, RadixSequence, build_number_system, digit_tensor, digits_of
 
 
 def _values(values) -> np.ndarray:
@@ -88,15 +82,16 @@ class StepFunction:
         """g with g(x) = f(x - t), t a point given by its cell index 0 <= t < M_N.
 
         Digit axis j rolls by t_j; digits of t at or above the resolution act
-        on no cell. The basis point e_k is t = M_k.
+        on no cell. The basis point e_k is t = M_k. On the (-1, m_j, M_j) view,
+        digit value a takes the slab of a - t_j mod m_j: two slice copies.
         """
         r = self.resolution
-        # one roll per shifted axis: a multi-axis roll copies 2^(axes) blocks
-        shifts = [(tensor_axis(r, j), tj) for j, tj in enumerate(digits_of(self.ns, t)[:r]) if tj]
-        arr = digit_tensor(self.cells, self.ns, r)
-        for axis, tj in shifts:
-            arr = np.roll(arr, tj, axis=axis)
-        return StepFunction(self.ns, r, arr.reshape(-1) if shifts else self.cells.copy())
+        cells = self.cells
+        for j, tj in enumerate(digits_of(self.ns, t)[:r]):
+            if tj:
+                src = cells.reshape(-1, self.ns.radix.radices[j], self.ns.M[j])
+                cells = np.concatenate((src[:, -tj:], src[:, :-tj]), axis=1).reshape(-1)
+        return StepFunction(self.ns, r, cells.copy() if cells is self.cells else cells)
 
     def reflect(self) -> "StepFunction":
         """g with g(x) = f(-x): the flip sends x_j to m_j - 1 - x_j, a roll by one adds 1."""
@@ -292,18 +287,17 @@ def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFuncti
     """
     k = minimal_resolution(f.ns, min(len(weights), len(f.cells)))
     c = CoefficientVector(f.ns, k, _spectrum(f, k))
-    return _weighted_inverse(c, weights, denominator, f.resolution)
+    return _lifted(_weighted_inverse(c, weights, denominator), f.resolution)
 
 
-def _weighted_inverse(c: CoefficientVector, weights, denominator: float,
-                      resolution: int) -> StepFunction:
-    """The weight step and inverse of multiplier on a resolution-k spectrum, then the lift."""
+def _weighted_inverse(c: CoefficientVector, weights, denominator: float) -> StepFunction:
+    """The weight step and inverse of multiplier on a resolution-k spectrum, not lifted."""
     cut = min(len(weights), len(c.coeffs))
     w = _values(weights[:cut])
     out = np.zeros(len(c.coeffs), dtype=np.result_type(c.coeffs, w))
     np.multiply(c.coeffs[:cut], w, out=out[:cut])
     _scale(out[:cut], denominator)
-    return _lifted(inverse(CoefficientVector(c.ns, c.resolution, out)), resolution)
+    return inverse(CoefficientVector(c.ns, c.resolution, out))
 
 
 def _scale(values: np.ndarray, denominator: float) -> None:
@@ -359,6 +353,11 @@ def cesaro_means(f: StepFunction, orders, alpha: float):
     cumprod is a sequential fold, so a prefix of the table for the largest
     order is the table of a smaller one, to the byte.
     """
+    return (_lifted(mean, f.resolution) for mean in _cesaro_means(f, orders, alpha))
+
+
+def _cesaro_means(f: StepFunction, orders, alpha: float):
+    """cesaro_means before the lift: each mean at its own minimal resolution."""
     orders = list(orders)
     for n in orders:
         if not 1 <= n <= f.ns.cell_count:
@@ -368,8 +367,8 @@ def cesaro_means(f: StepFunction, orders, alpha: float):
     table = binomials.cesaro_table(-alpha, max(orders, default=1) - 1)
     level = {n: minimal_resolution(f.ns, min(n, len(f.cells))) for n in orders}
     spectra = {k: CoefficientVector(f.ns, k, _spectrum(f, k)) for k in sorted(set(level.values()))}
-    return (_weighted_inverse(spectra[level[n]], table.values[n - 1 :: -1], table.a(n - 1),
-                              f.resolution) for n in orders)
+    return (_weighted_inverse(spectra[level[n]], table.values[n - 1 :: -1], table.a(n - 1))
+            for n in orders)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import cli, config, families, kernels, transform
+from vilenkin import cli, config, families, kernels, oscillation, transform
 
 from test_character_tensor import MORE_GRIDS
 
@@ -220,28 +220,37 @@ def test_converge_n1_partial_is_empty_sum(tmp_path):
 
 
 def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch):
-    calls = []
-    original = cli.difference_condition
+    calls, spectra = [], []
+    original, staged = cli.difference_conditions, oscillation._staged
 
-    def counted(f, k, alpha):
-        calls.append((id(f), k, alpha))
-        return original(f, k, alpha)
+    def counted(f, k, alphas):
+        calls.append((id(f), k, tuple(alphas)))
+        return original(f, k, alphas)
 
-    monkeypatch.setattr(cli, "difference_condition", counted)
+    def counted_staged(values, ns, resolution, analysis):
+        if analysis and len(values) == ns.cell_count:  # the spectrum of |f - f(. - e_k)|
+            spectra.append(resolution)
+        return staged(values, ns, resolution, analysis)
+
+    monkeypatch.setattr(cli, "difference_conditions", counted)
+    monkeypatch.setattr(oscillation, "_staged", counted_staged)
     rc = run(["converge", "--config", small_cfg, "--out", str(tmp_path / "c")])
     assert rc == 0
     assert len(calls) == len(set(calls))
-    # scales_and_neighbors at 2^5 spans k_cond = 1..4, for each of 3 alphas
-    assert len(calls) == 4 * 3
+    # scales_and_neighbors at 2^5 spans k_cond = 1..4: one call and one difference
+    # spectrum per scale, every alpha together
+    assert sorted(k for _, k, _ in calls) == [1, 2, 3, 4]
+    assert {alphas for _, _, alphas in calls} == {(0.25, 0.5, 0.75)}
+    assert sorted(spectra) == [1, 2, 3, 4]
 
 
 def test_converge_group_transforms_f_once(staged_passes):
     values = [1, 2, 5, 6, 24, 47, 48]
-    cfg = config.parse(dict(config.DEFAULTS, radix=[2, 3, 4, 2],
+    cfg = config.parse(dict(config.DEFAULTS, radix=[2, 3, 4, 2], alphas=[0.5],
                             n_schedule={"kind": "list", "values": values}), "converge")
     ns = cfg.ns
     f = families.random_cells(ns, np.random.default_rng(5))
-    rows = cli._converge_group(cfg, "random", f, 0.5)
+    rows = cli._converge_group(cfg, "random", f)
     # f is folded and transformed once per distinct resolution of the orders, not per order
     levels = sorted({transform.minimal_resolution(ns, n) for n in values})
     assert sorted(k for k, analysis in staged_passes if analysis) == levels
@@ -250,6 +259,52 @@ def test_converge_group_transforms_f_once(staged_passes):
     for row, n in zip(rows, values):
         err = transform.sup_distance(transform.cesaro_mean(f, n, 0.5), f)
         assert row[4] == cli.fmt_float(err)
+
+
+@pytest.mark.parametrize("radices", [[2] * 10] + MORE_GRIDS, ids=str)
+def test_sup_error_at_own_resolution_is_the_lifted_sup(radices):
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    rng = np.random.default_rng(13)
+    orders = config.n_schedule(ns, {"kind": "scales_and_neighbors"})
+    fs = [families.random_cells(ns, rng, real=True), families.random_lipschitz(ns, rng),
+          families.random_cells(ns, rng),
+          transform.StepFunction(ns, r, rng.standard_normal(ns.cell_count) + 1e-15j)]
+    ladder_reads = 0
+    for f in fs:
+        extremes = oscillation.coset_extremes(f)
+        for mean in transform._cesaro_means(f, orders, 0.4):
+            # the real part of a mean is a float64 mean on every grid
+            for m in (mean, transform.StepFunction(ns, mean.resolution, mean.cells.real)):
+                assert cli._sup_error(m, f, extremes) == \
+                    transform.sup_distance(m.lift(r), f)
+                ladder_reads += extremes is not None and m.cells.dtype == np.float64
+    assert ladder_reads >= 2 * len(orders)
+
+
+@pytest.mark.parametrize("row_block", [1, 1 << 12, cli.ROW_BLOCK])
+@pytest.mark.parametrize("radices", [[2] * 9] + MORE_GRIDS, ids=str)
+def test_group_suite_passes_with_any_block_of_t(radices, row_block, monkeypatch):
+    # a block of t reads the rows of its first t's high digits beside the shared low rows
+    monkeypatch.setattr(cli, "ROW_BLOCK", row_block)
+    rep = cli._suite_group(vk.number_system(radices), np.random.default_rng(0))
+    assert rep["passed"] and rep["details"]["failures"] == 0
+
+
+@pytest.mark.parametrize("bad_t", [1, 29, 47])
+def test_group_suite_catches_one_wrong_translation(bad_t, monkeypatch):
+    original = transform.StepFunction.translate
+
+    def wrong(self, t):
+        g = original(self, t)
+        if t == bad_t:
+            g.cells = g.cells[::-1].copy()
+        return g
+
+    monkeypatch.setattr(transform.StepFunction, "translate", wrong)
+    monkeypatch.setattr(cli, "ROW_BLOCK", 1 << 9)  # blocks of 8 t on 48 cells
+    rep = cli._suite_group(vk.number_system([2, 3, 4, 2]), np.random.default_rng(0))
+    assert not rep["passed"] and rep["details"]["failures"] >= 1
 
 
 def test_kernel_scan_artifacts(tmp_path, small_cfg):
@@ -440,6 +495,11 @@ MALFORMED = {
     "lacunary_coeff_nan_oscillation": ("oscillation", {"functions": [{"family": "lacunary",
                                                                       "coeffs": [float("nan")]}]}),
     "suite_name_a_list": ("verify", {"suites": [[1]]}),
+    # an empty list would check nothing and pass
+    "alphas_empty": ("converge", {"alphas": []}),
+    "functions_empty": ("oscillation", {"functions": []}),
+    "scan_kinds_empty": ("kernel-scan", {"kernel_scan": {"kinds": []}}),
+    "bench_sizes_empty": ("bench", {"bench": {"sizes": []}}),
     # keys the schema forbids; the message must name them
     "scan_key_typo": ("kernel-scan", {"kernel_scan": {"levle": 3}}, "levle"),
     "thresholds_key_typo": ("converge", {"thresholds": {"stability_factr": 9}},

@@ -9,6 +9,8 @@ from vilenkin.errors import ConfigurationError, UsageError, ValidationError
 from vilenkin.config import radix_from_spec
 from vilenkin.group import coset_key_table, digit_matrix
 
+from test_character_tensor import MORE_GRIDS
+
 
 def _cells(ns, digit_rows):
     """Cell index of each row of digits, reduced mod m: the group law on digit rows."""
@@ -135,6 +137,17 @@ def test_coset_rep_cells_matches_coset_rep(ns):
             assert table.dtype == np.int64
             assert not table.flags.writeable
             assert table.tolist() == want
+
+
+@pytest.mark.parametrize("radices", MORE_GRIDS, ids=str)
+def test_coset_rep_cells_matches_coset_rep_more_grids(radices):
+    ns = vk.number_system(radices)
+    for k in range(ns.resolution + 1):
+        want = [oracles.coset_rep(ns, beta, k) for beta in range(ns.M[k])]
+        for r in range(ns.resolution + 1):
+            table = vk.coset_rep_cells(ns, k, r)
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert table.tolist() == [cell % ns.M[r] for cell in want]
 
 
 def test_coset_rep_cells_rejects_bad_args(ns):

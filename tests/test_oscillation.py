@@ -13,6 +13,8 @@ from vilenkin.errors import UsageError
 from vilenkin.group import coset_key_table
 from vilenkin.oscillation import YoungFunction
 
+from test_character_tensor import MORE_GRIDS
+
 
 def test_constant_has_no_oscillation(ns):
     f = transform.StepFunction(
@@ -185,6 +187,81 @@ def test_difference_condition_transforms_only_low_digits(ns, rng, count_calls):
         # forward of d and of W, one inverse: all over the k low digits
         assert [args[2] for args in staged] == [k, k, k]
         assert [len(args[0]) for args in staged] == [ns.cell_count, ns.M[k], ns.cell_count]
+
+
+def _difference_condition_translated(f, k, alpha):
+    """The condition with d from f.translate(M_k): the same transforms, to the byte."""
+    ns, mk = f.ns, f.ns.M[k]
+    d = np.abs(f.cells - f.translate(mk).cells)
+    weight = np.zeros(mk)
+    weight[vk.coset_rep_cells(ns, k, k)[1:]] = np.arange(1, mk, dtype=np.float64) ** (alpha - 1.0)
+    spectrum = transform._staged(d, ns, k, analysis=True).reshape(-1, mk) \
+        * transform._staged(weight, ns, k, analysis=True)
+    acc = transform._staged(spectrum.reshape(-1), ns, k, analysis=False)
+    return float(acc.real.max() / mk) + 0.0
+
+
+@pytest.mark.parametrize("radices", LOW_DIGIT_GRIDS, ids=str)
+def test_difference_conditions_share_one_spectrum(radices):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(11)
+    alphas = (0.3, 0.5, 0.77)
+    fs = [families.random_cells(ns, rng), families.random_cells(ns, rng, real=True),
+          families.random_lipschitz(ns, rng),
+          transform.StepFunction(ns, ns.resolution - 1, rng.standard_normal(ns.M[-2]))]
+    for f in fs:
+        for k in range(1, f.resolution):
+            got = oscillation.difference_conditions(f, k, alphas)
+            # every alpha reads the same bytes as its own call and as d from translate
+            assert got == [oscillation.difference_condition(f, k, a) for a in alphas]
+            assert got == [_difference_condition_translated(f, k, a) for a in alphas]
+            for value, alpha in zip(got, alphas):
+                assert value == pytest.approx(_difference_condition_full(f, k, alpha), rel=1e-12)
+
+
+def test_difference_conditions_rejects_bad_alphas(ns, rng):
+    f = families.random_cells(ns, rng)
+    with pytest.raises(UsageError):
+        oscillation.difference_conditions(f, 1, [0.5, 1.0])
+    assert oscillation.difference_conditions(f, 1, []) == []
+
+
+def _edge_cells(ns, rng, kind, edges, resolution):
+    """Normal cells of one kind; with edges, a NaN, a +inf and a -inf among them."""
+    cells = rng.standard_normal(ns.cells_at(resolution))
+    if kind == "negligible_imag":
+        cells = cells + 1e-15j * rng.standard_normal(len(cells))
+    elif kind == "complex":
+        cells = cells + 1j * rng.standard_normal(len(cells))
+    if edges:
+        cells[[3, 5, 7]] = [np.nan, np.inf, -np.inf]
+    return transform.StepFunction(ns, resolution, cells)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("edges", [False, True], ids=["finite", "nan_inf"])
+@pytest.mark.parametrize("kind", ["real", "negligible_imag", "complex"])
+@pytest.mark.parametrize("radices", [[2] * 6, [2, 3, 4, 2]] + MORE_GRIDS, ids=str)
+def test_extremes_ladder_diameters_bitwise(radices, kind, edges):
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(12)
+    for r in (ns.resolution, ns.resolution - 1):
+        f = _edge_cells(ns, rng, kind, edges, r)
+        extremes = oscillation.coset_extremes(f)
+        assert (extremes is None) == (kind == "complex")
+        prof = oscillation.oscillation_profile(f)
+        for k in range(r + 1):
+            rows = oscillation._coset_values(f, k)
+            want = oscillation._row_diameters(rows)
+            # the profile reads each level's diameters in residue order, as the strided rows do
+            assert prof.omega[k].tobytes() == want.max().tobytes()
+            assert prof.nu[k].tobytes() == np.float64(math.fsum(want.tolist())).tobytes()
+            if extremes is not None:
+                hi, lo = extremes[k]
+                d = hi - lo
+                assert d.dtype == want.dtype and d.tobytes() == want.tobytes()
+                assert hi.tobytes() == rows.real.max(axis=1).tobytes()
+                assert lo.tobytes() == rows.real.min(axis=1).tobytes()
 
 
 def _coset_values_sorted(f, k):
