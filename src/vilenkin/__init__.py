@@ -51,7 +51,6 @@ from .kernels import (
     cesaro_kernel,
     coset_decay_scan,
     dirichlet,
-    dirichlet_l1_ratio,
     low_block_ratio,
     majorant_ratio_scan,
     verify_dirichlet_recursions,
@@ -61,7 +60,6 @@ from .oscillation import (
     SeriesReport,
     YoungFunction,
     difference_condition,
-    jensen_step_residual,
     modulus_of_continuity,
     oscillation_profile,
     oscillation_series,

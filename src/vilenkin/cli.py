@@ -246,7 +246,8 @@ def _sup_error(mean, f, extremes) -> float:
 
 
 def _converge_group(cfg: Config, label: str, f) -> list[list]:
-    """A family's rows for every alpha: one extremes ladder, one difference spectrum per scale."""
+    """A family's rows for every alpha: one extremes ladder, one difference spectrum per scale,
+    and one spectrum of f per resolution of the means."""
     ns = cfg.ns
     extremes = oscillation.coset_extremes(f)
     profile = oscillation._profile(f, extremes)
@@ -256,9 +257,9 @@ def _converge_group(cfg: Config, label: str, f) -> list[list]:
     conditions = {k: difference_conditions(f, k, cfg.alphas) if k else [0.0] * len(cfg.alphas)
                   for k in set(k_conds)}
     rows = []
-    for i, alpha in enumerate(cfg.alphas):
+    means_by_alpha = transform._cesaro_means(f, cfg.orders, cfg.alphas)
+    for i, (alpha, means) in enumerate(zip(cfg.alphas, means_by_alpha)):
         series, group = profile.series(alpha), []
-        means = transform._cesaro_means(f, cfg.orders, alpha)
         for n, k, k_cond, mean in zip(cfg.orders, scales, k_conds, means):
             # scale 0 (n = 1) sums no series terms: its partial is the empty sum
             partial = float(series.partials[min(k, len(series.partials)) - 1]) if k else 0.0

@@ -179,8 +179,6 @@ def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
         raise UsageError(f"scale {k} outside 0..{resolution}")
     D = digit_matrix(ns, resolution)
     w = np.array([ns.M[k] // ns.M[j + 1] for j in range(k)], dtype=np.int64)
-    if k == 0:
-        return np.zeros(ns.cells_at(resolution), dtype=np.int64)
-    key = D[:, :k] @ w
+    key = D[:, :k] @ w  # k = 0: no digit, every key 0
     key.setflags(write=False)
     return key

@@ -98,28 +98,18 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
     return synthesize(ns, numerators / denominator, resolution)
 
 
-def _dirichlet_sum(ns: NumberSystem, coeffs, resolution: int | None = None) -> StepFunction:
-    """sum_{j=1}^{n} c_j D_j for coeffs (c_1, .., c_n): one synthesis of the suffix sums.
-
-    The sum is the character sum with weight sum_{j>nu} c_j on psi_nu; a lone
-    D_n is the case c = e_n, whose suffix sums are n ones.
-    """
-    c = np.asarray(coeffs)
-    return synthesize(ns, np.cumsum(c[::-1])[::-1], resolution)
-
-
 def _dirichlet_rows(ns: NumberSystem, first: int, last: int):
     """Rows D_first .. D_last at full resolution, in blocks of at most ROW_BLOCK entries.
 
-    The rows run downward when last < first. D_first is one _dirichlet_sum;
-    each further row adds psi_n to the row before it, or subtracts psi_{n-1}
-    going down. The running sum is carried from block to block, so the rows
-    do not depend on the block size.
+    The rows run downward when last < first. D_first is one synthesis of
+    first ones; each further row adds psi_n to the row before it, or
+    subtracts psi_{n-1} going down. The running sum is carried from block
+    to block, so the rows do not depend on the block size.
     """
     N, cells = ns.resolution, ns.cell_count
     step = 1 if last >= first else -1
     height = max(1, ROW_BLOCK // cells)
-    row = _dirichlet_sum(ns, np.arange(1, first + 1) == first, N).cells
+    row = synthesize(ns, np.ones(first), N).cells
     for a in range(first, last + step, step * height):
         b = a + step * min(height, abs(last - a) + 1)  # the block holds rows a, .., b - step
         rows = np.empty((abs(b - a), cells), dtype=np.complex128)
@@ -323,11 +313,14 @@ class _BlockTerms:
         self._bases = {}
 
     def base(self, s: int, d: int):
-        """D_base and psi_{base-1} at resolution min(s + 1, N), base = d M_s, built once."""
+        """D_base, the synthesis of base ones, and psi_{base-1} at resolution min(s + 1, N).
+
+        base = d M_s; each pair is built once.
+        """
         if (s, d) not in self._bases:
             r = min(s + 1, self.ns.resolution)
             base = d * self.ns.M[s]
-            self._bases[s, d] = (_dirichlet_sum(self.ns, np.arange(1, base + 1) == base, r).cells,
+            self._bases[s, d] = (synthesize(self.ns, np.ones(base), r).cells,
                                  vilenkin_on_cells(self.ns, base - 1, r))
         return self._bases[s, d]
 
@@ -456,24 +449,6 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
                                    argmax_cell=int(cells_at[arg]),
                                    resolution=r))
     return out
-
-
-def dirichlet_l1_ratio(ns: NumberSystem, coeffs) -> float:
-    """[(1/n) integral |sum_k a_k D_k|] * sqrt(n) / ||a||_2.
-
-    The combination sum_{k=1}^{n} a_k D_k is one _dirichlet_sum.
-    """
-    a = np.asarray(coeffs, dtype=np.float64)
-    if a.ndim != 1 or len(a) == 0:
-        raise UsageError("coefficient vector must be one-dimensional and nonempty")
-    n = len(a)
-    if n > ns.cell_count:
-        raise UsageError(f"{n} coefficients exceed M_N = {ns.cell_count}")
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        raise UsageError("coefficient vector is zero")
-    l1 = float(np.abs(_dirichlet_sum(ns, a).cells).mean())
-    return (l1 / n) * math.sqrt(n) / norm
 
 
 def low_block_ratio(f: StepFunction, n: int, k: int, alpha: float) -> float:

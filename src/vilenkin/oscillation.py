@@ -231,16 +231,3 @@ def young_series(M: YoungFunction, ns, alpha: float) -> SeriesReport:
         tail = ratios[len(ratios) // 2 :]
         converges = bool(np.all(tail < 0.999))
     return SeriesReport(terms=terms, partials=np.cumsum(terms), converges=converges)
-
-
-def jensen_step_residual(f: StepFunction, M: YoungFunction) -> float:
-    """Largest violation of M(nu_k / M_k) <= (1/M_k) sum_beta M(omega_beta(k)); <= 0 when Jensen holds."""
-    worst = -np.inf
-    for k in range(f.resolution + 1):
-        d = _row_diameters(_coset_values(f, k))
-        mk = f.ns.M[k]
-        values = d.tolist()
-        lhs = M(math.fsum(values) / mk)
-        rhs = math.fsum(map(M, values)) / mk
-        worst = max(worst, lhs - rhs)
-    return float(worst)

@@ -53,6 +53,17 @@ def _values(values) -> np.ndarray:
     return arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
 
 
+def _cell_values(ns: NumberSystem, resolution: int, values, name: str) -> np.ndarray:
+    """_values(values), checked to be one-dimensional with M_resolution entries."""
+    arr = _values(values)
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional")
+    expect = ns.cells_at(resolution)
+    if len(arr) != expect:
+        raise ValidationError(f"{len(arr)} {name} != M_{resolution} = {expect}")
+    return arr
+
+
 @dataclass
 class StepFunction:
     """Function constant on the I_resolution cells of G_m."""
@@ -62,14 +73,7 @@ class StepFunction:
     cells: np.ndarray
 
     def __post_init__(self):
-        self.cells = _values(self.cells)
-        if self.cells.ndim != 1:
-            raise ValidationError("cells must be one-dimensional")
-        expect = self.ns.cells_at(self.resolution)
-        if len(self.cells) != expect:
-            raise ValidationError(
-                f"{len(self.cells)} cells != M_{self.resolution} = {expect}"
-            )
+        self.cells = _cell_values(self.ns, self.resolution, self.cells, "cells")
 
     def lift(self, resolution: int) -> "StepFunction":
         """Re-express on the finer grid; values depend only on low digits."""
@@ -111,14 +115,7 @@ class CoefficientVector:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = _values(self.coeffs)
-        if self.coeffs.ndim != 1:
-            raise ValidationError("coeffs must be one-dimensional")
-        expect = self.ns.cells_at(self.resolution)
-        if len(self.coeffs) != expect:
-            raise ValidationError(
-                f"{len(self.coeffs)} coeffs != M_{self.resolution} = {expect}"
-            )
+        self.coeffs = _cell_values(self.ns, self.resolution, self.coeffs, "coeffs")
 
 
 # Largest radix product P of a fused block, whose Kronecker matrix is (P x P).
@@ -353,22 +350,28 @@ def cesaro_means(f: StepFunction, orders, alpha: float):
     cumprod is a sequential fold, so a prefix of the table for the largest
     order is the table of a smaller one, to the byte.
     """
-    return (_lifted(mean, f.resolution) for mean in _cesaro_means(f, orders, alpha))
+    means, = _cesaro_means(f, orders, [alpha])
+    return (_lifted(mean, f.resolution) for mean in means)
 
 
-def _cesaro_means(f: StepFunction, orders, alpha: float):
-    """cesaro_means before the lift: each mean at its own minimal resolution."""
+def _cesaro_means(f: StepFunction, orders, alphas):
+    """cesaro_means before the lift, for each alpha from one set of spectra of f."""
     orders = list(orders)
     for n in orders:
         if not 1 <= n <= f.ns.cell_count:
             raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
-    table = binomials.cesaro_table(-alpha, max(orders, default=1) - 1)
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
     level = {n: minimal_resolution(f.ns, min(n, len(f.cells))) for n in orders}
     spectra = {k: CoefficientVector(f.ns, k, _spectrum(f, k)) for k in sorted(set(level.values()))}
-    return (_weighted_inverse(spectra[level[n]], table.values[n - 1 :: -1], table.a(n - 1))
-            for n in orders)
+
+    def means(alpha):  # the table is built with the first mean
+        table = binomials.cesaro_table(-alpha, max(orders, default=1) - 1)
+        for n in orders:
+            yield _weighted_inverse(spectra[level[n]], table.values[n - 1 :: -1], table.a(n - 1))
+
+    return map(means, alphas)  # lazily: a table is freed with its alpha's iterator
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:

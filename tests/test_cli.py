@@ -246,19 +246,22 @@ def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch
 
 def test_converge_group_transforms_f_once(staged_passes):
     values = [1, 2, 5, 6, 24, 47, 48]
-    cfg = config.parse(dict(config.DEFAULTS, radix=[2, 3, 4, 2], alphas=[0.5],
+    alphas = [0.25, 0.5, 0.75]
+    cfg = config.parse(dict(config.DEFAULTS, radix=[2, 3, 4, 2], alphas=alphas,
                             n_schedule={"kind": "list", "values": values}), "converge")
     ns = cfg.ns
     f = families.random_cells(ns, np.random.default_rng(5))
     rows = cli._converge_group(cfg, "random", f)
-    # f is folded and transformed once per distinct resolution of the orders, not per order
+    # f is folded and transformed once per distinct resolution of the orders,
+    # not per order nor per alpha
     levels = sorted({transform.minimal_resolution(ns, n) for n in values})
     assert sorted(k for k, analysis in staged_passes if analysis) == levels
     assert len(levels) < len(values)
     # each row's error is the one cesaro_mean gives, to the byte
-    for row, n in zip(rows, values):
-        err = transform.sup_distance(transform.cesaro_mean(f, n, 0.5), f)
-        assert row[4] == cli.fmt_float(err)
+    assert len(rows) == len(alphas) * len(values)
+    for row, (alpha, n) in zip(rows, [(a, n) for a in alphas for n in values]):
+        err = transform.sup_distance(transform.cesaro_mean(f, n, alpha), f)
+        assert (row[2], row[3], row[4]) == (alpha, n, cli.fmt_float(err))
 
 
 @pytest.mark.parametrize("radices", [[2] * 10] + MORE_GRIDS, ids=str)
@@ -273,7 +276,8 @@ def test_sup_error_at_own_resolution_is_the_lifted_sup(radices):
     ladder_reads = 0
     for f in fs:
         extremes = oscillation.coset_extremes(f)
-        for mean in transform._cesaro_means(f, orders, 0.4):
+        means, = transform._cesaro_means(f, orders, [0.4])
+        for mean in means:
             # the real part of a mean is a float64 mean on every grid
             for m in (mean, transform.StepFunction(ns, mean.resolution, mean.cells.real)):
                 assert cli._sup_error(m, f, extremes) == \

@@ -194,6 +194,19 @@ def test_coset_key_partitions(ns):
         assert np.all(counts == ns.cell_count // ns.M[k])
 
 
+@pytest.mark.parametrize("radices", [[2, 3], [2] * 6] + MORE_GRIDS, ids=str)
+def test_coset_key_tables_read_only(radices):
+    # a cached table that a caller could write would change every later call's answer
+    ns = vk.number_system(radices)
+    for r in range(ns.resolution + 1):
+        for k in range(r + 1):
+            key = coset_key_table(ns, r, k)
+            assert key.dtype == np.int64 and not key.flags.writeable
+            with pytest.raises(ValueError):
+                key[0] = 5
+        assert coset_key_table(ns, r, 0).tolist() == [0] * ns.M[r]
+
+
 def test_basis_element_digits(ns, rng):
     # e_k is the cell index M_k: digit 1 at k alone, and translating by it rolls digit k by one
     f = vk.StepFunction(ns, ns.resolution, rng.standard_normal(ns.cell_count))

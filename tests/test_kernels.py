@@ -214,12 +214,6 @@ def test_coset_decay_rejects_bad_alpha(ns):
         kernels.coset_decay_scan(ns, 1.5, 2)
 
 
-def test_dirichlet_l1_ratio_small(ns, rng):
-    for n in (4, 16, ns.cell_count):
-        coeffs = rng.standard_normal(n)
-        assert kernels.dirichlet_l1_ratio(ns, coeffs) < 3.0
-
-
 def test_low_block_ratio_lacunary(walsh):
     f = families.lacunary(walsh, families.inverse_scale_coeffs(walsh))
     for k in (2, 3, 4):

@@ -276,8 +276,7 @@ def _oscillation_functionals(f):
     prof = oscillation.oscillation_profile(f)
     return (prof.omega, prof.total, prof.nu,
             [oscillation.modulus_of_continuity(f, k) for k in range(f.resolution + 1)],
-            oscillation.young_oscillation_score(f, M),
-            oscillation.jensen_step_residual(f, M))
+            oscillation.young_oscillation_score(f, M))
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -365,12 +364,6 @@ def test_young_score_monotone_in_scale(ns, rng):
     M = YoungFunction(p=2.0)
     score = oscillation.young_oscillation_score(f, M)
     assert np.isfinite(score) and score >= 0.0
-
-
-def test_jensen_step(ns, rng):
-    f = families.random_lipschitz(ns, rng, bound=0.5)
-    M = YoungFunction(p=2.0)
-    assert oscillation.jensen_step_residual(f, M) >= -1e-12
 
 
 def test_family_from_spec_labels(ns, rng):
