@@ -66,7 +66,7 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.difference_max_rel, self.sum_max_rel)
+        return float(np.max([self.difference_max_rel, self.sum_max_rel]))  # NaN stays NaN
 
 
 def identity_report(alpha: float, n_max: int) -> IdentityReport:

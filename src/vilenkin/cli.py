@@ -78,6 +78,11 @@ def _out_dir(cfg: Config) -> str:
 # ---------------------------------------------------------------------------
 # verify suites
 
+def _worst(*values: float) -> float:
+    """The largest of values, NaN if any is NaN (Python's max drops a NaN that is not first)."""
+    return float(np.max(values))
+
+
 def _suite_group(ns: NumberSystem, rng: np.random.Generator) -> dict:
     r = ns.resolution
     cells = ns.cells_at(r)
@@ -127,12 +132,12 @@ def _suite_characters(ns: NumberSystem, rng: np.random.Generator) -> dict:
         rows = character_block(ns, a, b, r)
         gram = transform._staged(rows, ns, r, analysis=True).reshape(b - a, cells) / cells
         gram[np.arange(b - a), np.arange(a, b)] -= 1.0
-        gram_res = max(gram_res, float(np.abs(gram).max()))
+        gram_res = _worst(gram_res, np.abs(gram).max())
     shift_res = character_shift_residual(ns)
     identity_res, gap_margin = unity_gap_residual(ns)
     passed = gram_res <= 1e-10 and shift_res <= 1e-10 \
         and identity_res <= 1e-10 and gap_margin >= -1e-12
-    return {"passed": passed, "max_residual": max(gram_res, shift_res, identity_res),
+    return {"passed": passed, "max_residual": _worst(gram_res, shift_res, identity_res),
             "details": {"gram": gram_res, "shift": shift_res,
                         "unity_identity": identity_res, "gap_margin": gap_margin}}
 
@@ -144,9 +149,9 @@ def _suite_binomials(ns: NumberSystem, rng: np.random.Generator) -> dict:
         for alpha in (a, -a):
             rep = binomials.identity_report(alpha, 10_000)
             details[f"identities_{alpha}"] = rep.max_residual
-            worst = max(worst, rep.max_residual)
-    ratio = max(binomials.asymptotic_ratio_residual(0.5, 10_000),
-                binomials.asymptotic_ratio_residual(-0.5, 10_000))
+            worst = _worst(worst, rep.max_residual)
+    ratio = _worst(binomials.asymptotic_ratio_residual(0.5, 10_000),
+                   binomials.asymptotic_ratio_residual(-0.5, 10_000))
     details["ratio_residual"] = ratio
     t = binomials.cesaro_table(-0.5, 1000)
     monotone = bool(np.all(t.values > 0) and np.all(np.diff(t.values) < 0))
@@ -164,7 +169,7 @@ def _suite_dirichlet(ns: NumberSystem, rng: np.random.Generator) -> dict:
 def _suite_block(ns: NumberSystem, rng: np.random.Generator) -> dict:
     worst = 0.0
     for alpha in (0.25, 0.5, 0.75):
-        worst = max(worst, float(kernels.block_decomposition_residuals(ns, alpha).max()))
+        worst = _worst(worst, kernels.block_decomposition_residuals(ns, alpha).max())
     return {"passed": worst <= 1e-9, "max_residual": worst,
             "details": {"n_max": ns.cell_count}}
 
@@ -179,8 +184,7 @@ def _suite_routes(ns: NumberSystem, rng: np.random.Generator) -> dict:
         for n, b in zip(range(1, n_top + 1), means):
             a = transform.cesaro_mean(f, n, alpha)
             c = transform.convolve(f, kernels.cesaro_kernel(ns, n, alpha))
-            res = max(sup_distance(a, b), sup_distance(a, c)) / n
-            worst = max(worst, res)
+            worst = _worst(worst, _worst(sup_distance(a, b), sup_distance(a, c)) / n)
     return {"passed": worst <= 1e-9, "max_residual": worst,
             "details": {"n_max": n_top, "normalized_by": "n"}}
 
@@ -199,8 +203,8 @@ def _suite_transform(ns: NumberSystem, rng: np.random.Generator) -> dict:
         c = forward(g)
         lhs = float(np.mean(np.abs(g.cells) ** 2))
         rhs = float(np.sum(np.abs(c.coeffs) ** 2))
-        parseval = max(parseval, abs(lhs - rhs) / max(lhs, 1.0))
-    worst = max(fast_vs_naive, roundtrip, permuted, parseval)
+        parseval = _worst(parseval, abs(lhs - rhs) / max(lhs, 1.0))
+    worst = _worst(fast_vs_naive, roundtrip, permuted, parseval)
     passed = fast_vs_naive <= 1e-10 and roundtrip <= 1e-10 \
         and permuted <= 1e-10 and parseval <= 1e-9
     return {"passed": passed, "max_residual": worst,

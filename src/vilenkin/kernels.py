@@ -69,19 +69,20 @@ def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> n
 
     Every entry takes the operations of a lone order in the same order:
     the digit terms M_j 1_{I_j} (sum of r_j^a) added upward from digit 0,
-    then psi_n times their sum. A digit that is 0 in some rows but not all
-    adds a zero term to those rows and character_block multiplies them by
-    r_j^0 = 1; either changes at most the sign of a zero.
+    each on I_j alone (the last j digit-tensor axes at 0), then psi_n times
+    their sum. A digit that is 0 in some rows but not all adds a zero term
+    to those rows and character_block multiplies them by r_j^0 = 1; either
+    changes at most the sign of a zero.
     """
     r = resolution
     rows = np.arange(start, stop, dtype=np.int64)
-    idx = digit_tensor(np.arange(ns.cells_at(r)), ns, r)
-    acc = np.zeros((stop - start,) + idx.shape, dtype=np.complex128)
+    acc = digit_tensor(np.zeros((stop - start, ns.cells_at(r)), dtype=np.complex128), ns, r)
     for j in range(r):
         m = ns.radix.radices[j]
         nj = (rows // ns.M[j]) % m
         if np.any(nj):
-            acc += ns.M[j] * (idx % ns.M[j] == 0) * digit_axis(_root_tails(m)[nj], ns, r, j)
+            on_I_j = (...,) + (0,) * j
+            acc[on_I_j] += ns.M[j] * digit_axis(_root_tails(m)[nj], ns, r, j)[on_I_j]
     out = character_block(ns, start, stop, r)
     out *= acc.reshape(stop - start, -1)  # in place: one row block fewer at the check's peak
     return out
@@ -98,30 +99,30 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
     return synthesize(ns, numerators / denominator, resolution)
 
 
-def _dirichlet_rows(ns: NumberSystem, first: int, last: int):
-    """Rows D_first .. D_last at full resolution, in blocks of at most ROW_BLOCK entries.
+def _dirichlet_rows(ns: NumberSystem, first: int, last: int, resolution: int):
+    """Rows D_first .. D_last at resolution r, in blocks of at most ROW_BLOCK entries.
 
-    The rows run downward when last < first. D_first is one synthesis of
-    first ones; each further row adds psi_n to the row before it, or
-    subtracts psi_{n-1} going down. The running sum is carried from block
-    to block, so the rows do not depend on the block size.
+    The orders are at most M_r and run downward when last < first. D_first
+    is one synthesis of first ones; each further row adds psi_n to the row
+    before it, or subtracts psi_{n-1} going down. The running sum is carried
+    from block to block, so the rows do not depend on the block size.
     """
-    N, cells = ns.resolution, ns.cell_count
+    r, cells = resolution, ns.cells_at(resolution)
     step = 1 if last >= first else -1
     height = max(1, ROW_BLOCK // cells)
-    row = synthesize(ns, np.ones(first), N).cells
+    row = synthesize(ns, np.ones(first), r).cells
     for a in range(first, last + step, step * height):
         b = a + step * min(height, abs(last - a) + 1)  # the block holds rows a, .., b - step
         rows = np.empty((abs(b - a), cells), dtype=np.complex128)
         rows[0] = row
         if step > 0:
-            rows[1:] = character_block(ns, a, b - 1, N)
+            rows[1:] = character_block(ns, a, b - 1, r)
         else:
-            rows[1:] = -character_block(ns, b + 1, a, N)[::-1]
+            rows[1:] = -character_block(ns, b + 1, a, r)[::-1]
         np.cumsum(rows, axis=0, out=rows)
         if b != last + step:
-            row = rows[-1] + vilenkin_on_cells(ns, b - 1, N) if step > 0 \
-                else rows[-1] - vilenkin_on_cells(ns, b, N)
+            row = rows[-1] + vilenkin_on_cells(ns, b - 1, r) if step > 0 \
+                else rows[-1] - vilenkin_on_cells(ns, b, r)
         yield rows
 
 
@@ -133,14 +134,13 @@ class RecursionReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))  # NaN if any is NaN
 
 
 def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     """Exhaustive residual scan of the Dirichlet kernel identities.
 
-    Checked on every cell at full resolution, for every admissible parameter
-    tuple with kernel order at most M_N:
+    Checked for every admissible parameter tuple, kernel orders up to M_N:
 
     - scale_indicator: D_{M_k} = M_k 1_{I_k}
     - mean: cell average of D_n is 1 for n >= 1
@@ -154,69 +154,56 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
       1 <= n_s < m_s, 0 <= j <= n_s M_s
     - product_form: D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a
 
-    The rows come from _dirichlet_rows, so no more than a few blocks of them
-    are held at once. A block's orders of scale s, M_s <= n < M_{s+1}, meet
-    their means and their product form as one slice, the product form built
-    at resolution s + 1 and broadcast over the lift; M_N takes its closed
-    form. digit_split is block_geometric for r < m_k and is evaluated once.
+    The identities of digit s name orders up to M_{s+1}, whose rows are
+    constant on the cosets of I_{s+1}: each digit is checked on the cells of
+    resolution s + 1, where a row reshaped to (m_s, M_s) meets r_s^a as a
+    column. The rows come from _dirichlet_rows, a few blocks at a time. The
+    rows n_s M_s + j, n_s >= 1 and j < M_s, stream beside the rows D_j; they
+    are the orders of scale s, so their means and product form are checked
+    there too. M_N is checked at resolution N. digit_split is
+    block_geometric for r < m_k and is evaluated once. A NaN stays NaN.
     """
     N = ns.resolution
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
                          "block_geometric", "reflection", "product_form"), 0.0)
 
     def bump(key, diff):
-        res[key] = max(res[key], float(np.abs(diff).max()))
+        res[key] = float(np.maximum(res[key], np.abs(diff).max()))  # max() would drop a NaN
 
-    def row(n):
-        return next(_dirichlet_rows(ns, n, n))[0]
+    def row(n, r):
+        return next(_dirichlet_rows(ns, n, n, r))[0]
 
-    # every row once, in order: the scale indicators, the means and the product form
-    idx = np.arange(ns.cell_count)
-    first = 0
-    for rows in _dirichlet_rows(ns, 0, ns.cell_count):
-        stop = first + len(rows)
-        for Mk in ns.M:
-            if first <= Mk < stop:
-                bump("scale_indicator",
-                     rows[Mk - first] - np.where(idx % Mk == 0, Mk, 0).astype(np.complex128))
-        for s in range(N):
-            a, b = max(first, ns.M[s]), min(stop, ns.M[s + 1])
-            if a < b:  # no name for the slice: it would hold its block past the loop
-                bump("mean", rows[a - first : b - first].mean(axis=1) - 1.0)
-                bump("product_form", _product_rows(ns, a, b, s + 1)[:, None, :]
-                     - rows[a - first : b - first].reshape(b - a, -1, ns.M[s + 1]))
-        if stop > ns.cell_count:
-            bump("mean", rows[-1].mean() - 1.0)
-            bump("product_form", dirichlet_product(ns, ns.cell_count).cells - rows[-1])
-        first = stop
-
-    # rows n_k M_k + j beside the rows D_j, j < M_k; r_k^a is row a % m_k of F_k on digit k's axis
-    for k in range(N):
-        m, Mk = ns.radix.radices[k], ns.M[k]
-        powers = digit_axis(synthesis_matrix(m)[np.arange(m + 1) % m], ns, N, k)
-        geo = np.cumsum(powers[:m], axis=0)  # geo[q] = sum_{a<=q} r_k^a
-        D_Mk = digit_tensor(row(Mk), ns, N)
-        for nk in range(1, m):
-            base = nk * Mk
-            D_base = digit_tensor(row(base), ns, N)
-            for high, low in zip(_dirichlet_rows(ns, base, base + Mk - 1),
-                                 _dirichlet_rows(ns, 0, Mk - 1)):
-                high, low = digit_tensor(high, ns, N), digit_tensor(low, ns, N)
-                bump("digit_split", high - geo[nk - 1] * D_Mk - powers[nk] * low)
-                bump("block_shift", high - D_base - powers[nk] * low)
-            bump("block_shift", digit_tensor(row(base + Mk), ns, N) - D_base - powers[nk] * D_Mk)
-        bump("block_geometric", digit_tensor(row(ns.M[k + 1]), ns, N) - geo[m - 1] * D_Mk
-             - powers[m] * digit_tensor(row(0), ns, N))
-    res["block_geometric"] = max(res["block_geometric"], res["digit_split"])
-
-    # rows n_s M_s - j going down, beside the rows D_j going up
     for s in range(N):
-        for n_s in range(1, ns.radix.radices[s]):
-            base = n_s * ns.M[s]
-            psi, D_base = vilenkin_on_cells(ns, base - 1, N), row(base)
-            for down, up in zip(_dirichlet_rows(ns, base, 0), _dirichlet_rows(ns, 0, base)):
-                bump("reflection", down - D_base + psi * up.conj())
+        r, m, Ms = s + 1, ns.radix.radices[s], ns.M[s]
+        view = (m, Ms)  # a row at resolution s + 1, digit s outermost
+        powers = synthesis_matrix(m)[np.arange(m + 1) % m][:, :, None]  # r_s^a on that view
+        geo = np.cumsum(powers[:m], axis=0)  # geo[q] = sum_{a<=q} r_s^a
+        D_Ms = row(Ms, r).reshape(view)
+        bump("scale_indicator", D_Ms - np.where(np.arange(Ms) == 0, Ms, 0))
+        for d in range(1, m):
+            base = d * Ms
+            D_base, a = row(base, r).reshape(view), base
+            for high, low in zip(_dirichlet_rows(ns, base, base + Ms - 1, r),
+                                 _dirichlet_rows(ns, 0, Ms - 1, r)):
+                bump("mean", high.mean(axis=1) - 1.0)
+                bump("product_form", _product_rows(ns, a, a + len(high), r) - high)
+                a += len(high)
+                high, low = high.reshape((-1,) + view), low.reshape((-1,) + view)
+                bump("digit_split", high - geo[d - 1] * D_Ms - powers[d] * low)
+                bump("block_shift", high - D_base - powers[d] * low)
+            bump("block_shift", row(base + Ms, r).reshape(view) - D_base - powers[d] * D_Ms)
+            # rows base - j going down, beside the rows D_j going up
+            psi = vilenkin_on_cells(ns, base - 1, r)
+            for down, up in zip(_dirichlet_rows(ns, base, 0, r), _dirichlet_rows(ns, 0, base, r)):
+                bump("reflection", down - D_base.ravel() + psi * up.conj())
+        bump("block_geometric", row(ns.M[s + 1], r).reshape(view) - geo[m - 1] * D_Ms
+             - powers[m] * row(0, r).reshape(view))
+    bump("block_geometric", res["digit_split"])
 
+    top = row(ns.cell_count, N)
+    bump("scale_indicator", top - np.where(np.arange(ns.cell_count) == 0, ns.cell_count, 0))
+    bump("mean", top.mean() - 1.0)
+    bump("product_form", dirichlet_product(ns, ns.cell_count).cells - top)
     return RecursionReport(residuals=res)
 
 

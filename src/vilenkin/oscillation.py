@@ -43,10 +43,16 @@ def _coset_values(f: StepFunction, k: int) -> np.ndarray:
 
 
 def _real_part(values: np.ndarray) -> np.ndarray | None:
-    """Real values, or the real part of complex ones whose imaginary part is negligible."""
-    if values.dtype.kind == "c" and not float(np.abs(values.imag).max(initial=0.0)) \
-            <= _IMAG_TOL * max(1.0, float(np.abs(values).max(initial=0.0))):
-        return None
+    """Real values, or the real part of complex ones whose imaginary part is negligible.
+
+    Negligible is relative to the largest finite |value|, so an infinite
+    cell does not make every imaginary part negligible.
+    """
+    if values.dtype.kind == "c":
+        size = np.abs(values)
+        scale = float(size.max(initial=0.0, where=np.isfinite(size)))
+        if not float(np.abs(values.imag).max(initial=0.0)) <= _IMAG_TOL * max(1.0, scale):
+            return None
     return values.real
 
 
@@ -205,10 +211,6 @@ class SeriesReport:
     terms: np.ndarray
     partials: np.ndarray
     converges: bool | None = None
-
-    @property
-    def total(self) -> float:
-        return float(self.partials[-1]) if len(self.partials) else 0.0
 
 
 def oscillation_series(f: StepFunction, alpha: float) -> SeriesReport:

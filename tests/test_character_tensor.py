@@ -101,7 +101,11 @@ def recursions_oracle(ns):
 
     for k in range(N + 1):
         bump("scale_indicator", T[ns.M[k]] - np.where(idx % ns.M[k] == 0, ns.M[k], 0))
-    res["mean"] = float(np.abs(T[1:].mean(axis=1) - 1.0).max())
+    # the mean of an order of scale s over its own M_{s+1} cells, of M_N over all cells
+    for s in range(N):
+        for n in range(ns.M[s], ns.M[s + 1]):
+            bump("mean", T[n, : ns.M[s + 1]].mean() - 1.0)
+    bump("mean", T[cells].mean() - 1.0)
     for k, m in enumerate(ns.radix.radices):
         Mk = ns.M[k]
         geo = np.cumsum(powers[k][:m], axis=0)

@@ -86,6 +86,60 @@ def test_characters_suite_fails_on_corrupted_rows(radices, corruption, monkeypat
     assert got["details"]["gram"] >= 1e-9
 
 
+def _nan_in_dirichlet_rows(monkeypatch):
+    # one entry of psi_5, wherever the Dirichlet scan builds it
+    real = kernels.character_block
+
+    def patched(ns, start, stop, resolution=None):
+        out = real(ns, start, stop, resolution)
+        if start <= 5 < stop:
+            out[5 - start, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(kernels, "character_block", patched)
+    return "dirichlet"
+
+
+def _nan_in_character_rows(monkeypatch):
+    # cell 7 of psi_3 in the rows the characters suite transforms
+    real = cli.character_block
+
+    def patched(ns, start, stop, resolution=None):
+        out = real(ns, start, stop, resolution)
+        if start <= 3 < stop:
+            out[3 - start, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "character_block", patched)
+    return "characters"
+
+
+def _nan_in_first_mean(monkeypatch):
+    # cell 0 of sigma_1^{-alpha} f, the first mean the routes suite compares
+    real = transform.cesaro_mean
+
+    def patched(f, n, alpha):
+        mean = real(f, n, alpha)
+        if n == 1:
+            cells = mean.cells.copy()
+            cells[0] = np.nan
+            mean = type(mean)(mean.ns, mean.resolution, cells)
+        return mean
+
+    monkeypatch.setattr(transform, "cesaro_mean", patched)
+    return "routes"
+
+
+@pytest.mark.parametrize("inject", [_nan_in_dirichlet_rows, _nan_in_character_rows,
+                                    _nan_in_first_mean], ids=lambda f: f.__name__[1:])
+def test_a_nan_residual_fails_its_suite(inject, monkeypatch):
+    ns = vk.number_system([2, 3, 4, 2])
+    suite = inject(monkeypatch)
+    got = cli.SUITES[suite](ns, np.random.default_rng(0))
+    assert got["passed"] is False
+    assert np.isnan(got["max_residual"])
+
+
 def test_verify_negative_control(tmp_path, small_cfg, monkeypatch):
     # corrupting the kernel weights must surface as a failed suite
     real = kernels.cesaro_kernel

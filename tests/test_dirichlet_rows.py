@@ -126,24 +126,27 @@ def test_row_block_bound_leaves_residuals_unchanged(radices, monkeypatch):
         assert kernels.verify_dirichlet_recursions(ns).residuals == want
 
 
-@pytest.mark.parametrize("first, last", [(0, 48), (48, 0), (7, 30), (30, 7), (5, 5)])
-def test_rows_are_bounded_blocks_of_the_table(first, last, monkeypatch):
+@pytest.mark.parametrize("first, last, r", [(0, 48, 4), (48, 0, 4), (7, 30, 4), (30, 7, 4),
+                                             (5, 5, 4), (20, 3, 3)],
+                         ids=["0-48", "48-0", "7-30", "30-7", "5-5", "20-3-at-3"])
+def test_rows_are_bounded_blocks_of_the_table(first, last, r, monkeypatch):
+    # a row at resolution r is the row on the first M_r cells: the digits from r up are 0
     ns = vk.number_system([2, 3, 4, 2])
     T = oracles.dirichlet_table(ns, ns.cell_count)
-    monkeypatch.setattr(kernels, "ROW_BLOCK", 5 * ns.cell_count)
-    blocks = list(kernels._dirichlet_rows(ns, first, last))
-    assert all(1 <= len(b) <= 5 for b in blocks)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", 5 * ns.cells_at(r))
+    blocks = list(kernels._dirichlet_rows(ns, first, last, r))
+    assert all(1 <= len(b) <= 5 and b.shape[1] == ns.cells_at(r) for b in blocks)
     step = 1 if last >= first else -1
     rows = np.concatenate(blocks)
-    assert np.max(np.abs(rows - T[np.arange(first, last + step, step)])) < 1e-12
+    assert np.max(np.abs(rows - T[np.arange(first, last + step, step), : ns.cells_at(r)])) < 1e-12
 
 
 def _perturbing(rows, n, delta):
     """_dirichlet_rows with delta added to every D_n it hands out."""
-    def perturbed(ns, first, last):
+    def perturbed(ns, first, last, resolution):
         step = 1 if last >= first else -1
         at = first
-        for block in rows(ns, first, last):
+        for block in rows(ns, first, last, resolution):
             block = block.copy()
             i = (n - at) * step
             if 0 <= i < len(block):
@@ -198,3 +201,21 @@ def test_table_guard_detects_a_definition_and_a_call():
                 "T = oracles.dirichlet_table(ns, ns.cell_count)"):
         assert _uses_table(ast.parse(src))
     assert not _uses_table(ast.parse("rows = _dirichlet_rows(ns, 0, 8)"))
+
+
+@pytest.mark.parametrize("radices", ([2] * 8, [2, 3, 4, 2, 3, 2]), ids=str)
+def test_recursions_build_at_most_four_tables_of_entries(radices, monkeypatch):
+    # each digit's rows live at its own resolution, so the scan builds a few
+    # M_N x M_N tables' worth of character entries, not one per identity
+    ns = vk.number_system(radices)
+    real = kernels.character_block
+    entries = []
+
+    def counted(ns, start, stop, resolution=None):
+        out = real(ns, start, stop, resolution)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "character_block", counted)
+    kernels.verify_dirichlet_recursions(ns)
+    assert sum(entries) <= 4 * ns.cell_count ** 2

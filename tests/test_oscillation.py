@@ -264,6 +264,19 @@ def test_extremes_ladder_diameters_bitwise(radices, kind, edges):
                 assert lo.tobytes() == rows.real.min(axis=1).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_an_infinite_cell_leaves_an_imaginary_part_seen():
+    # cell 1 = 1j makes coset 1 of level 3 (cells 1 and 9) 1 wide; cell 15 = +inf
+    # must not make that imaginary part negligible
+    ns = vk.number_system([2] * 4)
+    cells = np.zeros(16, dtype=np.complex128)
+    cells[1] = 1j
+    cells[15] = np.inf
+    f = vk.StepFunction(ns, 4, cells)
+    assert oscillation.coset_extremes(f) is None
+    assert oscillation._row_diameters(oscillation._coset_values(f, 3))[1] == 1.0
+
+
 def _coset_values_sorted(f, k):
     """Oracle rows: row beta holds f on Z_beta^(k) + I_k, gathered by sorting the coset keys."""
     key = coset_key_table(f.ns, f.resolution, k)
