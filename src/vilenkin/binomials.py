@@ -20,6 +20,13 @@ def _check_order(alpha: float):
         raise DomainError(f"order alpha={alpha} is a negative integer")
 
 
+def check_alphas(*alphas: float) -> None:
+    """Raise UsageError unless every alpha lies in (0, 1): the orders -alpha of the means."""
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
+
+
 @dataclass(frozen=True)
 class CesaroTable:
     """Values A_0^alpha .. A_nmax^alpha with the A_{-1} = 0 convention."""

@@ -1,7 +1,7 @@
 """The config format: defaults, the merge, and one parse before any work.
 
-Settings merge as flags > VILENKIN_* environment variables > --config JSON
-file > defaults. parse checks every key as docs/config-schema.json gives it,
+Settings merge as flags > --config JSON file > defaults, and come from
+nowhere else. parse checks every key as docs/config-schema.json gives it,
 whatever the command, and a bad one raises ConfigurationError naming it.
 """
 
@@ -44,7 +44,6 @@ _RADIX_FORMS = (("list",), ("constant", "length"), ("pattern", "length"))
 _SCHEDULE_KEYS = ("kind", "start", "stop", "values")
 _SPEC_KEYS = ("family", "decay", "coeffs", "level", "coset", "bound", "path")
 
-_ENV_PREFIX = "VILENKIN_"
 # sub-configs merged key by key; everything else is replaced whole
 _MERGE_KEYS = ("thresholds", "kernel_scan", "bench")
 
@@ -207,23 +206,9 @@ def family_from_spec(ns: NumberSystem, spec) -> tuple[str, Callable]:
             raise ConfigurationError(f"function file {path} is not a step function: {e!r}")
         if f.ns != ns:
             raise ConfigurationError(f"function in {path} lives on a different group")
+        f = f.lift(ns.resolution)  # a coarser file is an exact tile of the group's cells
         return f"file-{path}", lambda rng: f
     raise ConfigurationError(f"unknown function family {name!r}")
-
-
-def _env_overrides() -> dict:
-    out = {}
-    if v := os.environ.get(_ENV_PREFIX + "OUT"):
-        out["out"] = v
-    if v := os.environ.get(_ENV_PREFIX + "SUITES"):
-        out["suites"] = [s.strip() for s in v.split(",") if s.strip()]
-    for key, name in (("seed", "SEED"), ("max_cells", "MAX_CELLS")):
-        if v := os.environ.get(_ENV_PREFIX + name):
-            try:
-                out[key] = int(v)
-            except ValueError:
-                raise ConfigurationError(f"{_ENV_PREFIX}{name}={v!r} is not an integer")
-    return out
 
 
 def load_config(path: str | None) -> dict:
@@ -245,19 +230,17 @@ def load_config(path: str | None) -> dict:
 
 def merge_config(args) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
-    file_cfg = load_config(getattr(args, "config", None)
-                           or os.environ.get(_ENV_PREFIX + "CONFIG"))
+    file_cfg = load_config(getattr(args, "config", None))
     for key, val in file_cfg.items():
         if key in _MERGE_KEYS:
             cfg[key].update(config_object(val, DEFAULTS[key], key))
         else:
             cfg[key] = val
-    cfg.update(_env_overrides())
     for key in ("out", "seed", "max_cells"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
-    if getattr(args, "suites", None):
+    if getattr(args, "suites", None) is not None:
         cfg["suites"] = [s.strip() for s in args.suites.split(",") if s.strip()]
     return cfg
 
@@ -299,8 +282,9 @@ def parse(merged: dict, command: str) -> Config:
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ConfigurationError(f"alpha={a} outside (0, 1)")
-    suites = tuple(config_value(s, str, "suites")
-                   for s in config_value(merged["suites"] or list(SUITES), list, "suites"))
+    # only null means every suite: an empty list would check nothing
+    suites = SUITES if merged["suites"] is None else tuple(
+        config_value(s, str, "suites") for s in config_value(merged["suites"], list, "suites", 1))
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ConfigurationError(f"unknown suites {unknown}; have {list(SUITES)}")

@@ -16,7 +16,7 @@ class ValidationError(VilenkinError):
 
 
 class ConfigurationError(VilenkinError):
-    """Invalid or contradictory configuration (file, flags, environment)."""
+    """Invalid or contradictory configuration (config file or flags)."""
 
 
 class DomainError(VilenkinError):

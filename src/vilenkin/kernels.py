@@ -93,8 +93,7 @@ def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
     """K_n^{-alpha} = (1/A_{n-1}^{-alpha}) sum_{nu<n} A_{n-1-nu}^{-alpha} psi_nu."""
     if not 1 <= n <= ns.cell_count:
         raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(alpha)
     numerators, denominator = cesaro_weights(n, alpha)
     return synthesize(ns, numerators / denominator, resolution)
 
@@ -239,8 +238,7 @@ def block_decomposition_residuals(ns: NumberSystem, alpha: float) -> np.ndarray:
     every prefix as a table built for that n would, and so does the cumsum
     of A^{-alpha-1} that weights the left sides.
     """
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(alpha)
     N, M = ns.resolution, ns.M
     terms = _BlockTerms(ns, alpha)
     found = np.full(ns.cell_count + 1, np.nan)  # an order no batch reaches stays NaN
@@ -383,8 +381,7 @@ def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundS
     majorant is one gather from the running sums of M_l^{1-alpha}. Every
     K_n and A_{n-1}^{-alpha} come from one Cesaro table (_scan_table).
     """
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(alpha)
     n_values, table = _scan_table(ns, alpha, n_values)
     out = []
     for n in n_values:
@@ -416,8 +413,7 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
     The kernels come from one Cesaro table (_scan_table), as cesaro_kernel
     would build them.
     """
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(alpha)
     if not 1 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 1..{ns.resolution}")
     if n_values is None:
@@ -452,8 +448,7 @@ def low_block_ratio(f: StepFunction, n: int, k: int, alpha: float) -> float:
     ns = f.ns
     if not 1 <= k < ns.resolution or not ns.M[k] <= n < ns.M[k + 1]:
         raise UsageError(f"need 1 <= k < {ns.resolution} and M_k <= n < M_(k+1); got k={k}, n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(alpha)
     t0 = binomials.cesaro_table(-alpha, n)
     weights = t0.values[n : n - ns.M[k - 1] : -1]  # A_{n-nu}, nu = 0..M_{k-1}-1
     h = synthesize(ns, weights)

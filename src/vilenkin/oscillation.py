@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binomials
 from .errors import DomainError, UsageError, ValidationError
 from .group import coset_rep_cells
 from .transform import StepFunction, _staged
@@ -108,8 +109,7 @@ class OscillationProfile:
 
     def series(self, alpha: float) -> "SeriesReport":
         """Terms nu(M_k, f) / M_k^{1-alpha} for k = 1..resolution: oscillation_series."""
-        if not 0.0 < alpha < 1.0:
-            raise UsageError(f"alpha={alpha} outside (0, 1)")
+        binomials.check_alphas(alpha)
         if self.resolution < 1:
             raise UsageError("a resolution-0 function has no scale k >= 1")
         terms = np.array([self.nu[k] / self.scale_cells[k] ** (1.0 - alpha)
@@ -184,9 +184,7 @@ def difference_conditions(f: StepFunction, k: int, alphas) -> list[float]:
     ns = f.ns
     if not 1 <= k < f.resolution:
         raise UsageError(f"scale {k} outside 1..{f.resolution - 1}")
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise UsageError(f"alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(*alphas)
     mk, cells = ns.M[k], f.cells
     d = np.empty_like(cells)  # f(y) - f(y - e_k): y - M_k, but y + (m_k - 1) M_k at digit 0
     np.subtract(cells[mk:], cells[:-mk], out=d[mk:])

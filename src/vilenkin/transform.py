@@ -360,9 +360,7 @@ def _cesaro_means(f: StepFunction, orders, alphas):
     for n in orders:
         if not 1 <= n <= f.ns.cell_count:
             raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise UsageError(f"order -alpha with alpha={alpha} outside (0, 1)")
+    binomials.check_alphas(*alphas)
     level = {n: minimal_resolution(f.ns, min(n, len(f.cells))) for n in orders}
     spectra = {k: CoefficientVector(f.ns, k, _spectrum(f, k)) for k in sorted(set(level.values()))}
 

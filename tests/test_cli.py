@@ -4,10 +4,10 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,25 +188,56 @@ def test_unknown_suite_exits_2(tmp_path, small_cfg):
                 "--out", str(tmp_path)]) == 2
 
 
-def test_env_overrides(tmp_path, small_cfg, monkeypatch):
-    monkeypatch.setenv("VILENKIN_SUITES", "group")
-    monkeypatch.setenv("VILENKIN_OUT", str(tmp_path / "env_out"))
-    rc = run(["verify", "--config", small_cfg])
-    assert rc == 0
-    report = json.loads((tmp_path / "env_out" / "report.json").read_text())
-    assert list(report["suites"]) == ["group"]
-    monkeypatch.setenv("VILENKIN_SEED", "not_an_int")
-    assert run(["verify", "--config", small_cfg,
-                "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("suites", [",", ""], ids=["comma", "empty"])
+def test_empty_suite_flag_exits_2(tmp_path, small_cfg, suites):
+    # only a null suites runs every suite; a flag that names none would check nothing
+    assert run(["verify", "--config", small_cfg, "--suites", suites,
+                "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
 
 
-def test_flag_beats_env(tmp_path, small_cfg, monkeypatch):
-    monkeypatch.setenv("VILENKIN_OUT", str(tmp_path / "env_out2"))
-    rc = run(["verify", "--config", small_cfg, "--suites", "group",
-              "--out", str(tmp_path / "flag_out")])
-    assert rc == 0
-    assert (tmp_path / "flag_out" / "report.json").exists()
-    assert not (tmp_path / "env_out2").exists()
+def test_environment_sets_nothing(tmp_path, monkeypatch):
+    # settings come from flags and the config file only: variables that once overrode
+    # them, set to bad values, change neither the outcome nor a byte of the artifacts
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "runs" / "verify"
+
+    def artifacts():
+        assert run(["verify", "--suites", "group"]) == 0
+        got = {name: (out / name).read_bytes() for name in ("report.json", "run_meta.json")}
+        shutil.rmtree(out)
+        return got
+
+    clean = artifacts()
+    for name, value in {"CONFIG": str(tmp_path / "no_such_config.json"),
+                        "OUT": str(tmp_path / "env_out"), "SUITES": "nope",
+                        "SEED": "not_an_int", "MAX_CELLS": "1"}.items():
+        monkeypatch.setenv("VILENKIN_" + name, value)
+    assert artifacts() == clean
+    assert not (tmp_path / "env_out").exists()
+
+
+def test_coarse_file_family_is_its_tiled_twin(tmp_path):
+    # a step file coarser than the group is lifted to the group's resolution: every row
+    # but the label matches the file that holds the same function at full resolution
+    cells = [[0.5, 0], [-1.0, 0.25], [2.0, 0], [0.0, -0.5], [1.5, 1.0], [-0.75, 0]]
+    for name, resolution, pairs in (("coarse", 2, cells), ("tiled", 3, cells * 2)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"radix": [2, 3, 2], "resolution": resolution, "cells": pairs}), encoding="utf-8")
+        (tmp_path / f"{name}_cfg.json").write_text(json.dumps(
+            {"radix": [2, 3, 2], "functions": [{"family": "file",
+                                                "path": str(tmp_path / f"{name}.json")}]}),
+            encoding="utf-8")
+    for command, artifact in (("converge", "converge.csv"), ("oscillation", "oscillation.csv")):
+        rows = {}
+        for name in ("coarse", "tiled"):
+            out = tmp_path / command / name
+            assert run([command, "--config", str(tmp_path / f"{name}_cfg.json"),
+                        "--out", str(out)]) == 0
+            with open(out / artifact, encoding="utf-8", newline="") as fh:
+                rows[name] = [row[:1] + row[2:] for row in csv.reader(fh)]
+        assert len(rows["coarse"]) > 1
+        assert rows["coarse"] == rows["tiled"]
 
 
 def test_converge_csv_schema(tmp_path, small_cfg):
@@ -553,7 +584,8 @@ MALFORMED = {
     "lacunary_coeff_nan_oscillation": ("oscillation", {"functions": [{"family": "lacunary",
                                                                       "coeffs": [float("nan")]}]}),
     "suite_name_a_list": ("verify", {"suites": [[1]]}),
-    # an empty list would check nothing and pass
+    # an empty list would check nothing and pass; only null means every suite
+    "suites_empty": ("verify", {"suites": []}),
     "alphas_empty": ("converge", {"alphas": []}),
     "functions_empty": ("oscillation", {"functions": []}),
     "scan_kinds_empty": ("kernel-scan", {"kernel_scan": {"kinds": []}}),
@@ -622,7 +654,6 @@ def _run_cli(tmp_path, command, config: bytes):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env = {k: v for k, v in env.items() if not k.startswith("VILENKIN_")}
     # no --out flag: it would override the file's out; output lands under tmp_path
     return subprocess.run(
         [sys.executable, "-m", "vilenkin.cli", command, "--config", str(cfg)],
@@ -679,8 +710,7 @@ def test_exit_code_contract(command, radix, fragment):
     # the fragment's own radix or bench, when it draws one, replaces the drawn radix or
     # the bench size under the cap: max_cells caps every group the config names
     body = {"radix": radix, "bench": {"sizes": [[2, 2]], "repeats": 1}, **fragment}
-    env = {k: v for k, v in os.environ.items() if not k.startswith("VILENKIN_")}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(body, fh)

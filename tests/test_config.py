@@ -1,3 +1,4 @@
+import ast
 import glob
 import json
 import os
@@ -26,6 +27,19 @@ def test_schema_keys_match_defaults_and_parser():
     forms = [set(form["properties"]) for form in props["radix"]["oneOf"] if "properties" in form]
     assert forms == [set(keys) for keys in config._RADIX_FORMS]
     assert props["suites"]["items"]["enum"] == list(config.SUITES)
+    assert props["suites"]["minItems"] == 1  # as the parser's suites_empty case rejects []
+
+
+def test_package_reads_no_environment():
+    # settings come from flags and the config file only
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "vilenkin", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path
 
 
 def test_schema_accepts_defaults_and_shipped_configs():
