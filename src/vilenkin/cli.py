@@ -313,11 +313,12 @@ def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
 
 def run_kernel_scan(cfg: Config) -> int:
     ns = cfg.ns
-    majorant_n = sorted(set(cfg.scan_n or n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]))
+    majorant_n = sorted(set(n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]
+                            if cfg.scan_n is None else cfg.scan_n))
     # None: the coset-decay scan takes its block [M_{level-1}, M_level]; it rejects
     # level 0, the default on a one-digit radix, so the scans run before any output
     results = [_scan_group(ns, kind, alpha, cfg.scan_level,
-                           majorant_n if kind == "majorant" else list(cfg.scan_n) or None)
+                           majorant_n if kind == "majorant" else cfg.scan_n)
                for kind in cfg.scan_kinds for alpha in cfg.alphas]
     out = _out_dir(cfg)
     rows = [row for (_, _, _, block) in results for row in block]

@@ -57,13 +57,13 @@ def config_value(value, kind: type, name: str, minimum=None):
     Raises ConfigurationError naming the key when the value has another type
     (a boolean is not a number), is a number no finite float holds (json
     reads NaN, Infinity and integers of any size), or lies below minimum. A
-    list's minimum bounds its length: an empty list would check nothing.
+    list's or string's minimum bounds its length: an empty one names nothing.
     """
     what, accepted = _CONFIG_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted) \
             or (kind is float and not abs(value) <= sys.float_info.max) \
-            or (minimum is not None and (len(value) if kind is list else value) < minimum):
-        bound = "" if minimum is None else f"{' of length' if kind is list else ''} >= {minimum}"
+            or (minimum is not None and (len(value) if kind in (list, str) else value) < minimum):
+        bound = "" if minimum is None else f"{' of length' * (kind in (list, str))} >= {minimum}"
         raise ConfigurationError(f"{name}={value!r} is not {what}{bound}")
     return kind(value)
 
@@ -192,11 +192,9 @@ def family_from_spec(ns: NumberSystem, spec) -> tuple[str, Callable]:
         return f"random_lipschitz-{bound!r}", \
             lambda rng: families.random_lipschitz(ns, rng, bound)
     if name == "file":
-        path = spec.get("path")
-        if not path:
-            raise ConfigurationError("file spec needs a 'path'")
+        path = config_value(spec.get("path"), str, "path", 1)
         try:
-            with open(config_value(path, str, "path"), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
             raise ConfigurationError(f"cannot read function file {path}: {e}")
@@ -260,7 +258,7 @@ class Config:
     trailing_points: int
     scan_kinds: tuple[str, ...]
     scan_level: int
-    scan_n: tuple[int, ...]
+    scan_n: tuple[int, ...] | None
     bench_systems: tuple[NumberSystem, ...]
     bench_repeats: int
     functions: tuple[tuple[str, Callable[[np.random.Generator], StepFunction]], ...]
@@ -294,16 +292,18 @@ def parse(merged: dict, command: str) -> Config:
         level = config_value(scan["level"], int, "kernel_scan.level")
         if not 1 <= level <= ns.resolution:
             raise ConfigurationError(f"scan level {level} outside 1..{ns.resolution}")
-    scan_n = tuple(config_value(n, int, "kernel_scan.n")
-                   for n in config_value(scan["n"] or [], list, "kernel_scan.n"))
-    _check_orders(scan_n, ns.cell_count)
+    scan_n = None if scan["n"] is None else tuple(  # only null means the default orders
+        config_value(n, int, "kernel_scan.n")
+        for n in config_value(scan["n"], list, "kernel_scan.n", 1))
+    _check_orders(scan_n or (), ns.cell_count)
     kinds = tuple(config_value(scan["kinds"], list, "kernel_scan.kinds", 1))
     for kind in kinds:
         if kind not in ("majorant", "coset_decay"):
             raise ConfigurationError(f"unknown scan kind {kind!r}")
     return Config(
         ns=ns, alphas=alphas, orders=tuple(n_schedule(ns, merged["n_schedule"])),
-        out=config_value(merged["out"] or os.path.join("runs", command), str, "out"),
+        out=os.path.join("runs", command) if merged["out"] is None
+        else config_value(merged["out"], str, "out", 1),
         seed=config_value(merged["seed"], int, "seed", 0), suites=suites,
         stability_factor=config_value(thresholds["stability_factor"], float,
                                       "thresholds.stability_factor"),

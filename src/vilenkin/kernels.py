@@ -84,7 +84,7 @@ def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> n
             on_I_j = (...,) + (0,) * j
             acc[on_I_j] += ns.M[j] * digit_axis(_root_tails(m)[nj], ns, r, j)[on_I_j]
     out = character_block(ns, start, stop, r)
-    out *= acc.reshape(stop - start, -1)  # in place: one row block fewer at the check's peak
+    out *= acc.reshape(out.shape)  # in place: one row block fewer at the check's peak
     return out
 
 
@@ -156,53 +156,53 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     The identities of digit s name orders up to M_{s+1}, whose rows are
     constant on the cosets of I_{s+1}: each digit is checked on the cells of
     resolution s + 1, where a row reshaped to (m_s, M_s) meets r_s^a as a
-    column. The rows come from _dirichlet_rows, a few blocks at a time. The
-    rows n_s M_s + j, n_s >= 1 and j < M_s, stream beside the rows D_j; they
-    are the orders of scale s, so their means and product form are checked
-    there too. M_N is checked at resolution N. digit_split is
+    column. Its rows come from 2 m_s - 1 _dirichlet_rows streams of M_s + 1
+    rows, walked in lockstep a block of each at a time: up stream d holds
+    D_{d M_s + j}, down stream e holds D_{(e+1) M_s - j}, j = 0 .. M_s.
+    reflection reads down stream d - e - 1 beside up stream e, the others
+    the up streams, whose rows j < M_s for d >= 1 are the orders of scale s;
+    the last row of the top digit is D_{M_N}. digit_split is
     block_geometric for r < m_k and is evaluated once. A NaN stays NaN.
     """
-    N = ns.resolution
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
                          "block_geometric", "reflection", "product_form"), 0.0)
 
     def bump(key, diff):
-        res[key] = float(np.maximum(res[key], np.abs(diff).max()))  # max() would drop a NaN
+        res[key] = float(np.maximum(res[key], np.abs(diff).max(initial=0.0)))  # keeps a NaN
 
-    def row(n, r):
-        return next(_dirichlet_rows(ns, n, n, r))[0]
-
-    for s in range(N):
+    for s in range(ns.resolution):
         r, m, Ms = s + 1, ns.radix.radices[s], ns.M[s]
         view = (m, Ms)  # a row at resolution s + 1, digit s outermost
         powers = synthesis_matrix(m)[np.arange(m + 1) % m][:, :, None]  # r_s^a on that view
         geo = np.cumsum(powers[:m], axis=0)  # geo[q] = sum_{a<=q} r_s^a
-        D_Ms = row(Ms, r).reshape(view)
-        bump("scale_indicator", D_Ms - np.where(np.arange(Ms) == 0, Ms, 0))
-        for d in range(1, m):
-            base = d * Ms
-            D_base, a = row(base, r).reshape(view), base
-            for high, low in zip(_dirichlet_rows(ns, base, base + Ms - 1, r),
-                                 _dirichlet_rows(ns, 0, Ms - 1, r)):
-                bump("mean", high.mean(axis=1) - 1.0)
-                bump("product_form", _product_rows(ns, a, a + len(high), r) - high)
-                a += len(high)
-                high, low = high.reshape((-1,) + view), low.reshape((-1,) + view)
-                bump("digit_split", high - geo[d - 1] * D_Ms - powers[d] * low)
-                bump("block_shift", high - D_base - powers[d] * low)
-            bump("block_shift", row(base + Ms, r).reshape(view) - D_base - powers[d] * D_Ms)
-            # rows base - j going down, beside the rows D_j going up
-            psi = vilenkin_on_cells(ns, base - 1, r)
-            for down, up in zip(_dirichlet_rows(ns, base, 0, r), _dirichlet_rows(ns, 0, base, r)):
-                bump("reflection", down - D_base.ravel() + psi * up.conj())
-        bump("block_geometric", row(ns.M[s + 1], r).reshape(view) - geo[m - 1] * D_Ms
-             - powers[m] * row(0, r).reshape(view))
+        psi = [vilenkin_on_cells(ns, d * Ms - 1, r) for d in range(1, m)]  # psi_{d M_s - 1}
+        streams = [_dirichlet_rows(ns, d * Ms, (d + 1) * Ms, r) for d in range(m)]
+        streams += [_dirichlet_rows(ns, (e + 1) * Ms, e * Ms, r) for e in range(m - 1)]
+        j = 0  # each block holds rows j .. j + height - 1 of its stream
+        for blocks in zip(*streams):
+            up, height = [b.reshape((-1,) + view) for b in blocks[:m]], len(blocks[0])
+            if j == 0:  # copies: a view would keep the first blocks alive
+                D = [u[0].copy() for u in up]  # D[d] = D_{d M_s}
+                bump("scale_indicator", D[1] - np.where(np.arange(Ms) == 0, Ms, 0))
+            k = min(height, Ms - j)  # the rows j < M_s, none in a last block of row M_s alone
+            for d in range(1, m):
+                bump("mean", blocks[d][:k].mean(axis=1) - 1.0)
+                bump("product_form", _product_rows(ns, d * Ms + j, d * Ms + j + k, r)
+                     - blocks[d][:k])
+                bump("digit_split", up[d][:k] - geo[d - 1] * D[1] - powers[d] * up[0][:k])
+                bump("block_shift", up[d] - D[d] - powers[d] * up[0])
+                for e in range(d):
+                    bump("reflection", blocks[m + d - e - 1] - D[d].ravel()
+                         + psi[d - 1] * blocks[e].conj())
+            if j + height > Ms:  # the last blocks: up stream m_s - 1 ends at D_{M_{s+1}}
+                last = blocks[m - 1][-1].copy()
+            j += height
+            del blocks, up  # before the next blocks are built
+        bump("block_geometric", last.reshape(view) - geo[m - 1] * D[1] - powers[m] * D[0])
     bump("block_geometric", res["digit_split"])
-
-    top = row(ns.cell_count, N)
-    bump("scale_indicator", top - np.where(np.arange(ns.cell_count) == 0, ns.cell_count, 0))
-    bump("mean", top.mean() - 1.0)
-    bump("product_form", dirichlet_product(ns, ns.cell_count).cells - top)
+    bump("scale_indicator", last - np.where(np.arange(ns.cell_count) == 0, ns.cell_count, 0))
+    bump("mean", last.mean() - 1.0)
+    bump("product_form", dirichlet_product(ns, ns.cell_count).cells - last)
     return RecursionReport(residuals=res)
 
 

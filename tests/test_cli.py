@@ -196,6 +196,13 @@ def test_empty_suite_flag_exits_2(tmp_path, small_cfg, suites):
     assert not (tmp_path / "v").exists()
 
 
+def test_empty_out_flag_exits_2(tmp_path, small_cfg, monkeypatch):
+    # only a missing --out means runs/<command>; an empty one names no directory
+    monkeypatch.chdir(tmp_path)
+    assert run(["oscillation", "--config", small_cfg, "--out", ""]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 def test_environment_sets_nothing(tmp_path, monkeypatch):
     # settings come from flags and the config file only: variables that once overrode
     # them, set to bad values, change neither the outcome nor a byte of the artifacts
@@ -590,6 +597,10 @@ MALFORMED = {
     "functions_empty": ("oscillation", {"functions": []}),
     "scan_kinds_empty": ("kernel-scan", {"kernel_scan": {"kinds": []}}),
     "bench_sizes_empty": ("bench", {"bench": {"sizes": []}}),
+    # only null means the default orders or directory: [] and "" name none
+    "scan_n_empty": ("kernel-scan", {"kernel_scan": {"n": []}}),
+    "out_empty": ("oscillation", {"out": ""}),
+    "function_file_path_empty": ("converge", {"functions": [{"family": "file", "path": ""}]}),
     # keys the schema forbids; the message must name them
     "scan_key_typo": ("kernel-scan", {"kernel_scan": {"levle": 3}}, "levle"),
     "thresholds_key_typo": ("converge", {"thresholds": {"stability_factr": 9}},

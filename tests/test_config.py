@@ -28,6 +28,9 @@ def test_schema_keys_match_defaults_and_parser():
     assert forms == [set(keys) for keys in config._RADIX_FORMS]
     assert props["suites"]["items"]["enum"] == list(config.SUITES)
     assert props["suites"]["minItems"] == 1  # as the parser's suites_empty case rejects []
+    # as the parser's scan_n_empty and out_empty cases reject [] and ""
+    assert props["kernel_scan"]["properties"]["n"]["minItems"] == 1
+    assert props["out"]["minLength"] == 1
 
 
 def test_package_reads_no_environment():

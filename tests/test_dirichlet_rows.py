@@ -8,6 +8,7 @@ same answers to rounding, and never hold the table.
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,9 +205,10 @@ def test_table_guard_detects_a_definition_and_a_call():
 
 
 @pytest.mark.parametrize("radices", ([2] * 8, [2, 3, 4, 2, 3, 2]), ids=str)
-def test_recursions_build_at_most_four_tables_of_entries(radices, monkeypatch):
-    # each digit's rows live at its own resolution, so the scan builds a few
-    # M_N x M_N tables' worth of character entries, not one per identity
+def test_recursions_build_at_most_three_tables_of_entries(radices, monkeypatch):
+    # each digit's rows live at its own resolution and are built once, in one
+    # lockstep set of streams, so the scan builds under three M_N x M_N tables'
+    # worth of character entries, not one per identity
     ns = vk.number_system(radices)
     real = kernels.character_block
     entries = []
@@ -218,4 +220,20 @@ def test_recursions_build_at_most_four_tables_of_entries(radices, monkeypatch):
 
     monkeypatch.setattr(kernels, "character_block", counted)
     kernels.verify_dirichlet_recursions(ns)
-    assert sum(entries) <= 4 * ns.cell_count ** 2
+    assert sum(entries) <= 3 * ns.cell_count ** 2
+
+
+@pytest.mark.parametrize("radices", ([2] * 10, [2, 3, 4, 2, 3, 2], [3, 5, 2, 2, 2]), ids=str)
+def test_recursions_hold_few_blocks_at_once(radices, monkeypatch):
+    # one block of each lockstep stream, with no view or finished tuple keeping
+    # an earlier block alive
+    ns = vk.number_system(radices)
+    monkeypatch.setattr(kernels, "ROW_BLOCK", 4 * ns.cell_count)
+    kernels.verify_dirichlet_recursions(ns)  # the cached tables, built once
+    tracemalloc.start()
+    try:
+        kernels.verify_dirichlet_recursions(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * kernels.ROW_BLOCK * np.dtype(np.complex128).itemsize
