@@ -204,11 +204,8 @@ def test_table_guard_detects_a_definition_and_a_call():
     assert not _uses_table(ast.parse("rows = _dirichlet_rows(ns, 0, 8)"))
 
 
-@pytest.mark.parametrize("radices", ([2] * 8, [2, 3, 4, 2, 3, 2]), ids=str)
-def test_recursions_build_at_most_three_tables_of_entries(radices, monkeypatch):
-    # each digit's rows live at its own resolution and are built once, in one
-    # lockstep set of streams, so the scan builds under three M_N x M_N tables'
-    # worth of character entries, not one per identity
+def _tables_of_entries(radices, monkeypatch):
+    # character entries the scan builds, in units of one M_N x M_N table
     ns = vk.number_system(radices)
     real = kernels.character_block
     entries = []
@@ -220,7 +217,21 @@ def test_recursions_build_at_most_three_tables_of_entries(radices, monkeypatch):
 
     monkeypatch.setattr(kernels, "character_block", counted)
     kernels.verify_dirichlet_recursions(ns)
-    assert sum(entries) <= 3 * ns.cell_count ** 2
+    return sum(entries) / ns.cell_count ** 2
+
+
+@pytest.mark.parametrize("radices", ([2] * 8, [2, 3, 4, 2, 3, 2]), ids=str)
+def test_recursions_build_at_most_four_tables_of_entries(radices, monkeypatch):
+    # each digit's rows live at its own resolution, so the scan builds a few
+    # M_N x M_N tables' worth of character entries, not one per identity
+    assert _tables_of_entries(radices, monkeypatch) <= 4
+
+
+@pytest.mark.parametrize("radices", ([2] * 8, [2, 3, 4, 2, 3, 2]), ids=str)
+def test_recursions_build_at_most_three_tables_of_entries(radices, monkeypatch):
+    # each digit's rows are also built once, in one lockstep set of streams,
+    # which brings the scan under three tables
+    assert _tables_of_entries(radices, monkeypatch) <= 3
 
 
 @pytest.mark.parametrize("radices", ([2] * 10, [2, 3, 4, 2, 3, 2], [3, 5, 2, 2, 2]), ids=str)
