@@ -109,19 +109,20 @@ def _dirichlet_rows(ns: NumberSystem, first: int, last: int, resolution: int):
     r, cells = resolution, ns.cells_at(resolution)
     step = 1 if last >= first else -1
     height = max(1, ROW_BLOCK // cells)
-    row = synthesize(ns, np.ones(first), r).cells
+    rows = None  # the block before: its last row starts the next, read only once it is due
     for a in range(first, last + step, step * height):
         b = a + step * min(height, abs(last - a) + 1)  # the block holds rows a, .., b - step
+        row = synthesize(ns, np.ones(first), r).cells if rows is None else \
+            rows[-1] + vilenkin_on_cells(ns, a - 1, r) if step > 0 else \
+            rows[-1] - vilenkin_on_cells(ns, a, r)
         rows = np.empty((abs(b - a), cells), dtype=np.complex128)
         rows[0] = row
         if step > 0:
             rows[1:] = character_block(ns, a, b - 1, r)
         else:
-            rows[1:] = -character_block(ns, b + 1, a, r)[::-1]
+            np.negative(character_block(ns, b + 1, a, r)[::-1], out=rows[1:])
         np.cumsum(rows, axis=0, out=rows)
-        if b != last + step:
-            row = rows[-1] + vilenkin_on_cells(ns, b - 1, r) if step > 0 \
-                else rows[-1] - vilenkin_on_cells(ns, b, r)
+        del row
         yield rows
 
 
@@ -156,18 +157,20 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
     The identities of digit s name orders up to M_{s+1}, whose rows are
     constant on the cosets of I_{s+1}: each digit is checked on the cells of
     resolution s + 1, where a row reshaped to (m_s, M_s) meets r_s^a as a
-    column. Its rows come from 2 m_s - 1 _dirichlet_rows streams of M_s + 1
-    rows, walked in lockstep a block of each at a time: up stream d holds
-    D_{d M_s + j}, down stream e holds D_{(e+1) M_s - j}, j = 0 .. M_s.
-    reflection reads down stream d - e - 1 beside up stream e, the others
-    the up streams, whose rows j < M_s for d >= 1 are the orders of scale s;
-    the last row of the top digit is D_{M_N}. digit_split is
+    column. The rows come from _dirichlet_rows streams of M_s + 1 rows: up
+    stream d runs D_{d M_s} .. D_{(d+1) M_s}, down stream c the same orders
+    downward. A pass walks up streams e0, e0 + 1 in lockstep with down
+    streams c0, c0 + 1, which meet in reflection, and with up stream 0 when
+    c0 = 0, which meets the up streams d >= 1 (the orders of scale s) in the
+    others. So a pass holds five blocks at most, whatever m_s; radix 2 is
+    one pass. The last row of up stream m_s - 1 is D_{M_{s+1}}. digit_split is
     block_geometric for r < m_k and is evaluated once. A NaN stays NaN.
     """
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
                          "block_geometric", "reflection", "product_form"), 0.0)
 
-    def bump(key, diff):
+    def bump(key, diff, less=0.0):
+        diff -= less  # in place, diff being a temporary: one block fewer is live
         res[key] = float(np.maximum(res[key], np.abs(diff).max(initial=0.0)))  # keeps a NaN
 
     for s in range(ns.resolution):
@@ -175,30 +178,35 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> RecursionReport:
         view = (m, Ms)  # a row at resolution s + 1, digit s outermost
         powers = synthesis_matrix(m)[np.arange(m + 1) % m][:, :, None]  # r_s^a on that view
         geo = np.cumsum(powers[:m], axis=0)  # geo[q] = sum_{a<=q} r_s^a
-        psi = [vilenkin_on_cells(ns, d * Ms - 1, r) for d in range(1, m)]  # psi_{d M_s - 1}
-        streams = [_dirichlet_rows(ns, d * Ms, (d + 1) * Ms, r) for d in range(m)]
-        streams += [_dirichlet_rows(ns, (e + 1) * Ms, e * Ms, r) for e in range(m - 1)]
-        j = 0  # each block holds rows j .. j + height - 1 of its stream
-        for blocks in zip(*streams):
-            up, height = [b.reshape((-1,) + view) for b in blocks[:m]], len(blocks[0])
-            if j == 0:  # copies: a view would keep the first blocks alive
-                D = [u[0].copy() for u in up]  # D[d] = D_{d M_s}
-                bump("scale_indicator", D[1] - np.where(np.arange(Ms) == 0, Ms, 0))
-            k = min(height, Ms - j)  # the rows j < M_s, none in a last block of row M_s alone
-            for d in range(1, m):
-                bump("mean", blocks[d][:k].mean(axis=1) - 1.0)
-                bump("product_form", _product_rows(ns, d * Ms + j, d * Ms + j + k, r)
-                     - blocks[d][:k])
-                bump("digit_split", up[d][:k] - geo[d - 1] * D[1] - powers[d] * up[0][:k])
-                bump("block_shift", up[d] - D[d] - powers[d] * up[0])
-                for e in range(d):
-                    bump("reflection", blocks[m + d - e - 1] - D[d].ravel()
-                         + psi[d - 1] * blocks[e].conj())
-            if j + height > Ms:  # the last blocks: up stream m_s - 1 ends at D_{M_{s+1}}
-                last = blocks[m - 1][-1].copy()
-            j += height
-            del blocks, up  # before the next blocks are built
-        bump("block_geometric", last.reshape(view) - geo[m - 1] * D[1] - powers[m] * D[0])
+        for e0, c0 in ((e, c) for e in range(0, m, 2) for c in range(0, max(1, m - 1 - e), 2)):
+            E, downs = range(e0, min(e0 + 2, m)), range(c0, min(c0 + 2, m - 1 - e0))
+            ups = sorted({0, *E}) if c0 == 0 else list(E)
+            streams = [_dirichlet_rows(ns, d * Ms, (d + 1) * Ms, r) for d in ups]
+            streams += [_dirichlet_rows(ns, (c + 1) * Ms, c * Ms, r) for c in downs]
+            j = 0  # each block holds rows j .. j + height - 1 of its stream
+            for blocks in zip(*streams, strict=True):  # strict: each stream ends, block freed
+                flat, down = dict(zip(ups, blocks)), dict(zip(downs, blocks[len(ups):]))
+                up, height = {d: b.reshape((-1,) + view) for d, b in flat.items()}, len(blocks[0])
+                if j == 0 and c0 == 0:  # copies: a view would keep the first blocks alive
+                    D = {d: u[0].copy() for d, u in up.items() if d}  # D[d] = D_{d M_s}
+                    D1 = D[1] if e0 == 0 else D1
+                k = min(height, Ms - j)  # the rows j < M_s, none in a last block of row M_s alone
+                for d in ups[1:] if c0 == 0 else ():
+                    bump("mean", flat[d][:k].mean(axis=1) - 1.0)
+                    bump("product_form", _product_rows(ns, d * Ms + j, d * Ms + j + k, r),
+                         less=flat[d][:k])
+                    bump("digit_split", up[d][:k] - geo[d - 1] * D1, less=powers[d] * up[0][:k])
+                    bump("block_shift", up[d] - D[d], less=powers[d] * up[0])
+                for c, e in ((c, e) for c in downs for e in E if c + e <= m - 2):
+                    d = c + e + 1  # D_{d M_s} - D_{d M_s - j} = psi_{d M_s - 1} conj(D_j)
+                    bump("reflection", vilenkin_on_cells(ns, d * Ms - 1, r) * flat[e].conj(),
+                         less=synthesize(ns, np.ones(d * Ms), r).cells - down[c])
+                if m - 1 in ups and j + height > Ms:  # up stream m_s - 1 ends at D_{M_{s+1}}
+                    last = flat[m - 1][-1].copy()
+                j += height
+                del blocks, flat, down, up  # before the next blocks are built
+        bump("scale_indicator", D1 - np.where(np.arange(Ms) == 0, Ms, 0))
+        bump("block_geometric", last.reshape(view) - geo[m - 1] * D1)  # r_s^m D_0 = 0
     bump("block_geometric", res["digit_split"])
     bump("scale_indicator", last - np.where(np.arange(ns.cell_count) == 0, ns.cell_count, 0))
     bump("mean", last.mean() - 1.0)

@@ -234,10 +234,12 @@ def test_recursions_build_at_most_three_tables_of_entries(radices, monkeypatch):
     assert _tables_of_entries(radices, monkeypatch) <= 3
 
 
-@pytest.mark.parametrize("radices", ([2] * 10, [2, 3, 4, 2, 3, 2], [3, 5, 2, 2, 2]), ids=str)
+@pytest.mark.parametrize("radices", ([2] * 10, [2, 3, 4, 2, 3, 2], [3, 5, 2, 2, 2],
+                                     [2, 2, 2, 2, 16]), ids=str)
 def test_recursions_hold_few_blocks_at_once(radices, monkeypatch):
-    # one block of each lockstep stream, with no view or finished tuple keeping
-    # an earlier block alive
+    # one block of each stream of a pass, at most five whatever the radix, with
+    # no view or finished tuple keeping an earlier block alive; the wide top
+    # digit of [2, 2, 2, 2, 16] is where a radix-sized set of streams would land
     ns = vk.number_system(radices)
     monkeypatch.setattr(kernels, "ROW_BLOCK", 4 * ns.cell_count)
     kernels.verify_dirichlet_recursions(ns)  # the cached tables, built once
