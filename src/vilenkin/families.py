@@ -39,8 +39,8 @@ def digit_indicator(ns: NumberSystem, level: int, coset: int = 0,
         raise UsageError(f"level {level} outside 0..{r}")
     if not 0 <= coset < ns.M[level]:
         raise UsageError(f"coset {coset} outside 0..{ns.M[level] - 1}")
-    residue = coset_rep_cells(ns, level, r)[coset]
-    cells = np.arange(ns.cells_at(r)) % ns.M[level] == residue
+    cells = np.zeros(ns.cells_at(r), dtype=bool)
+    cells[coset_rep_cells(ns, level, r)[coset] :: ns.M[level]] = True
     return StepFunction(ns, r, cells)
 
 

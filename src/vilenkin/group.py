@@ -1,18 +1,14 @@
 """Bounded Vilenkin group arithmetic and mixed-radix indexing.
 
-The group G_m is the product of cyclic groups Z_{m_0} x Z_{m_1} x ... with
-coordinatewise addition mod m_k. Indices n < M_N and group elements are
-identified with their mixed-radix digit vectors through the number system
-M_0 = 1, M_{k+1} = m_k * M_k, so the cell index sum_j x_j M_j is the one
-representation of a point: e_k is the index M_k, and x - t is the index of
-the digit rows (digit_matrix) subtracted mod m. Functions downstream hold
-one value per cell at that index. This module owns the digit/index
-plumbing, the coset tables, and the one axis rule: read as a C-order
-tensor, the flat cells put digit j on axis r-1-j (tensor_axis,
-digit_tensor, digit_axis). Translation, reflection and every character act
-on that tensor, and the transform on runs of its adjacent axes merged into
-one. The cell index also makes the cosets of I_k the residues mod M_k, and
-coset_rep_cells gives the residue of each Z_beta^(k).
+G_m is the product of the cyclic groups Z_{m_k}, added coordinatewise. Through the
+ladder M_0 = 1, M_{k+1} = m_k M_k, the cell index sum_j x_j M_j is the one
+representation of a point (e_k is the index M_k), and functions hold one value per
+cell. The one axis rule: read as a C-order tensor, the flat cells put digit j on
+axis r-1-j (tensor_axis, digit_tensor, digit_axis); translation, reflection and the
+characters act on that tensor, the transform on runs of adjacent axes. The cosets of
+I_k are the residues mod M_k: coset_rep_cells gives the cell of each Z_beta^(k),
+coset_key_table the beta of each cell. Tables are written from per-digit pieces,
+with no per-cell division; the digit rows of digit_matrix serve only reference code.
 """
 
 from __future__ import annotations
@@ -161,24 +157,29 @@ def digit_axis(values: np.ndarray, ns: NumberSystem, resolution: int, j: int) ->
 
 @functools.lru_cache(maxsize=None)
 def digit_matrix(ns: NumberSystem, resolution: int) -> np.ndarray:
-    """(M_r, r) int64 array: row i holds the digits of cell index i."""
-    r = resolution
-    cells = ns.cells_at(r)
-    idx = np.arange(cells, dtype=np.int64)
-    out = np.empty((cells, r), dtype=np.int64)
-    for j in range(r):
-        out[:, j] = (idx // ns.M[j]) % ns.radix.radices[j]
+    """(M_r, r) int64 digits of every cell: row q M_h + i holds i's digits, then q's."""
+    r, h = resolution, resolution // 2  # split: one broadcast write of np.indices per half
+    out = np.empty((ns.cells_at(r), r), dtype=np.int64)
+    view = out.reshape(ns.M[r] // ns.M[h], ns.M[h], r)
+    for lo, hi, part in ((0, h, view[:, :, :h]), (h, r, view[:, :, h:].swapaxes(0, 1))):
+        digits = np.indices(ns.radix.radices[lo:hi][::-1], dtype=np.int64)
+        part[...] = digits.reshape(hi - lo, ns.M[hi] // ns.M[lo])[::-1].T
     out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
-    """Coset index beta of every resolution-r cell at scale k: the inverse of coset_rep_cells."""
-    if not 0 <= k <= resolution:
-        raise UsageError(f"scale {k} outside 0..{resolution}")
-    D = digit_matrix(ns, resolution)
-    w = np.array([ns.M[k] // ns.M[j + 1] for j in range(k)], dtype=np.int64)
-    key = D[:, :k] @ w  # k = 0: no digit, every key 0
+    """Coset index beta of every resolution-r cell at scale k: the inverse of coset_rep_cells.
+
+    beta = sum_{j<k} x_j M_k/M_{j+1}, an outer sum over digits k-1..0, repeats every M_k cells.
+    """
+    if not 0 <= k <= resolution <= ns.resolution:
+        raise UsageError(f"scale {k} or resolution {resolution} outside 0..{ns.resolution}")
+    block = np.zeros(1, dtype=np.int64)
+    for j, m in enumerate(ns.radix.radices[:k]):
+        block = np.add.outer(np.arange(m, dtype=np.int64) * (ns.M[k] // ns.M[j + 1]), block)
+    key = np.empty(ns.M[resolution], dtype=np.int64)
+    key.reshape(-1, ns.M[k])[...] = block.reshape(-1)
     key.setflags(write=False)
     return key

@@ -32,9 +32,8 @@ def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFu
     r = min(k + 1, ns.resolution) if resolution is None else resolution
     if r < k:
         raise UsageError(f"resolution {r} cannot carry {n} frequencies")
-    cells = ns.cells_at(r)
-    out = np.zeros(cells, dtype=np.complex128)
-    out[np.arange(cells) % n == 0] = n
+    out = np.zeros(ns.cells_at(r), dtype=np.complex128)
+    out[::n] = n
     return StepFunction(ns, r, out)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import vilenkin as vk
 from vilenkin import oracles
 from vilenkin.errors import ConfigurationError, UsageError, ValidationError
 from vilenkin.config import radix_from_spec
-from vilenkin.group import coset_key_table, digit_matrix
+from vilenkin.group import coset_key_table, coset_rep_cells, digit_matrix
 
 from test_character_tensor import MORE_GRIDS
 
@@ -60,10 +62,88 @@ def test_digit_round_trip_exhaustive(ns):
         vk.digits_of(ns, ns.cell_count)
 
 
+# one radix, a radix above 32 first, and a long digit above a run of 2s
+TABLE_GRIDS = [[7], [40, 2, 3], [2, 2, 2, 2, 16]]
+
+
+def _oracle_digits(ns, r):
+    """Per-cell division: column j of row i is (i // M_j) % m_j."""
+    idx = np.arange(ns.cells_at(r), dtype=np.int64)[:, None]
+    M, m = (np.array(v[:r], dtype=np.int64) for v in (ns.M, ns.radix.radices))
+    return (idx // M) % m
+
+
+def _assert_read_only_int64(table, shape):
+    assert table.dtype == np.int64 and table.shape == shape
+    assert table.flags.c_contiguous and table.flags.owndata and not table.flags.writeable
+
+
+def _check_digit_matrix(ns):
+    for r in range(ns.resolution + 1):
+        D, want = digit_matrix(ns, r), _oracle_digits(ns, r)
+        _assert_read_only_int64(D, want.shape)
+        assert np.array_equal(D, want)
+    for bad in (-1, ns.resolution + 1):
+        with pytest.raises(UsageError):
+            digit_matrix(ns, bad)
+
+
+def _check_coset_key_table(ns):
+    # beta = sum_{j<k} x_j M_k/M_{j+1}: the digit rows times the coset weights
+    for r in range(ns.resolution + 1):
+        D = _oracle_digits(ns, r)
+        for k in range(r + 1):
+            w = np.array([ns.M[k] // ns.M[j + 1] for j in range(k)], dtype=np.int64)
+            key = coset_key_table(ns, r, k)
+            _assert_read_only_int64(key, (ns.M[r],))
+            assert np.array_equal(key, D[:, :k] @ w)
+        for bad in (-1, r + 1):
+            with pytest.raises(UsageError):
+                coset_key_table(ns, r, bad)
+    for bad in (-1, ns.resolution + 1):
+        with pytest.raises(UsageError):
+            coset_key_table(ns, bad, 0)
+
+
 def test_digit_matrix_matches_digits(ns):
-    D = digit_matrix(ns, ns.resolution)
-    for n in (0, 1, ns.cell_count // 2, ns.cell_count - 1):
-        assert tuple(D[n]) == vk.digits_of(ns, n)
+    _check_digit_matrix(ns)
+
+
+def test_coset_key_table_matches_weighted_digits(ns):
+    _check_coset_key_table(ns)
+
+
+@pytest.mark.parametrize("radices", TABLE_GRIDS, ids=str)
+def test_digit_tables_match_oracle_more_grids(radices):
+    ns = vk.number_system(radices)
+    _check_digit_matrix(ns)
+    _check_coset_key_table(ns)
+
+
+def test_coset_key_table_reads_no_other_table(count_calls):
+    # the keys come from per-digit terms: no digit table and no cached coset representatives
+    ns = vk.number_system([5, 3, 2, 3])
+    digits = count_calls("digit_matrix")
+    reps = count_calls("coset_rep_cells")
+    cached = coset_rep_cells.cache_info().currsize
+    for r in range(ns.resolution + 1):
+        for k in range(r + 1):
+            coset_key_table.__wrapped__(ns, r, k)
+    assert digits == [] and reps == []
+    assert coset_rep_cells.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("radices", [[2] * 16, [4] * 8], ids=str)
+def test_digit_matrix_peak_is_its_output(radices):
+    # the table is written from tables of about sqrt(M) rows, with no M-entry temporary
+    ns = vk.number_system(radices)
+    tracemalloc.start()
+    try:
+        table = digit_matrix.__wrapped__(ns, ns.resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * table.nbytes
 
 
 def test_group_laws_exhaustive_pairs(ns):
