@@ -7,8 +7,9 @@ cell. The one axis rule: read as a C-order tensor, the flat cells put digit j on
 axis r-1-j (tensor_axis, digit_tensor, digit_axis); translation, reflection and the
 characters act on that tensor, the transform on runs of adjacent axes. The cosets of
 I_k are the residues mod M_k: coset_rep_cells gives the cell of each Z_beta^(k),
-coset_key_table the beta of each cell. Tables are written from per-digit pieces,
-with no per-cell division; the digit rows of digit_matrix serve only reference code.
+coset_key_table the beta of each cell. Tables are written from per-digit pieces, with no
+per-cell division. Every scan row reads coset_rep_cells and trailing_zero_digits, so they
+are cached; digit_matrix (reference code only) and coset_key_table never are: each call builds one.
 """
 
 from __future__ import annotations
@@ -155,9 +156,8 @@ def digit_axis(values: np.ndarray, ns: NumberSystem, resolution: int, j: int) ->
     return values.reshape(values.shape[:-1] + tuple(shape))
 
 
-@functools.lru_cache(maxsize=None)
 def digit_matrix(ns: NumberSystem, resolution: int) -> np.ndarray:
-    """(M_r, r) int64 digits of every cell: row q M_h + i holds i's digits, then q's."""
+    """(M_r, r) int64 digits of every cell, never cached: row q M_h + i holds i's, then q's."""
     r, h = resolution, resolution // 2  # split: one broadcast write of np.indices per half
     out = np.empty((ns.cells_at(r), r), dtype=np.int64)
     view = out.reshape(ns.M[r] // ns.M[h], ns.M[h], r)
@@ -168,18 +168,18 @@ def digit_matrix(ns: NumberSystem, resolution: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
     """Coset index beta of every resolution-r cell at scale k: the inverse of coset_rep_cells.
 
-    beta = sum_{j<k} x_j M_k/M_{j+1}, an outer sum over digits k-1..0, repeats every M_k cells.
+    beta = sum_{j<k} x_j M_k/M_{j+1} repeats every M_k cells; never cached. The first M_k keys
+    are built in place: slab a of the first M_{j+1} is the first M_j plus a M_k/M_{j+1}.
     """
     if not 0 <= k <= resolution <= ns.resolution:
         raise UsageError(f"scale {k} or resolution {resolution} outside 0..{ns.resolution}")
-    block = np.zeros(1, dtype=np.int64)
+    key = np.zeros(ns.M[resolution], dtype=np.int64)
     for j, m in enumerate(ns.radix.radices[:k]):
-        block = np.add.outer(np.arange(m, dtype=np.int64) * (ns.M[k] // ns.M[j + 1]), block)
-    key = np.empty(ns.M[resolution], dtype=np.int64)
-    key.reshape(-1, ns.M[k])[...] = block.reshape(-1)
+        for a in range(1, m):  # slab by slab: a broadcast add can buffer both operands
+            np.add(key[: ns.M[j]], a * (ns.M[k] // ns.M[j + 1]), out=key[a * ns.M[j] :][: ns.M[j]])
+    key.reshape(-1, ns.M[k])[1:] = key[: ns.M[k]]
     key.setflags(write=False)
     return key

@@ -128,7 +128,7 @@ def test_coset_key_table_reads_no_other_table(count_calls):
     cached = coset_rep_cells.cache_info().currsize
     for r in range(ns.resolution + 1):
         for k in range(r + 1):
-            coset_key_table.__wrapped__(ns, r, k)
+            coset_key_table(ns, r, k)
     assert digits == [] and reps == []
     assert coset_rep_cells.cache_info().currsize == cached
 
@@ -139,11 +139,46 @@ def test_digit_matrix_peak_is_its_output(radices):
     ns = vk.number_system(radices)
     tracemalloc.start()
     try:
-        table = digit_matrix.__wrapped__(ns, ns.resolution)
+        table = digit_matrix(ns, ns.resolution)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * table.nbytes
+
+
+@pytest.mark.parametrize("radices", [[2] * 16, [4] * 8], ids=str)
+def test_coset_key_table_peak_is_its_output(radices):
+    # the first M_k keys are built in place in the table, slab by slab
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    for k in (r, r - 1):
+        tracemalloc.start()
+        try:
+            table = coset_key_table(ns, r, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table.nbytes
+
+
+@pytest.mark.parametrize("radices", [[2] * 16, [4] * 8], ids=str)
+def test_group_tables_are_not_retained(radices):
+    # each caller reads a table once, so nothing may keep an M_r-entry table alive
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tables = [digit_matrix(ns, r)] + [coset_key_table(ns, r, k) for k in range(r + 1)]
+        del tables
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained <= 64 * 1024
+    for build in (lambda: digit_matrix(ns, r), lambda: coset_key_table(ns, r, r - 1)):
+        a, b = build(), build()
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_group_laws_exhaustive_pairs(ns):
@@ -276,7 +311,7 @@ def test_coset_key_partitions(ns):
 
 @pytest.mark.parametrize("radices", [[2, 3], [2] * 6] + MORE_GRIDS, ids=str)
 def test_coset_key_tables_read_only(radices):
-    # a cached table that a caller could write would change every later call's answer
+    # no caller writes a key table, and a write raises
     ns = vk.number_system(radices)
     for r in range(ns.resolution + 1):
         for k in range(r + 1):
