@@ -9,8 +9,9 @@ cycle its axes, and the character system is a pure tensor product, so
 analysis and synthesis are the Kronecker product of one small DFT per
 digit. Adjacent digits are fused into blocks of bounded radix product; each
 block is one cached Kronecker matrix built from the shared root-of-unity
-tables and applied as one matmul. A block of radix-2 digits has a real
-matrix. On a Walsh grid (every radix 2) every block, character, Cesaro
+tables and applied as one matmul, which off Walsh grids also rotates the
+block's digits to the top of the cell index. A block of radix-2 digits has
+a real matrix. On a Walsh grid (every radix 2) every block, character, Cesaro
 weight and kernel is real-valued, so real values stay float64 end to end;
 otherwise the values are complex128 from the transform's entry on (_staged
 gives the rules). The order of the factors is mathematically inert:
@@ -162,42 +163,40 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
 
     For the block of digits j0 <= j < j1 the cell index splits as
     high * M_j1 + mid * M_j0 + low with 0 <= mid < P = M_j1 / M_j0, and the
-    block's Kronecker matrix K acts on mid alone: the cells reshaped to
-    (M_r / M_j1, P, M_j0) take one matmul K @ cells, and the lowest block
-    (M_j0 = 1) is (rows, P) @ K.T. There is one path at every size. values
-    may hold several rows of M_resolution cells back to back; each row is
-    transformed alone, as the cells of the lowest digits. The result is a
-    new array. Real values stay float64 on a Walsh grid (every radix of ns
-    is 2), where every K is real; otherwise they are taken as complex once,
-    here at the entry, and the result is complex128. The rule looks at the
-    whole grid, not at the resolution the transform runs at, so every
-    result on a mixed grid takes the complex path, a mean or kernel that it
-    computes on a prefix of radix-2 digits included.
+    block's Kronecker matrix K acts on mid alone. values may hold several
+    rows of M_resolution cells back to back, each transformed alone, and
+    the result is a new array. Real values stay float64 on a Walsh grid
+    (every radix of ns is 2), where every K is real. On any other grid,
+    whatever the resolution, values are taken as complex once, here at the
+    entry, so a mean or kernel on a prefix of radix-2 digits is complex too.
 
-    A real K (a block of radix-2 digits) above the lowest block acts on the
-    float64 view, (rows, P, w M_j0) with w floats per value: for complex
-    values the real and imaginary parts are interleaved columns that K
-    treats alike, so the block is one real matmul with half the flops of
-    the complex one. The lowest block of complex values keeps the complex
-    matmul; there each row holds one complex value, and a (2P, 2P) real form
-    on the float view measured no faster.
+    On a Walsh grid the cells reshaped to (M_r / M_j1, P, M_j0) take one
+    real matmul K @ cells on the float64 view (rows, P, w M_j0), w floats
+    per value, with complex parts as interleaved columns. The lowest block
+    (M_j0 = 1) is (rows, P) @ K.T, complex for complex values. Elsewhere
+    each block, lowest first, is one 2-D GEMM K @ (-1, P).T (a real K taken
+    as complex) that moves its digits from the bottom of the cell index to
+    the top: the last block leaves the cells in natural order with the row
+    index last, and one transpose restores the rows. On Walsh grids this
+    rotation measured slower; elsewhere it beat stacked small matmuls.
     """
     radices = ns.radix.radices[:resolution]
-    real = values.dtype.kind != "c" and ns.radix.max_radix == 2
+    walsh = ns.radix.max_radix == 2
+    real = values.dtype.kind != "c" and walsh
     arr = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
     if resolution == 0:
         return arr.copy()
     for j0, j1 in _digit_blocks(radices):
         K = _kronecker(radices[j0:j1], analysis)
         low, p = ns.M[j0], ns.M[j1] // ns.M[j0]
-        if low == 1:
+        if not walsh:
+            arr = K @ arr.reshape(-1, p).T
+        elif low == 1:
             arr = arr.reshape(-1, p) @ K.T
-        elif K.dtype == np.float64:
+        else:
             width = arr.itemsize // 8 * low  # floats per (row, mid) slice of the view
             arr = np.matmul(K, arr.view(np.float64).reshape(-1, p, width)).view(arr.dtype)
-        else:
-            arr = np.matmul(K, arr.reshape(-1, p, low))
-    return arr.reshape(-1)
+    return arr.reshape(-1) if walsh else arr.reshape(ns.M[resolution], -1).T.reshape(-1)
 
 
 def forward(f: StepFunction) -> CoefficientVector:

@@ -147,6 +147,47 @@ def test_staged_input_forms_agree(radices):
             assert np.max(np.abs(got - one_by_one)) <= 1e-12 * np.max(np.abs(one_by_one))
 
 
+def _oracle_rows(values, ns, k, analysis, rng):
+    """Each row of M_k values through the per-digit oracle, in a random digit order, unscaled."""
+    cells = ns.cells_at(k)
+    out = []
+    for row in values.reshape(-1, cells):
+        order = rng.permutation(k)
+        if analysis:
+            out.append(oracles.staged_forward(StepFunction(ns, k, row), order).coeffs * cells)
+        else:
+            out.append(oracles.staged_inverse(CoefficientVector(ns, k, row), order).cells)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("radices", MIXED_BLOCK_GRIDS + [[5, 3, 7, 2]], ids=str)
+def test_staged_takes_zero_one_or_several_rows(radices):
+    # the rows of a pass come back in row order as a new array, an empty pass included
+    ns = vk.number_system(radices)
+    r = ns.resolution
+    rng = np.random.default_rng(11)
+    for k in sorted({0, 1, r - 1, r}):
+        cells = ns.cells_at(k)
+        for analysis in (True, False):
+            for rows in (0, 1, 3):
+                values = rng.standard_normal((rows, cells)) + 1j * rng.standard_normal((rows, cells))
+                flat = values.reshape(-1)
+                got = transform._staged(flat, ns, k, analysis)
+                assert got.shape == (rows * cells,) and got.dtype == np.complex128
+                assert got.flags.c_contiguous
+                assert got is not flat and not np.shares_memory(got, flat)
+                if not analysis:
+                    synth = transform.synthesize_rows(ns, values, k)
+                    assert synth.shape == (rows, cells) and synth.flags.c_contiguous
+                    assert synth.tobytes() == got.tobytes()
+                if rows == 0:
+                    continue
+                one_by_one = np.concatenate([transform._staged(row, ns, k, analysis)
+                                             for row in values])
+                assert _close(got, one_by_one)
+                assert _close(got, _oracle_rows(flat, ns, k, analysis, rng))
+
+
 def test_staged_never_returns_its_input(walsh, rng):
     values = rng.standard_normal(1) + 0j
     assert transform._staged(values, walsh, 0, True) is not values
