@@ -8,6 +8,7 @@ import numpy as np
 
 import vilenkin as vk
 from vilenkin.group import digit_matrix
+from vilenkin.verify import character_shift_residual
 
 
 def show_group(radices):
@@ -32,7 +33,7 @@ def show_group(radices):
     F = vk.character_block(ns, 0, ns.cell_count)
     gram = F.conj().T @ F / ns.cell_count
     print(f"  gram residual = {np.max(np.abs(gram - np.eye(ns.cell_count))):.3e}")
-    res = vk.character_shift_residual(ns)
+    res = character_shift_residual(ns)
     print(f"  shift identity residual = {res:.3e}")
 
 

@@ -4,7 +4,7 @@ Group and digit plumbing (group), the character system (characters), Cesaro
 binomials (binomials), step functions and transforms (transform), kernels and
 bound scans (kernels), oscillation functionals (oscillation), test-function
 families (families), the config format (config), and a CLI (cli, entry point
-`vilenkin`).
+`vilenkin`, its suites in verify). verify and oracles are not imported here.
 """
 
 from .group import (
@@ -23,13 +23,8 @@ from .errors import (
     ValidationError,
     VilenkinError,
 )
-from .characters import (
-    character_block,
-    character_shift_residual,
-    unity_gap_residual,
-    vilenkin_on_cells,
-)
-from .binomials import CesaroTable, cesaro_table, identity_report
+from .characters import character_block, vilenkin_on_cells
+from .binomials import CesaroTable, cesaro_table
 from .transform import (
     CoefficientVector,
     StepFunction,
@@ -47,13 +42,11 @@ from .transform import (
 )
 from .kernels import (
     BoundScanRecord,
-    block_decomposition_residuals,
     cesaro_kernel,
     coset_decay_scan,
     dirichlet,
     low_block_ratio,
     majorant_ratio_scan,
-    verify_dirichlet_recursions,
 )
 from .oscillation import (
     OscillationProfile,

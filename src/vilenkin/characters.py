@@ -1,4 +1,4 @@
-"""Generalized Rademacher functions and the Vilenkin character system.
+"""Rademacher functions and Vilenkin characters; `verify` (verify.py) checks their identities.
 
 r_k(x) = exp(2 pi i x_k / m_k) and psi_n = prod_k r_k^{n_k}. All values are
 read from per-radix root-of-unity tables with the angle reduced to an index
@@ -100,36 +100,3 @@ def character_block(ns: NumberSystem, start: int, stop: int, resolution: int | N
             else:
                 np.multiply(product, factors[:, x, None], out=slab)
     return out
-
-
-def character_shift_residual(ns: NumberSystem) -> float:
-    """Max deviation in psi_{M_k}^{-n_k}(e_k) psi_{M_k}^{n_k}(t) = psi_{M_k}^{n_k}(t - e_k).
-
-    Checked for every k, every 1 <= n_k < m_k, every value t_k of digit k.
-    """
-    worst = 0.0
-    for k, m in enumerate(ns.radix.radices):
-        roots = root_table(m)
-        tk = np.arange(m)
-        for nk in range(1, m):
-            lhs = roots[(-nk) % m] * roots[(nk * tk) % m]
-            rhs = roots[(nk * ((tk - 1) % m)) % m]
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
-
-
-def unity_gap_residual(ns: NumberSystem) -> tuple[float, float]:
-    """Check |1 - psi_{M_k}^{-n_k}(e_k)| = 2 sin(pi n_k / m_k) over all k, n_k.
-
-    Returns (max identity residual, min gap - 2 sin(pi / max_radix)); the
-    second entry is nonnegative when the uniform lower bound holds.
-    """
-    worst = 0.0
-    min_gap = np.inf
-    for k, m in enumerate(ns.radix.radices):
-        roots = root_table(m)
-        for nk in range(1, m):
-            gap = abs(1 - roots[(-nk) % m])
-            worst = max(worst, abs(gap - 2 * np.sin(np.pi * nk / m)))
-            min_gap = min(min_gap, gap)
-    return worst, float(min_gap - 2 * np.sin(np.pi / ns.radix.max_radix))

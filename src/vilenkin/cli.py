@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
-Subcommands: verify, converge, kernel-scan, oscillation, bench.  main
-merges and parses the config (config.py) before any work, and each runner
-reads the resulting Config.  For a fixed config and seed every CSV/JSON
-artifact is byte-identical across runs, except timings.json, which holds
-wall-clock measurements and is excluded from that contract.
+Subcommands: verify (the suites of verify.SUITES), converge, kernel-scan,
+oscillation, bench.  main merges and parses the config (config.py) before any
+work, and each runner reads the resulting Config.  For a fixed config and seed
+every CSV/JSON artifact is byte-identical across runs, except timings.json,
+which holds wall-clock measurements and is excluded from that contract.
 
 Exit codes: 0 all checks pass, 1 an assertion failed, 2 bad configuration.
 """
@@ -21,14 +21,13 @@ import time
 import numpy as np
 
 from . import __version__
-from . import binomials, config, kernels, oracles, oscillation, transform
-from .characters import ROW_BLOCK, character_block, character_shift_residual, unity_gap_residual
+from . import kernels, oracles, oscillation, transform, verify
 from .config import Config, merge_config, n_schedule, parse
 from .errors import ConfigurationError, VilenkinError
 from .families import random_cells
-from .group import NumberSystem, coset_key_table, digit_matrix, scale_of
+from .group import NumberSystem, scale_of
 from .oscillation import difference_conditions, oscillation_profile
-from .transform import StepFunction, forward, inverse, sup_distance
+from .transform import forward, sup_distance
 
 SCHEMA_VERSION = 1
 
@@ -76,152 +75,14 @@ def _out_dir(cfg: Config) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-def _worst(*values: float) -> float:
-    """The largest of values, NaN if any is NaN (Python's max drops a NaN that is not first)."""
-    return float(np.max(values))
-
-
-def _suite_group(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    r = ns.resolution
-    cells = ns.cells_at(r)
-    failures = 0
-    # digit expansion and cell index are mutually inverse on every cell
-    D = digit_matrix(ns, r)
-    weights = np.array(ns.M[:r], dtype=np.int64)
-    failures += int(not np.array_equal(D @ weights, np.arange(cells)))
-    # the digit-axis actions against digit-row arithmetic on every cell: cell x
-    # of the index function translated by t holds the cell of x - t,
-    # sum_j ((x_j - t_j) mod m_j) M_j, and row a of table j holds that term for
-    # t_j = a and every x; translating back by -t is the identity. A block of M_l
-    # t (ROW_BLOCK entries at most) shares its digits from l up with its first t, a
-    tables = [((D[:, j] - np.arange(m)[:, None]) % m) * ns.M[j]
-              for j, m in enumerate(ns.radix.radices)]
-    index = StepFunction(ns, r, np.arange(cells))
-    block = max(m for m in ns.M if m <= max(1, ROW_BLOCK // cells))
-    first = sum(table[D[:block, j]] for j, table in enumerate(tables))  # x - t for t < M_l
-    for a in range(0, cells, block):
-        minus = first + sum(table[D[a, j]] - table[0] for j, table in enumerate(tables))
-        for t, minus_t in enumerate(minus, start=a):
-            moved = index.translate(t)
-            failures += int(not np.array_equal(moved.cells, minus_t))
-            back = moved.translate(int(minus_t[0]))
-            failures += int(not np.array_equal(back.cells, index.cells))
-    reflected = index.reflect()
-    # and the reflection holds the cell of -x
-    failures += int(not np.array_equal(reflected.cells, (-D % ns.radix.radices) @ weights))
-    failures += int(not np.array_equal(reflected.reflect().cells, index.cells))
-    # cosets at every level partition the cells evenly
-    for k in range(r + 1):
-        counts = np.bincount(coset_key_table(ns, r, k), minlength=ns.M[k])
-        failures += int(not np.all(counts == cells // ns.M[k]))
-    return {"passed": failures == 0, "max_residual": float(failures),
-            "details": {"cells": cells, "failures": failures}}
-
-
-def _suite_characters(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    r = ns.resolution
-    cells = ns.cells_at(r)
-    # row a of the Gram, <psi_a, psi_k> / M for every k, is the analysis of psi_a:
-    # one fast transform per block of character rows, never the (M, M) matrix
-    gram_res = 0.0
-    height = max(1, ROW_BLOCK // cells)
-    for a in range(0, cells, height):
-        b = min(cells, a + height)
-        rows = character_block(ns, a, b, r)
-        gram = transform._staged(rows, ns, r, analysis=True).reshape(b - a, cells) / cells
-        gram[np.arange(b - a), np.arange(a, b)] -= 1.0
-        gram_res = _worst(gram_res, np.abs(gram).max())
-    shift_res = character_shift_residual(ns)
-    identity_res, gap_margin = unity_gap_residual(ns)
-    passed = gram_res <= 1e-10 and shift_res <= 1e-10 \
-        and identity_res <= 1e-10 and gap_margin >= -1e-12
-    return {"passed": passed, "max_residual": _worst(gram_res, shift_res, identity_res),
-            "details": {"gram": gram_res, "shift": shift_res,
-                        "unity_identity": identity_res, "gap_margin": gap_margin}}
-
-
-def _suite_binomials(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    details = {}
-    worst = 0.0
-    for a in (0.25, 0.5, 0.75, 0.9):
-        for alpha in (a, -a):
-            rep = binomials.identity_report(alpha, 10_000)
-            details[f"identities_{alpha}"] = rep.max_residual
-            worst = _worst(worst, rep.max_residual)
-    ratio = _worst(binomials.asymptotic_ratio_residual(0.5, 10_000),
-                   binomials.asymptotic_ratio_residual(-0.5, 10_000))
-    details["ratio_residual"] = ratio
-    t = binomials.cesaro_table(-0.5, 1000)
-    monotone = bool(np.all(t.values > 0) and np.all(np.diff(t.values) < 0))
-    details["negative_order_decreasing"] = monotone
-    passed = worst <= 1e-10 and ratio <= 0.01 and monotone
-    return {"passed": passed, "max_residual": worst, "details": details}
-
-
-def _suite_dirichlet(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    rep = kernels.verify_dirichlet_recursions(ns)
-    passed = rep.max_residual <= 1e-9 and rep.residuals["mean"] <= 1e-10
-    return {"passed": passed, "max_residual": rep.max_residual, "details": rep.residuals}
-
-
-def _suite_block(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    worst = 0.0
-    for alpha in (0.25, 0.5, 0.75):
-        worst = _worst(worst, kernels.block_decomposition_residuals(ns, alpha).max())
-    return {"passed": worst <= 1e-9, "max_residual": worst,
-            "details": {"n_max": ns.cell_count}}
-
-
-def _suite_routes(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    f = random_cells(ns, rng)
-    worst = 0.0
-    n_top = min(64, ns.cell_count)
-    sums = oracles.partial_sum_rows(f, n_top)  # S_1 f .. S_{n_top} f, shared by every (alpha, n)
-    for alpha in (0.25, 0.5, 0.75):
-        means = oracles.cesaro_means_of_partial_sums(f, sums, alpha)
-        for n, b in zip(range(1, n_top + 1), means):
-            a = transform.cesaro_mean(f, n, alpha)
-            c = transform.convolve(f, kernels.cesaro_kernel(ns, n, alpha))
-            worst = _worst(worst, _worst(sup_distance(a, b), sup_distance(a, c)) / n)
-    return {"passed": worst <= 1e-9, "max_residual": worst,
-            "details": {"n_max": n_top, "normalized_by": "n"}}
-
-
-def _suite_transform(ns: NumberSystem, rng: np.random.Generator) -> dict:
-    f = random_cells(ns, rng)
-    cf = forward(f)
-    cn = oracles.forward(f)
-    fast_vs_naive = float(np.max(np.abs(cf.coeffs - cn.coeffs)))
-    roundtrip = sup_distance(inverse(cf), f)
-    order = list(rng.permutation(ns.resolution))
-    permuted = float(np.max(np.abs(oracles.staged_forward(f, order).coeffs - cf.coeffs)))
-    parseval = 0.0
-    for _ in range(50):
-        g = random_cells(ns, rng)
-        c = forward(g)
-        lhs = float(np.mean(np.abs(g.cells) ** 2))
-        rhs = float(np.sum(np.abs(c.coeffs) ** 2))
-        parseval = _worst(parseval, abs(lhs - rhs) / max(lhs, 1.0))
-    worst = _worst(fast_vs_naive, roundtrip, permuted, parseval)
-    passed = fast_vs_naive <= 1e-10 and roundtrip <= 1e-10 \
-        and permuted <= 1e-10 and parseval <= 1e-9
-    return {"passed": passed, "max_residual": worst,
-            "details": {"fast_vs_naive": fast_vs_naive, "roundtrip": roundtrip,
-                        "permuted_stages": permuted, "parseval": parseval}}
-
-
-# the suite of each name the config accepts, in config order
-SUITES = {name: globals()[f"_suite_{name}"] for name in config.SUITES}
-
+# verify
 
 def run_verify(cfg: Config) -> int:
     out = _out_dir(cfg)
     results, timings = {}, {}
     for name in cfg.suites:
         t0 = time.perf_counter()
-        results[name] = SUITES[name](cfg.ns, np.random.default_rng(cfg.seed))
+        results[name] = verify.SUITES[name](cfg.ns, np.random.default_rng(cfg.seed))
         timings[name] = time.perf_counter() - t0
         state = "pass" if results[name]["passed"] else "FAIL"
         print(f"{name:12s} {state}  max_residual={results[name]['max_residual']:.3e}")

@@ -173,6 +173,7 @@ def coset_key_table(ns: NumberSystem, resolution: int, k: int) -> np.ndarray:
 
     beta = sum_{j<k} x_j M_k/M_{j+1} repeats every M_k cells; never cached. The first M_k keys
     are built in place: slab a of the first M_{j+1} is the first M_j plus a M_k/M_{j+1}.
+    No library code calls it; it stays only because the perfbench set-ups warm it.
     """
     if not 0 <= k <= resolution <= ns.resolution:
         raise UsageError(f"scale {k} or resolution {resolution} outside 0..{ns.resolution}")

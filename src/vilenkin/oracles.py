@@ -1,9 +1,9 @@
-"""Reference forms of the fast paths, for tests, `verify` and `bench`.
+"""Reference forms of the fast paths, for tests, the `verify` suites (verify.py) and `bench`.
 
 Each evaluates its definition literally: the transform as a character sum
 or as one digit's DFT at a time, in any digit order, and a coset
 representative decoded one digit at a time. The library modules never
-import this.
+import this; verify and cli do.
 """
 
 import numpy as np

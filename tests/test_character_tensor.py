@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vilenkin as vk
-from vilenkin import characters, families, kernels
+from vilenkin import characters, families, kernels, verify
 from vilenkin.characters import root_table, synthesis_matrix
 from vilenkin.group import digit_matrix, digits_of, scale_of
 
@@ -82,7 +82,7 @@ def shift_residual_oracle(ns):
 
 
 def recursions_oracle(ns):
-    """The residual dict of verify_dirichlet_recursions, built from gathered characters.
+    """The residual dict of verify.verify_dirichlet_recursions, built from gathered characters.
 
     product_form reads the library's dirichlet_product, which
     test_dirichlet_product_bitwise pins to its own oracle.
@@ -197,11 +197,11 @@ def test_lacunary_bitwise(ns):
 
 
 def test_character_shift_residual_bitwise(ns):
-    assert characters.character_shift_residual(ns) == shift_residual_oracle(ns)
+    assert verify.character_shift_residual(ns) == shift_residual_oracle(ns)
 
 
 def test_recursion_residuals_bitwise(ns):
-    got = kernels.verify_dirichlet_recursions(ns).residuals
+    got = verify.verify_dirichlet_recursions(ns)
     want = recursions_oracle(ns)
     assert sorted(got) == sorted(want)
     for key in want:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
+from vilenkin import verify
 from vilenkin.characters import (analysis_matrix, character_block, root_table,
                                  synthesis_matrix, vilenkin_on_cells)
 from vilenkin.errors import ValidationError
@@ -93,11 +94,11 @@ def test_synthesis_analysis_inverse():
 
 
 def test_shift_identity_residual(ns):
-    assert vk.character_shift_residual(ns) < 1e-12
+    assert verify.character_shift_residual(ns) < 1e-12
 
 
 def test_unity_gap(ns):
-    identity_res, margin = vk.unity_gap_residual(ns)
+    identity_res, margin = verify.unity_gap_residual(ns)
     assert identity_res < 1e-12
     # every nonunit character value keeps distance 2 sin(pi / max_radix) from 1
     assert margin >= -1e-12

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import cli, config, families, kernels, oscillation, transform
+from vilenkin import cli, config, families, kernels, oscillation, transform, verify
 
 from test_character_tensor import MORE_GRIDS
 
@@ -62,8 +62,8 @@ def test_gram_row_blocks_match_the_whole_gram(radices, monkeypatch):
     F = vk.character_block(ns, 0, ns.cell_count)
     whole = float(np.abs(F.conj() @ F.T / ns.cell_count - np.eye(ns.cell_count)).max())
     for rows in (1, 5, ns.cell_count):
-        monkeypatch.setattr(cli, "ROW_BLOCK", rows * ns.cell_count)
-        got = cli._suite_characters(ns, np.random.default_rng(0))["details"]["gram"]
+        monkeypatch.setattr(verify, "ROW_BLOCK", rows * ns.cell_count)
+        got = verify._suite_characters(ns, np.random.default_rng(0))["details"]["gram"]
         assert got <= 1e-14 and abs(got - whole) <= 1e-15
 
 
@@ -79,9 +79,9 @@ def test_characters_suite_fails_on_corrupted_rows(radices, corruption, monkeypat
         F = F[np.r_[0:4, 5, 4, 6:M]]
     else:
         F[M // 2] *= 1 + 1e-8
-    monkeypatch.setattr(cli, "ROW_BLOCK", 5 * M)
-    monkeypatch.setattr(cli, "character_block", lambda ns, a, b, r=None: F[a:b].copy())
-    got = cli._suite_characters(ns, np.random.default_rng(0))
+    monkeypatch.setattr(verify, "ROW_BLOCK", 5 * M)
+    monkeypatch.setattr(verify, "character_block", lambda ns, a, b, r=None: F[a:b].copy())
+    got = verify._suite_characters(ns, np.random.default_rng(0))
     assert got["passed"] is False
     assert got["details"]["gram"] >= 1e-9
 
@@ -96,13 +96,14 @@ def _nan_in_dirichlet_rows(monkeypatch):
             out[5 - start, 1] = np.nan
         return out
 
+    monkeypatch.setattr(verify, "character_block", patched)
     monkeypatch.setattr(kernels, "character_block", patched)
     return "dirichlet"
 
 
 def _nan_in_character_rows(monkeypatch):
     # cell 7 of psi_3 in the rows the characters suite transforms
-    real = cli.character_block
+    real = verify.character_block
 
     def patched(ns, start, stop, resolution=None):
         out = real(ns, start, stop, resolution)
@@ -110,7 +111,7 @@ def _nan_in_character_rows(monkeypatch):
             out[3 - start, 7] = np.nan
         return out
 
-    monkeypatch.setattr(cli, "character_block", patched)
+    monkeypatch.setattr(verify, "character_block", patched)
     return "characters"
 
 
@@ -135,7 +136,7 @@ def _nan_in_first_mean(monkeypatch):
 def test_a_nan_residual_fails_its_suite(inject, monkeypatch):
     ns = vk.number_system([2, 3, 4, 2])
     suite = inject(monkeypatch)
-    got = cli.SUITES[suite](ns, np.random.default_rng(0))
+    got = verify.SUITES[suite](ns, np.random.default_rng(0))
     assert got["passed"] is False
     assert np.isnan(got["max_residual"])
 
@@ -378,12 +379,12 @@ def test_sup_error_at_own_resolution_is_the_lifted_sup(radices):
     assert ladder_reads >= 2 * len(orders)
 
 
-@pytest.mark.parametrize("row_block", [1, 1 << 12, cli.ROW_BLOCK])
+@pytest.mark.parametrize("row_block", [1, 1 << 12, verify.ROW_BLOCK])
 @pytest.mark.parametrize("radices", [[2] * 9] + MORE_GRIDS, ids=str)
 def test_group_suite_passes_with_any_block_of_t(radices, row_block, monkeypatch):
     # a block of t reads the rows of its first t's high digits beside the shared low rows
-    monkeypatch.setattr(cli, "ROW_BLOCK", row_block)
-    rep = cli._suite_group(vk.number_system(radices), np.random.default_rng(0))
+    monkeypatch.setattr(verify, "ROW_BLOCK", row_block)
+    rep = verify._suite_group(vk.number_system(radices), np.random.default_rng(0))
     assert rep["passed"] and rep["details"]["failures"] == 0
 
 
@@ -398,9 +399,24 @@ def test_group_suite_catches_one_wrong_translation(bad_t, monkeypatch):
         return g
 
     monkeypatch.setattr(transform.StepFunction, "translate", wrong)
-    monkeypatch.setattr(cli, "ROW_BLOCK", 1 << 9)  # blocks of 8 t on 48 cells
-    rep = cli._suite_group(vk.number_system([2, 3, 4, 2]), np.random.default_rng(0))
+    monkeypatch.setattr(verify, "ROW_BLOCK", 1 << 9)  # blocks of 8 t on 48 cells
+    rep = verify._suite_group(vk.number_system([2, 3, 4, 2]), np.random.default_rng(0))
     assert not rep["passed"] and rep["details"]["failures"] >= 1
+
+
+def test_group_suite_catches_a_repeated_coset_representative(monkeypatch):
+    # the last coset of every level k >= 2 gets the cell of the first
+    real = verify.coset_rep_cells
+
+    def repeated(ns, k, resolution):
+        cells = real(ns, k, resolution).copy()
+        if k >= 2:
+            cells[-1] = cells[0]
+        return cells
+
+    monkeypatch.setattr(verify, "coset_rep_cells", repeated)
+    rep = verify._suite_group(vk.number_system([2, 3, 4, 2]), np.random.default_rng(0))
+    assert not rep["passed"] and rep["details"]["failures"] == 3
 
 
 def test_kernel_scan_artifacts(tmp_path, small_cfg):

@@ -1,8 +1,8 @@
 """Dirichlet identities on bounded blocks of rows against the (M+1) x M table form.
 
 The table-form loops below are the checks as they were written on a dense
-table of D_0 .. D_M. verify_dirichlet_recursions and
-block_decomposition_residuals must check the same parameter tuples, give the
+table of D_0 .. D_M. verify.verify_dirichlet_recursions and
+verify.block_decomposition_residuals must check the same parameter tuples, give the
 same answers to rounding, and never hold the table.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import vilenkin as vk
-from vilenkin import binomials, kernels, oracles
+from vilenkin import binomials, kernels, oracles, verify
 from vilenkin.characters import synthesis_matrix, vilenkin_on_cells
 from vilenkin.group import digit_axis, digit_tensor
 
@@ -99,7 +99,7 @@ def grid(request):
 
 
 def test_recursions_match_the_table_form(grid):
-    got = kernels.verify_dirichlet_recursions(grid).residuals
+    got = verify.verify_dirichlet_recursions(grid)
     want = table_recursions(grid, oracles.dirichlet_table(grid, grid.cell_count))
     assert sorted(got) == sorted(want)
     if set(grid.radix.radices) == {2}:
@@ -111,7 +111,7 @@ def test_recursions_match_the_table_form(grid):
 def test_block_residuals_match_the_table_form(grid):
     T = oracles.dirichlet_table(grid, grid.cell_count)
     for alpha in ALPHAS:
-        got = kernels.block_decomposition_residuals(grid, alpha)
+        got = verify.block_decomposition_residuals(grid, alpha)
         want = table_block_residuals(grid, alpha, T)
         assert got.shape == want.shape == (grid.cell_count,)
         assert got.max() <= 1e-12
@@ -121,10 +121,10 @@ def test_block_residuals_match_the_table_form(grid):
 @pytest.mark.parametrize("radices", ([2, 3, 4, 2], [3, 5, 2], [2] * 6))
 def test_row_block_bound_leaves_residuals_unchanged(radices, monkeypatch):
     ns = vk.number_system(radices)
-    want = kernels.verify_dirichlet_recursions(ns).residuals
+    want = verify.verify_dirichlet_recursions(ns)
     for rows in (1, 3):
-        monkeypatch.setattr(kernels, "ROW_BLOCK", rows * ns.cell_count)
-        assert kernels.verify_dirichlet_recursions(ns).residuals == want
+        monkeypatch.setattr(verify, "ROW_BLOCK", rows * ns.cell_count)
+        assert verify.verify_dirichlet_recursions(ns) == want
 
 
 @pytest.mark.parametrize("first, last, r", [(0, 48, 4), (48, 0, 4), (7, 30, 4), (30, 7, 4),
@@ -134,8 +134,8 @@ def test_rows_are_bounded_blocks_of_the_table(first, last, r, monkeypatch):
     # a row at resolution r is the row on the first M_r cells: the digits from r up are 0
     ns = vk.number_system([2, 3, 4, 2])
     T = oracles.dirichlet_table(ns, ns.cell_count)
-    monkeypatch.setattr(kernels, "ROW_BLOCK", 5 * ns.cells_at(r))
-    blocks = list(kernels._dirichlet_rows(ns, first, last, r))
+    monkeypatch.setattr(verify, "ROW_BLOCK", 5 * ns.cells_at(r))
+    blocks = list(verify._dirichlet_rows(ns, first, last, r))
     assert all(1 <= len(b) <= 5 and b.shape[1] == ns.cells_at(r) for b in blocks)
     step = 1 if last >= first else -1
     rows = np.concatenate(blocks)
@@ -163,14 +163,14 @@ def test_perturbed_rows_move_the_same_keys(radices, monkeypatch):
     delta = 0.5 + 0.25j
     T = oracles.dirichlet_table(ns, ns.cell_count)
     table_base = table_recursions(ns, T)
-    rows_base = kernels.verify_dirichlet_recursions(ns).residuals
-    real = kernels._dirichlet_rows
+    rows_base = verify.verify_dirichlet_recursions(ns)
+    real = verify._dirichlet_rows
     for n in range(ns.cell_count + 1):
         Tn = T.copy()
         Tn[n] += delta
         table = table_recursions(ns, Tn)
-        monkeypatch.setattr(kernels, "_dirichlet_rows", _perturbing(real, n, delta))
-        rows = kernels.verify_dirichlet_recursions(ns).residuals
+        monkeypatch.setattr(verify, "_dirichlet_rows", _perturbing(real, n, delta))
+        rows = verify.verify_dirichlet_recursions(ns)
         moved_table = {key for key in table if table[key] != table_base[key]}
         moved_rows = {key for key in rows if rows[key] != rows_base[key]}
         assert moved_rows == moved_table, n
@@ -215,8 +215,9 @@ def _tables_of_entries(radices, monkeypatch):
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(kernels, "character_block", counted)
-    kernels.verify_dirichlet_recursions(ns)
+    monkeypatch.setattr(verify, "character_block", counted)  # the rows of the streams
+    monkeypatch.setattr(kernels, "character_block", counted)  # and of the product form
+    verify.verify_dirichlet_recursions(ns)
     return sum(entries) / ns.cell_count ** 2
 
 
@@ -241,12 +242,12 @@ def test_recursions_hold_few_blocks_at_once(radices, monkeypatch):
     # no view or finished tuple keeping an earlier block alive; the wide top
     # digit of [2, 2, 2, 2, 16] is where a radix-sized set of streams would land
     ns = vk.number_system(radices)
-    monkeypatch.setattr(kernels, "ROW_BLOCK", 4 * ns.cell_count)
-    kernels.verify_dirichlet_recursions(ns)  # the cached tables, built once
+    monkeypatch.setattr(verify, "ROW_BLOCK", 4 * ns.cell_count)
+    verify.verify_dirichlet_recursions(ns)  # the cached tables, built once
     tracemalloc.start()
     try:
-        kernels.verify_dirichlet_recursions(ns)
+        verify.verify_dirichlet_recursions(ns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * kernels.ROW_BLOCK * np.dtype(np.complex128).itemsize
+    assert peak <= 12 * verify.ROW_BLOCK * np.dtype(np.complex128).itemsize

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ALLOWED = {
     "low_block_ratio": "one of the kernel estimates the README inequality of ROADMAP "
-                       "item 2 is to be derived from, before converge gates on it",
+                       "item 1 is to be derived from, before converge gates on it",
 }
 
 

@@ -11,7 +11,10 @@ spectrum, inverse at f's resolution) is kept as a second oracle at rel 1e-12.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,10 +166,20 @@ def _imports_oracles(tree) -> bool:
     return False
 
 
-@pytest.mark.parametrize("module", ["transform", "kernels", "oscillation"])
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem not in ("oracles", "verify", "cli")))
 def test_fast_paths_do_not_import_oracles(module):
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert not _imports_oracles(tree)
+
+
+def test_importing_the_package_loads_neither_verify_nor_oracles():
+    # a fresh interpreter: the test process has imported both already
+    code = ("import sys, vilenkin; "
+            "print(sorted(m for m in ('vilenkin.verify', 'vilenkin.oracles') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_import_guard_detects_an_oracle_import():
