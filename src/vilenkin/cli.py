@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from . import kernels, oracles, oscillation, transform, verify
+from . import kernels, oscillation, transform
 from .config import Config, merge_config, n_schedule, parse
 from .errors import ConfigurationError, VilenkinError
 from .families import random_cells
@@ -78,6 +78,7 @@ def _out_dir(cfg: Config) -> str:
 # verify
 
 def run_verify(cfg: Config) -> int:
+    from . import verify  # here, so that no other subcommand imports the suites
     out = _out_dir(cfg)
     results, timings = {}, {}
     for name in cfg.suites:
@@ -247,6 +248,7 @@ def run_oscillation(cfg: Config) -> int:
 # bench
 
 def run_bench(cfg: Config) -> int:
+    from . import oracles  # here, so that no other subcommand imports the references
     out = _out_dir(cfg)
     repeats = cfg.bench_repeats
     report, timings = {}, {}

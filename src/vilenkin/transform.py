@@ -24,6 +24,8 @@ constant on the cosets of I_k and needs only the coefficients of E_k f, the
 average of f over the high digits: f is folded to M_k cells, transformed,
 weighted and synthesized at resolution k, and tiled back to its own grid
 (S_{M_k} f = E_k f is the classical case); converge reads means untiled.
+The partial sum S_n f is folded the same way but runs no transform: it
+takes two GEMMs per Kronecker block by Paley's lemma (partial_sum).
 
 Cesaro mean convention (the tests and the routes suite check all three):
 
@@ -194,8 +196,7 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
         elif low == 1:
             arr = arr.reshape(-1, p) @ K.T
         else:
-            width = arr.itemsize // 8 * low  # floats per (row, mid) slice of the view
-            arr = np.matmul(K, arr.view(np.float64).reshape(-1, p, width)).view(arr.dtype)
+            arr = _block_matmul(K, arr.reshape(-1, p, low))
     return arr.reshape(-1) if walsh else arr.reshape(ns.M[resolution], -1).T.reshape(-1)
 
 
@@ -321,10 +322,46 @@ def cesaro_weights(n: int, alpha: float) -> tuple[np.ndarray, float]:
 
 
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
-    """S_n f = sum_{nu < n} fhat(nu) psi_nu; S_0 f = 0."""
-    if not 0 <= n <= f.ns.cell_count:
-        raise UsageError(f"partial sum order {n} outside 0..{f.ns.cell_count}")
-    return multiplier(f, np.ones(n))
+    """S_n f = sum_{nu < n} fhat(nu) psi_nu, S_0 f = 0, with no transform.
+
+    f is folded to g = E_k f, k = minimal_resolution(n), as in _spectrum.
+    By Paley's lemma, in the top Kronecker block of P cells (synthesis S,
+    analysis A), with b = n // M_j0 and g as (P, M_j0),
+    S_n g = S[:, :b] (A[:b] g / P) + S[:, b] (x) S_{n mod M_j0}(A[b] g / P):
+    two GEMMs on M_k cells and the same on the M_j0 cells of the carry, in
+    place of a multiplier's two transforms. One tile lifts the result. The
+    dtype follows _staged's rule, and the result never shares f's cells.
+    """
+    ns, r, M = f.ns, f.resolution, len(f.cells)
+    if not 0 <= n <= ns.cell_count:
+        raise UsageError(f"partial sum order {n} outside 0..{ns.cell_count}")
+    real = f.cells.dtype.kind != "c" and ns.radix.max_radix == 2
+    g = f.cells.astype(np.float64 if real else np.complex128, copy=n >= M)
+    if n == 0 or n >= M:
+        return StepFunction(ns, r, np.zeros_like(g) if n == 0 else g)
+    k = minimal_resolution(ns, n)
+    if k < r:
+        g = g.reshape(-1, ns.cells_at(k)).sum(axis=0)
+        _scale(g, M // len(g))
+    return _lifted(StepFunction(ns, k, _partial_cells(g, n, ns, k) if n < len(g) else g), r)
+
+
+def _partial_cells(g: np.ndarray, n: int, ns: NumberSystem, k: int) -> np.ndarray:
+    """S_n g for 0 < n < M_k on the M_k cells g: partial_sum's step, top block first."""
+    radices, j0 = ns.radix.radices, _digit_blocks(ns.radix.radices[:k])[-1][0]
+    S, A = _kronecker(radices[j0:k], False), _kronecker(radices[j0:k], True)
+    b, low = divmod(n, ns.M[j0])
+    X = _block_matmul(A[:b + (low > 0)] / len(A), g.reshape(len(A), -1))
+    if low:  # row b is the carry: its own partial sum, one block down
+        X[b] = _partial_cells(X[b], low, ns, j0)
+    return _block_matmul(S[:, :len(X)], X).reshape(-1)
+
+
+def _block_matmul(K: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """K @ values, a real K meeting complex values on their float64 view (no upcast of K)."""
+    if K.dtype.kind == "c" or values.dtype.kind != "c":
+        return K @ values
+    return (K @ values.view(np.float64)).view(np.complex128)
 
 
 def fejer_mean(f: StepFunction, n: int) -> StepFunction:

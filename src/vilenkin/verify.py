@@ -238,9 +238,10 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> dict:
     streams c0, c0 + 1, which meet in reflection, and with up stream 0 when
     c0 = 0, which meets the up streams d >= 1 (the orders of scale s) in the
     others. So a pass holds five blocks at most, whatever m_s; radix 2 is
-    one pass. The reflection's base rows are built once per pass. The last
-    row of up stream m_s - 1 is D_{M_{s+1}}. digit_split is block_geometric
-    for r < m_k and is evaluated once. A NaN stays NaN.
+    one pass. The reflection's two base rows are synthesized per block and
+    pair and live only for that check. The last row of up stream m_s - 1 is
+    D_{M_{s+1}}. digit_split is block_geometric for r < m_k and is
+    evaluated once. A NaN stays NaN.
     """
     res = dict.fromkeys(("scale_indicator", "mean", "digit_split", "block_shift",
                          "block_geometric", "reflection", "product_form"), 0.0)
@@ -258,7 +259,6 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> dict:
             E, downs = range(e0, min(e0 + 2, m)), range(c0, min(c0 + 2, m - 1 - e0))
             ups = sorted({0, *E}) if c0 == 0 else list(E)
             pairs = [(c, e) for c in downs for e in E if c + e <= m - 2]
-            bases = {c + e + 1: _base_rows(ns, (c + e + 1) * Ms, r) for c, e in pairs}
             streams = [_dirichlet_rows(ns, d * Ms, (d + 1) * Ms, r) for d in ups]
             streams += [_dirichlet_rows(ns, (c + 1) * Ms, c * Ms, r) for c in downs]
             j = 0  # each block holds rows j .. j + height - 1 of its stream
@@ -276,8 +276,9 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> dict:
                     bump("digit_split", up[d][:k] - geo[d - 1] * D1, less=powers[d] * up[0][:k])
                     bump("block_shift", up[d] - D[d], less=powers[d] * up[0])
                 for c, e in pairs:  # D_{d M_s} - D_{d M_s - j} = psi_{d M_s - 1} conj(D_j)
-                    D_d, psi = bases[c + e + 1]
-                    bump("reflection", psi * flat[e].conj(), less=D_d - down[c])
+                    d = c + e + 1
+                    bump("reflection", vilenkin_on_cells(ns, d * Ms - 1, r) * flat[e].conj(),
+                         less=synthesize(ns, np.ones(d * Ms), r).cells - down[c])
                 if m - 1 in ups and j + height > Ms:  # up stream m_s - 1 ends at D_{M_{s+1}}
                     last = flat[m - 1][-1].copy()
                 j += height

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import transform
+from vilenkin import characters, families, oracles, transform
 
 from test_dtype import _grids
 from test_transform import _close, _oracle_rows
@@ -37,3 +37,28 @@ def test_staged_matches_per_digit_oracle(data):
     assert got.shape == (rows * cells,) and got.flags.c_contiguous
     if rows:
         assert _close(got, _oracle_rows(values, ns, k, analysis, rng))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partial_sum_matches_character_sums(data):
+    # f of any resolution, real or complex values, n anywhere in 0..M_N
+    ns = vk.number_system(data.draw(_grids()))
+    resolution = data.draw(st.integers(0, ns.resolution))
+    real = data.draw(st.booleans())
+    n = data.draw(st.integers(0, ns.cell_count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = families.random_cells(ns, rng, resolution=resolution, real=real)
+
+    got = transform.partial_sum(f, n)
+    walsh = set(ns.radix.radices) == {2}
+    assert got.cells.dtype == (np.float64 if real and walsh else np.complex128)
+    assert got.resolution == resolution
+    fhat = oracles.forward(f).coeffs
+    cut, cells = min(n, len(fhat)), len(fhat)
+    want = np.zeros(cells, dtype=np.complex128)
+    step = max(1, characters.ROW_BLOCK // cells)  # sum_{nu < n} fhat(nu) psi_nu, in row blocks
+    for start in range(0, cut, step):
+        stop = min(cut, start + step)
+        want += fhat[start:stop] @ characters.character_block(ns, start, stop, resolution)
+    assert _close(got.cells, want)

@@ -8,6 +8,8 @@ resolution. The weight rounds as (fhat * w) / A for a mean and w / A for
 a kernel. The multiplier must reproduce these exactly, not merely to
 rounding. The full-resolution form (forward f, zero the tail of the
 spectrum, inverse at f's resolution) is kept as a second oracle at rel 1e-12.
+The partial sum runs no transform; its oracle writes out the operations of
+its block recursion instead, and the full-resolution form checks it too.
 """
 
 import ast
@@ -106,16 +108,76 @@ def _functions(ns, rng):
 
 def test_means_bitwise(ns, rng):
     for f in _functions(ns, rng):
-        means = [(0, transform.partial_sum(f, 0), _partial_weight)]
+        means = []
         for n in _orders(ns):
-            means += [(n, transform.partial_sum(f, n), _partial_weight),
-                      (n, transform.fejer_mean(f, n), _fejer_weight(n))]
+            means.append((n, transform.fejer_mean(f, n), _fejer_weight(n)))
             means += [(n, transform.cesaro_mean(f, n, alpha), _cesaro_weight(n, alpha))
                       for alpha in (0.25, 0.5, 0.75)]
         for n, mean, weight_of in means:
             assert mean.resolution == f.resolution
             assert mean.cells.tobytes() == _weighted(f, n, weight_of).tobytes()
             assert _close(mean.cells, _weighted_full_resolution(f, n, weight_of))
+
+
+def _view_matmul(K, values):
+    """K @ values; a real K meets complex values on their float64 view, complex parts as columns."""
+    if K.dtype.kind == "c" or values.dtype.kind != "c":
+        return K @ values
+    return (K @ values.view(np.float64)).view(np.complex128)
+
+
+def _partial_sum_oracle(f, n):
+    """S_n f by the operations of partial_sum's block recursion, written out as two walks.
+
+    f is folded to k = minimal_resolution(n) like _weighted (the row sum,
+    then every float times 1 / (M_r / M_k)). Down: the top block of the
+    first k digits (P cells, analysis A, synthesis S, b = n // M_j0) gives
+    X = (A[:rows] / P) @ g with rows = b, or b + 1 when n mod M_j0 > 0,
+    whose row b is the next g, with n mod M_j0 and k = j0. Up: row b of
+    each X takes the result from the block below, and the result is
+    S[:, :rows] @ X. Tiled to f's resolution. n = 0 gives zeros and
+    n >= M_r a copy, in float64 for real f on a Walsh grid, else complex128.
+    """
+    ns, M = f.ns, len(f.cells)
+    real = f.cells.dtype.kind != "c" and set(ns.radix.radices) == {2}
+    g = f.cells.astype(np.float64 if real else np.complex128)
+    if n == 0 or n >= M:
+        return np.zeros_like(g) if n == 0 else g
+    k = transform.minimal_resolution(ns, n)
+    Mk = ns.cells_at(k)
+    if Mk < M:
+        g = g.reshape(-1, Mk).sum(axis=0)
+        g.view(np.float64)[:] *= 1.0 / (M // Mk)
+    levels = []
+    while n < Mk:
+        j0 = transform._digit_blocks(ns.radix.radices[:k])[-1][0]
+        S = transform._kronecker(ns.radix.radices[j0:k], False)
+        A = transform._kronecker(ns.radix.radices[j0:k], True)
+        b, low = divmod(n, ns.M[j0])
+        rows = b + (low > 0)
+        X = _view_matmul(A[:rows] / len(A), g.reshape(len(A), -1))
+        levels.append((S[:, :rows], X, b))
+        if not low:
+            break
+        g, n, k, Mk = X[b], low, j0, ns.M[j0]
+    out = g  # S_{M_k} g = g: only when the walk never started, n = M_k
+    for i, (S, X, b) in enumerate(reversed(levels)):
+        if i:
+            X[b] = out
+        out = _view_matmul(S, X).reshape(-1)
+    return np.tile(out, M // len(out))
+
+
+def test_partial_sum_bitwise(ns, rng, staged_passes):
+    # the block recursion makes no transform pass at all
+    for f in _functions(ns, rng):
+        for n in [0] + _orders(ns):
+            staged_passes.clear()
+            got = transform.partial_sum(f, n)
+            assert staged_passes == []
+            assert got.resolution == f.resolution
+            assert got.cells.tobytes() == _partial_sum_oracle(f, n).tobytes()
+            assert _close(got.cells, _weighted_full_resolution(f, n, _partial_weight))
 
 
 def test_kernels_bitwise(ns):
@@ -173,13 +235,24 @@ def test_fast_paths_do_not_import_oracles(module):
     assert not _imports_oracles(tree)
 
 
-def test_importing_the_package_loads_neither_verify_nor_oracles():
-    # a fresh interpreter: the test process has imported both already
-    code = ("import sys, vilenkin; "
+def _fresh_import_loads(module: str) -> str:
+    """Which of vilenkin.verify and vilenkin.oracles a fresh `import module` loads.
+
+    A fresh interpreter: the test process has imported both already.
+    """
+    code = (f"import sys, {module}; "
             "print(sorted(m for m in ('vilenkin.verify', 'vilenkin.oracles') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60).stdout
+
+
+def test_importing_the_package_loads_neither_verify_nor_oracles():
+    assert _fresh_import_loads("vilenkin").strip() == "[]"
+
+
+def test_importing_the_cli_loads_neither_verify_nor_oracles():
+    # only run_verify reads verify and only run_bench reads oracles, each importing its own
+    assert _fresh_import_loads("vilenkin.cli").strip() == "[]"
 
 
 def test_import_guard_detects_an_oracle_import():

@@ -360,7 +360,10 @@ def test_means_transform_at_their_own_resolution(ns, rng, staged_passes):
     f = random_f(ns, rng)
     for n in range(1, ns.cell_count + 1):
         k = transform.minimal_resolution(ns, n)
-        for mean in (lambda: partial_sum(f, n), lambda: transform.fejer_mean(f, n),
+        staged_passes.clear()
+        assert partial_sum(f, n).resolution == ns.resolution
+        assert staged_passes == []  # the partial sum transforms at no resolution
+        for mean in (lambda: transform.fejer_mean(f, n),
                      lambda: transform.cesaro_mean(f, n, 0.6),
                      lambda: transform.multiplier(f, np.ones(n), 3.0),
                      lambda: kernels.cesaro_kernel(ns, n, 0.6, ns.resolution)):
@@ -530,6 +533,42 @@ def test_partial_sum_at_scale_is_coset_average(radices):
     for k in range(ns.resolution + 1):
         average = f.cells.reshape(-1, ns.M[k]).mean(axis=0)
         assert _close(partial_sum(f, ns.M[k]).cells, np.tile(average, ns.cell_count // ns.M[k]))
+
+
+def _character_partial_sums(f, rows=256):
+    """S_0 f .. S_{M_r} f: running sums of fhat(nu) psi_nu, fhat from oracles.forward.
+
+    The characters come from character_block, rows of them at a time.
+    """
+    fhat = oracles.forward(f).coeffs
+    running = np.zeros(len(fhat), dtype=np.complex128)
+    yield running
+    for start in range(0, len(fhat), rows):
+        stop = min(start + rows, len(fhat))
+        psi = characters.character_block(f.ns, start, stop, f.resolution)
+        sums = running + np.cumsum(fhat[start:stop, None] * psi, axis=0)
+        yield from sums
+        running = sums[-1]
+
+
+@pytest.mark.parametrize("radices", IDENTITY_GRIDS, ids=str)
+def test_partial_sum_matches_character_sums_at_every_order(radices):
+    # every n in 0..M_N, on f and on a coarse f of resolution r - 2, real and complex
+    ns = vk.number_system(radices)
+    rng = np.random.default_rng(14)
+    walsh = set(radices) == {2}
+    for real in (False, True):
+        for resolution in (ns.resolution, ns.resolution - 2):
+            f = families.random_cells(ns, rng, resolution=resolution, real=real)
+            sums = _character_partial_sums(f)
+            for n in range(ns.cell_count + 1):
+                want = next(sums) if n <= len(f.cells) else want  # S_n f = f past M_r
+                got = partial_sum(f, n)
+                assert got.resolution == resolution
+                assert got.cells.dtype == (np.float64 if real and walsh else np.complex128)
+                assert _close(got.cells, want)
+                if n >= len(f.cells):
+                    assert not np.shares_memory(got.cells, f.cells)
 
 
 @pytest.mark.parametrize("radices", IDENTITY_GRIDS, ids=str)
