@@ -78,6 +78,7 @@ def _out_dir(cfg: Config) -> str:
 # verify
 
 def run_verify(cfg: Config) -> int:
+    """Run the identity suites and write report.json; exit 1 if a suite fails."""
     from . import verify  # here, so that no other subcommand imports the suites
     out = _out_dir(cfg)
     results, timings = {}, {}
@@ -145,6 +146,7 @@ def _converge_group(cfg: Config, label: str, f) -> list[list]:
 
 
 def run_converge(cfg: Config) -> int:
+    """Write the sup errors of the Cesaro means of each function to converge.csv."""
     out = _out_dir(cfg)
     rows = []
     for label, build in cfg.functions:
@@ -174,6 +176,7 @@ def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
 
 
 def run_kernel_scan(cfg: Config) -> int:
+    """Scan the kernel bound ratios and write their stability summary."""
     ns = cfg.ns
     majorant_n = sorted(set(n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]
                             if cfg.scan_n is None else cfg.scan_n))
@@ -226,6 +229,7 @@ def run_kernel_scan(cfg: Config) -> int:
 # oscillation
 
 def run_oscillation(cfg: Config) -> int:
+    """Write the oscillation profile and series of each function to oscillation.csv."""
     out = _out_dir(cfg)
     rows = []
     finite = True
@@ -248,6 +252,7 @@ def run_oscillation(cfg: Config) -> int:
 # bench
 
 def run_bench(cfg: Config) -> int:
+    """Time the fast transform against the character-sum reference."""
     from . import oracles  # here, so that no other subcommand imports the references
     out = _out_dir(cfg)
     repeats = cfg.bench_repeats

@@ -165,13 +165,13 @@ def family_from_spec(ns: NumberSystem, spec) -> tuple[str, Callable]:
         raise ConfigurationError(f"function spec {spec!r} needs a 'family'")
     name = spec["family"]
     if name == "lacunary":
-        if spec.get("decay") == "inverse_scale":
+        if spec.get("decay") == "inverse_scale" and "coeffs" not in spec:
             return "lacunary-inverse_scale", \
                 lambda rng: families.lacunary(ns, families.inverse_scale_coeffs(ns))
         coeffs = [config_value(c, float, "coeffs")
                   for c in config_value(spec.get("coeffs", []), list, "coeffs")]
         if not coeffs or "decay" in spec:
-            raise ConfigurationError("lacunary spec needs 'coeffs' or decay='inverse_scale'")
+            raise ConfigurationError("lacunary spec takes one of 'coeffs' and decay='inverse_scale'")
         if len(coeffs) > ns.resolution:
             raise ConfigurationError(f"{len(coeffs)} coeffs exceed the {ns.resolution} digits")
         return "lacunary-" + ",".join(repr(c) for c in coeffs), \
@@ -296,6 +296,9 @@ def parse(merged: dict, command: str) -> Config:
         config_value(n, int, "kernel_scan.n")
         for n in config_value(scan["n"], list, "kernel_scan.n", 1))
     _check_orders(scan_n or (), ns.cell_count)
+    stability = config_value(thresholds["stability_factor"], float, "thresholds.stability_factor")
+    if not stability > 0:  # a factor of 0 or below reads every scan as unstable
+        raise ConfigurationError(f"thresholds.stability_factor={stability!r} is not above 0")
     kinds = tuple(config_value(scan["kinds"], list, "kernel_scan.kinds", 1))
     for kind in kinds:
         if kind not in ("majorant", "coset_decay"):
@@ -305,8 +308,7 @@ def parse(merged: dict, command: str) -> Config:
         out=os.path.join("runs", command) if merged["out"] is None
         else config_value(merged["out"], str, "out", 1),
         seed=config_value(merged["seed"], int, "seed", 0), suites=suites,
-        stability_factor=config_value(thresholds["stability_factor"], float,
-                                      "thresholds.stability_factor"),
+        stability_factor=stability,
         final_over_first=config_value(thresholds["final_over_first"], float,
                                       "thresholds.final_over_first"),
         trailing_points=config_value(thresholds["trailing_points"], int,

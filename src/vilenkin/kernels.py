@@ -1,100 +1,64 @@
 """Dirichlet and negative-order Cesaro kernels plus bound scans.
 
-D_n = sum_{k<n} psi_k with D_0 = 0. Kernels live on the coarsest grid that
-carries their frequencies and are lifted on demand. Each bound scan returns
-its ratios so stability can be asserted, not assumed; the exhaustive identity
-scans over these kernels are the `verify` suites' (verify.py).
+D_n = sum_{k<n} psi_k with D_0 = 0 is the partial sum S_n of a unit mass
+(transform.partial_sum's Paley recursion); K_n^{-alpha} is a slice of one
+Cesaro table, shared by every order of a call (_cesaro_kernels). Kernels live
+on the coarsest grid that carries their frequencies and are lifted on demand.
+Each bound scan returns its ratios so stability can be asserted, not assumed;
+the exhaustive identity scans over these kernels, and the digit product form
+of D_n they check, are the `verify` suites' (verify.py).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import binomials
-from .characters import character_block, synthesis_matrix
 from .errors import DomainError, UsageError
-from .group import (NumberSystem, coset_rep_cells, digit_axis, digit_tensor, scale_of,
-                    trailing_zero_digits)
+from .group import NumberSystem, coset_rep_cells, scale_of, trailing_zero_digits
 from .oscillation import modulus_of_continuity
-from .transform import StepFunction, cesaro_weights, convolve, synthesize
+from .transform import StepFunction, convolve, minimal_resolution, partial_sum, synthesize
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
-    """D_n: M_k times the I_k indicator when n = M_k, the digit product form otherwise."""
-    if n not in ns.M:
-        return dirichlet_product(ns, n, resolution)
-    k = ns.M.index(n)
-    # D_n is constant on I_{k+1} cells; that is its natural grid.
-    r = min(k + 1, ns.resolution) if resolution is None else resolution
-    if r < k:
-        raise UsageError(f"resolution {r} cannot carry {n} frequencies")
-    out = np.zeros(ns.cells_at(r), dtype=np.complex128)
-    out[::n] = n
-    return StepFunction(ns, r, out)
+    """D_n = S_n of the unit mass M_k 1_{cell 0}, k = minimal_resolution(n), lifted to resolution.
 
-
-def dirichlet_product(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
-    """D_n = psi_n sum_j D_{M_j} sum_{a=m_j-n_j}^{m_j-1} r_j^a over the digits n_j of n."""
-    if not 0 <= n <= ns.cell_count:
-        raise UsageError(f"kernel order {n} outside 0..{ns.cell_count}")
-    if n == ns.cell_count:
-        # No digit expansion at position N; the closed form is exact here.
-        return dirichlet(ns, n, resolution)
-    scale = scale_of(ns, n) if n else -1
-    r = scale + 1 if resolution is None else resolution
-    if r <= scale:
-        raise UsageError(f"resolution {r} cannot carry the digit product form of D_{n}")
-    return StepFunction(ns, r, _product_rows(ns, n, n + 1, r)[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _root_tails(m: int) -> np.ndarray:
-    """(m, m) rows sum_{a=m-q}^{m-1} r^a for q = 0..m-1, each summed upward from zero."""
-    F = synthesis_matrix(m)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for q in range(1, m):
-        for a in range(m - q, m):
-            out[q] += F[a]
-    out.setflags(write=False)
-    return out
-
-
-def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> np.ndarray:
-    """The digit product form of D_n for n = start..stop-1, shape (stop-start, M_r), n < M_r.
-
-    Every entry takes the operations of a lone order in the same order:
-    the digit terms M_j 1_{I_j} (sum of r_j^a) added upward from digit 0,
-    each on I_j alone (the last j digit-tensor axes at 0), then psi_n times
-    their sum. A digit that is 0 in some rows but not all adds a zero term
-    to those rows and character_block multiplies them by r_j^0 = 1; either
-    changes at most the sign of a zero.
+    The mass has fhat(nu) = 1 for nu < M_k. By default D_n is lifted to its
+    natural grid, that of min(n + 1, M_N) frequencies: D_{M_k} = M_k 1_{I_k}
+    is constant on the I_{k+1} cells. The dtype follows partial_sum's rule.
     """
-    r = resolution
-    rows = np.arange(start, stop, dtype=np.int64)
-    acc = digit_tensor(np.zeros((stop - start, ns.cells_at(r)), dtype=np.complex128), ns, r)
-    for j in range(r):
-        m = ns.radix.radices[j]
-        nj = (rows // ns.M[j]) % m
-        if np.any(nj):
-            on_I_j = (...,) + (0,) * j
-            acc[on_I_j] += ns.M[j] * digit_axis(_root_tails(m)[nj], ns, r, j)[on_I_j]
-    out = character_block(ns, start, stop, r)
-    out *= acc.reshape(out.shape)  # in place: one row block fewer at the check's peak
-    return out
+    k = minimal_resolution(ns, n)  # with partial_sum, rejects n outside 0..M_N
+    mass = np.zeros(ns.cells_at(k))
+    mass[0] = ns.cells_at(k)
+    r = minimal_resolution(ns, min(n + 1, ns.cell_count)) if resolution is None else resolution
+    return partial_sum(StepFunction(ns, k, mass), n).lift(r)
+
+
+def _cesaro_kernels(ns: NumberSystem, alpha: float, orders, resolution: int | None = None):
+    """(n, A_{n-1}^{-alpha}, K_n^{-alpha}) for each order n, from one table A^{-alpha}.
+
+    The orders and alpha are checked before the first kernel. cumprod is a
+    sequential fold, so the prefix of the table that order n reads is
+    cesaro_table(-alpha, n - 1), to the byte.
+    """
+    orders = list(orders)
+    for n in orders:
+        if not 1 <= n <= ns.cell_count:
+            raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
+    binomials.check_alphas(alpha)
+    table = binomials.cesaro_table(-alpha, max(orders, default=1) - 1)
+    for n in orders:
+        a_n = table.a(n - 1)
+        yield n, a_n, synthesize(ns, table.values[n - 1 :: -1] / a_n, resolution)
 
 
 def cesaro_kernel(ns: NumberSystem, n: int, alpha: float,
                   resolution: int | None = None) -> StepFunction:
     """K_n^{-alpha} = (1/A_{n-1}^{-alpha}) sum_{nu<n} A_{n-1-nu}^{-alpha} psi_nu."""
-    if not 1 <= n <= ns.cell_count:
-        raise UsageError(f"kernel order {n} outside 1..{ns.cell_count}")
-    binomials.check_alphas(alpha)
-    numerators, denominator = cesaro_weights(n, alpha)
-    return synthesize(ns, numerators / denominator, resolution)
+    return next(_cesaro_kernels(ns, alpha, [n], resolution))[2]
 
 
 @dataclass(frozen=True)
@@ -111,33 +75,16 @@ class BoundScanRecord:
     beta_ratios: np.ndarray | None = None
 
 
-def _scan_table(ns: NumberSystem, alpha: float, n_values):
-    """The checked orders of a scan and the one table A^{-alpha} up to the largest of them.
-
-    cumprod is a sequential fold, so the prefix of the table that order n
-    reads is the table cesaro_weights(n, alpha) builds, to the byte.
-    """
-    n_values = list(n_values)
-    for n in n_values:
-        if not 1 <= n <= ns.cell_count:
-            raise UsageError(f"order {n} outside 1..{ns.cell_count}")
-    return n_values, binomials.cesaro_table(-alpha, max(n_values, default=1) - 1)
-
-
 def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundScanRecord]:
     """|K_n^{-alpha}| |A_{n-1}^{-alpha}| against sum_{l<=A} M_l^{-alpha} D_{M_l}.
 
     The l = 0 term is identically 1, so the majorant never vanishes. Cell x
     takes the terms l <= min(v(x), A), v(x) its trailing zero digits, so the
     majorant is one gather from the running sums of M_l^{1-alpha}. Every
-    K_n and A_{n-1}^{-alpha} come from one Cesaro table (_scan_table).
+    K_n and A_{n-1}^{-alpha} come from one Cesaro table (_cesaro_kernels).
     """
-    binomials.check_alphas(alpha)
-    n_values, table = _scan_table(ns, alpha, n_values)
     out = []
-    for n in n_values:
-        numerators, a_n = table.values[n - 1 :: -1], table.a(n - 1)
-        K = synthesize(ns, numerators / a_n)
+    for n, a_n, K in _cesaro_kernels(ns, alpha, n_values):
         r = K.resolution
         A = scale_of(ns, n) if n < ns.cell_count else ns.resolution
         top = min(A, r)
@@ -161,19 +108,15 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
 
     Each kernel is read at the representatives through the cached cell
     table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row.
-    The kernels come from one Cesaro table (_scan_table), as cesaro_kernel
-    would build them.
+    The kernels come from one Cesaro table (_cesaro_kernels).
     """
-    binomials.check_alphas(alpha)
     if not 1 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 1..{ns.resolution}")
     if n_values is None:
         n_values = range(ns.M[k - 1], ns.M[k] + 1)
-    n_values, table = _scan_table(ns, alpha, n_values)
     decay = np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - alpha)
     out = []
-    for n in n_values:
-        K = synthesize(ns, table.values[n - 1 :: -1] / table.a(n - 1))
+    for n, _, K in _cesaro_kernels(ns, alpha, n_values):
         r = K.resolution
         cells_at = coset_rep_cells(ns, k, r)[1:]
         ratios = np.abs(K.cells[cells_at]) * decay / ns.M[k]

@@ -315,12 +315,6 @@ def fejer_weights(n: int) -> tuple[np.ndarray, int]:
     return n - np.arange(n), n
 
 
-def cesaro_weights(n: int, alpha: float) -> tuple[np.ndarray, float]:
-    """(A_{n-1-nu}^{-alpha} for nu < n, A_{n-1}^{-alpha}): the order -alpha weights."""
-    t = binomials.cesaro_table(-alpha, n - 1)
-    return t.values[::-1], t.a(n - 1)
-
-
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
     """S_n f = sum_{nu < n} fhat(nu) psi_nu, S_0 f = 0, with no transform.
 

@@ -7,14 +7,15 @@ the suite takes the max. The library modules never import this; cli does.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import binomials, config, kernels, oracles, transform
 from .characters import ROW_BLOCK, character_block, root_table, synthesis_matrix, vilenkin_on_cells
 from .errors import DomainError, UsageError
 from .families import random_cells
-from .group import NumberSystem, coset_rep_cells, digit_matrix
-from .kernels import _product_rows, dirichlet_product
+from .group import NumberSystem, coset_rep_cells, digit_axis, digit_matrix, digit_tensor
 from .transform import StepFunction, forward, inverse, sup_distance, synthesize, synthesize_rows
 
 
@@ -212,6 +213,42 @@ def _base_rows(ns: NumberSystem, base: int, resolution: int) -> tuple[np.ndarray
         vilenkin_on_cells(ns, base - 1, resolution)
 
 
+@functools.lru_cache(maxsize=None)
+def _root_tails(m: int) -> np.ndarray:
+    """(m, m) rows sum_{a=m-q}^{m-1} r^a for q = 0..m-1, each summed upward from zero."""
+    F = synthesis_matrix(m)
+    out = np.zeros((m, m), dtype=np.complex128)
+    for q in range(1, m):
+        for a in range(m - q, m):
+            out[q] += F[a]
+    out.setflags(write=False)
+    return out
+
+
+def _product_rows(ns: NumberSystem, start: int, stop: int, resolution: int) -> np.ndarray:
+    """The digit product form of D_n for n = start..stop-1, shape (stop-start, M_r), n < M_r.
+
+    Every entry takes the operations of a lone order in the same order:
+    the digit terms M_j 1_{I_j} (sum of r_j^a) added upward from digit 0,
+    each on I_j alone (the last j digit-tensor axes at 0), then psi_n times
+    their sum. A digit that is 0 in some rows but not all adds a zero term
+    to those rows and character_block multiplies them by r_j^0 = 1; either
+    changes at most the sign of a zero.
+    """
+    r = resolution
+    rows = np.arange(start, stop, dtype=np.int64)
+    acc = digit_tensor(np.zeros((stop - start, ns.cells_at(r)), dtype=np.complex128), ns, r)
+    for j in range(r):
+        m = ns.radix.radices[j]
+        nj = (rows // ns.M[j]) % m
+        if np.any(nj):
+            on_I_j = (...,) + (0,) * j
+            acc[on_I_j] += ns.M[j] * digit_axis(_root_tails(m)[nj], ns, r, j)[on_I_j]
+    out = character_block(ns, start, stop, r)
+    out *= acc.reshape(out.shape)  # in place: one row block fewer at the check's peak
+    return out
+
+
 def verify_dirichlet_recursions(ns: NumberSystem) -> dict:
     """Exhaustive residual scan of the Dirichlet kernel identities: the max residual of each.
 
@@ -288,7 +325,7 @@ def verify_dirichlet_recursions(ns: NumberSystem) -> dict:
     bump("block_geometric", res["digit_split"])
     bump("scale_indicator", last - np.where(np.arange(ns.cell_count) == 0, ns.cell_count, 0))
     bump("mean", last.mean() - 1.0)
-    bump("product_form", dirichlet_product(ns, ns.cell_count).cells - last)
+    bump("product_form", kernels.dirichlet(ns, ns.cell_count).cells - last)
     return res
 
 

@@ -45,7 +45,7 @@ def character_block_oracle(ns, start, stop, r):
     return out
 
 
-def dirichlet_product_oracle(ns, n, r):
+def product_form_oracle(ns, n, r):
     cells = ns.cells_at(r)
     idx = np.arange(cells)
     acc = np.zeros(cells, dtype=np.complex128)
@@ -84,8 +84,8 @@ def shift_residual_oracle(ns):
 def recursions_oracle(ns):
     """The residual dict of verify.verify_dirichlet_recursions, built from gathered characters.
 
-    product_form reads the library's dirichlet_product, which
-    test_dirichlet_product_bitwise pins to its own oracle.
+    product_form reads verify._product_rows, which test_product_rows_bitwise
+    pins to its own oracle, and kernels.dirichlet at n = M_N.
     """
     N, cells = ns.resolution, ns.cell_count
     T = np.zeros((cells + 1, cells), dtype=np.complex128)
@@ -127,9 +127,10 @@ def recursions_oracle(ns):
             psi = vilenkin_on_cells_oracle(ns, base - 1, N)
             for j in range(base + 1):
                 bump("reflection", T[base - j] - T[base] + psi * T[j].conj())
-    for n in range(1, cells + 1):
-        prod = kernels.dirichlet_product(ns, n).lift(N).cells
-        bump("product_form", prod - T[n])
+    for n in range(1, cells):  # each order on its own grid, as the suite's rows are
+        prod = verify._product_rows(ns, n, n + 1, scale_of(ns, n) + 1)[0]
+        bump("product_form", np.tile(prod, cells // len(prod)) - T[n])
+    bump("product_form", kernels.dirichlet(ns, cells).cells - T[cells])
     return res
 
 
@@ -175,14 +176,14 @@ def test_vilenkin_on_cells_bitwise_more_grids(radices):
     test_vilenkin_on_cells_bitwise(vk.number_system(radices))
 
 
-def test_dirichlet_product_bitwise(ns):
+def test_product_rows_bitwise(ns):
+    # one order at a time, on its own grid and on the whole group
     for n in range(ns.cell_count):
-        D = kernels.dirichlet_product(ns, n)
         scale = scale_of(ns, n) if n else -1
-        assert D.resolution == scale + 1
-        assert _same(D.cells, dirichlet_product_oracle(ns, n, scale + 1))
-        assert _same(kernels.dirichlet_product(ns, n, ns.resolution).cells,
-                     dirichlet_product_oracle(ns, n, ns.resolution))
+        assert _same(verify._product_rows(ns, n, n + 1, scale + 1)[0],
+                     product_form_oracle(ns, n, scale + 1))
+        assert _same(verify._product_rows(ns, n, n + 1, ns.resolution)[0],
+                     product_form_oracle(ns, n, ns.resolution))
 
 
 def test_lacunary_bitwise(ns):
@@ -212,7 +213,8 @@ def test_character_paths_make_no_digit_matrix_call(ns, count_calls):
     calls = count_calls("digit_matrix")
     characters.character_block(ns, 0, ns.cell_count)
     characters.vilenkin_on_cells(ns, ns.cell_count - 1)
-    kernels.dirichlet_product(ns, ns.cell_count - 1)
+    kernels.dirichlet(ns, ns.cell_count - 1)
+    verify._product_rows(ns, 0, ns.cell_count, ns.resolution)
     families.lacunary(ns, families.inverse_scale_coeffs(ns))
     families.random_lipschitz(ns, np.random.default_rng(0))
     assert calls == []

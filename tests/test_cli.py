@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -87,8 +88,8 @@ def test_characters_suite_fails_on_corrupted_rows(radices, corruption, monkeypat
 
 
 def _nan_in_dirichlet_rows(monkeypatch):
-    # one entry of psi_5, wherever the Dirichlet scan builds it
-    real = kernels.character_block
+    # one entry of psi_5, wherever the Dirichlet scan builds it: streams and product form
+    real = verify.character_block
 
     def patched(ns, start, stop, resolution=None):
         out = real(ns, start, stop, resolution)
@@ -97,7 +98,6 @@ def _nan_in_dirichlet_rows(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "character_block", patched)
-    monkeypatch.setattr(kernels, "character_block", patched)
     return "dirichlet"
 
 
@@ -156,6 +156,18 @@ def test_verify_negative_control(tmp_path, small_cfg, monkeypatch):
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     assert report["all_passed"] is False
     assert report["suites"]["routes"]["passed"] is False
+
+
+def test_every_subcommand_has_a_help_line():
+    # vilenkin --help lists each subcommand with its runner's docstring
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(helps) == list(cli.COMMANDS)
+    text = " ".join(parser.format_help().split())
+    for name, line in helps.items():
+        assert line and line.strip(), name
+        assert f"{name} {line}" in text
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -646,6 +658,14 @@ MALFORMED = {
     "verify_alpha_string": ("verify", {"alphas": ["x"]}),
     "lacunary_too_many_coeffs": ("oscillation", {"functions": [{"family": "lacunary",
                                                                 "coeffs": [1, 1, 1, 1]}]}),
+    # a spec or threshold the schema rejects too (test_config.SCHEMA_AND_PARSE_CASES)
+    "lacunary_decay_and_coeffs": ("converge", {"functions": [{"family": "lacunary",
+                                                              "decay": "inverse_scale",
+                                                              "coeffs": [5.0]}]}),
+    "function_file_without_path": ("converge", {"functions": [{"family": "file"}]}),
+    # a factor of 0 or below would read every scan as unstable and exit 1
+    "stability_factor_zero": ("kernel-scan", {"thresholds": {"stability_factor": 0}}),
+    "stability_factor_negative": ("kernel-scan", {"thresholds": {"stability_factor": -1}}),
 }
 
 

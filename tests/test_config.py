@@ -1,3 +1,4 @@
+import argparse
 import ast
 import glob
 import json
@@ -67,6 +68,45 @@ def test_schema_bounds_match_the_parser():
     assert label == "random_lipschitz-0.0"
     with pytest.raises(ConfigurationError, match="seed"):
         config.parse(dict(config.DEFAULTS, seed=-1), "converge")
+
+
+# (config fragment, whether it is valid); the schema and parse must give the same verdict
+SCHEMA_AND_PARSE_CASES = {
+    "file_without_path": ({"functions": [{"family": "file"}]}, False),
+    "file_with_path": ({"functions": [{"family": "file", "path": "step.json"}]}, True),
+    "lacunary_bare": ({"functions": [{"family": "lacunary"}]}, False),
+    "lacunary_decay": ({"functions": [{"family": "lacunary", "decay": "inverse_scale"}]}, True),
+    "lacunary_coeffs": ({"functions": [{"family": "lacunary", "coeffs": [5.0]}]}, True),
+    "lacunary_coeffs_empty": ({"functions": [{"family": "lacunary", "coeffs": []}]}, False),
+    "lacunary_decay_and_coeffs": ({"functions": [{"family": "lacunary", "decay": "inverse_scale",
+                                                  "coeffs": [5.0]}]}, False),
+    "indicator": ({"functions": [{"family": "digit_indicator", "level": 2}]}, True),
+    "lipschitz": ({"functions": [{"family": "random_lipschitz"}]}, True),
+    "stability_factor_zero": ({"thresholds": {"stability_factor": 0}}, False),
+    "stability_factor_negative": ({"thresholds": {"stability_factor": -1}}, False),
+    "stability_factor_small": ({"thresholds": {"stability_factor": 1e-9}}, True),
+    "stability_factor_default": ({"thresholds": {"stability_factor": 1.5}}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_AND_PARSE_CASES))
+def test_schema_and_parse_agree(name, tmp_path, monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    fragment, valid = SCHEMA_AND_PARSE_CASES[name]
+    monkeypatch.chdir(tmp_path)  # the file family's path is relative
+    ns = config.parse(config.DEFAULTS, "converge").ns
+    cells = ", ".join(["[0.5, 0]"] * ns.cell_count)
+    (tmp_path / "step.json").write_text(
+        f'{{"radix": {list(ns.radix.radices)}, "resolution": {ns.resolution}, '
+        f'"cells": [{cells}]}}', encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps(fragment), encoding="utf-8")
+    schema_valid = jsonschema.Draft7Validator(_schema()).is_valid(fragment)
+    try:
+        config.parse(config.merge_config(argparse.Namespace(config="cfg.json")), "converge")
+        parse_valid = True
+    except ConfigurationError:
+        parse_valid = False
+    assert schema_valid == parse_valid == valid
 
 
 def test_parse_builds_no_function(monkeypatch):

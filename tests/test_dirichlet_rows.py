@@ -61,8 +61,8 @@ def table_recursions(ns, T):
             psi = vilenkin_on_cells(ns, base - 1, N)
             for j in range(base + 1):
                 bump("reflection", T[base - j] - T[base] + psi * T[j].conj())
-    for n in range(1, cells + 1):
-        bump("product_form", kernels.dirichlet_product(ns, n).lift(N).cells - T[n])
+    bump("product_form", verify._product_rows(ns, 1, cells, N) - T[1:cells])
+    bump("product_form", kernels.dirichlet(ns, cells).cells - T[cells])
     return res
 
 
@@ -177,17 +177,22 @@ def test_perturbed_rows_move_the_same_keys(radices, monkeypatch):
         assert moved_rows
 
 
-def _uses_table(tree) -> bool:
-    """Whether the module defines dirichlet_table or calls it, bare or as an attribute."""
+def _calls(tree, name: str) -> bool:
+    """Whether the module calls name, bare or as an attribute."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "dirichlet_table":
-            return True
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Name) and f.id == "dirichlet_table") or \
-                    (isinstance(f, ast.Attribute) and f.attr == "dirichlet_table"):
+            if (isinstance(f, ast.Name) and f.id == name) or \
+                    (isinstance(f, ast.Attribute) and f.attr == name):
                 return True
     return False
+
+
+def _uses_table(tree) -> bool:
+    """Whether the module defines dirichlet_table or calls it, bare or as an attribute."""
+    return _calls(tree, "dirichlet_table") or any(
+        isinstance(node, ast.FunctionDef) and node.name == "dirichlet_table"
+        for node in ast.walk(tree))
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
@@ -204,10 +209,24 @@ def test_table_guard_detects_a_definition_and_a_call():
     assert not _uses_table(ast.parse("rows = _dirichlet_rows(ns, 0, 8)"))
 
 
+@pytest.mark.parametrize("module", ["transform", "kernels", "oscillation", "families"])
+def test_fast_modules_build_no_reference_rows(module):
+    # character rows belong to the references (characters, oracles, verify); the fast
+    # paths synthesize, transform or broadcast per-digit factors instead
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert [name for name in ("character_block", "vilenkin_on_cells") if _calls(tree, name)] == []
+
+
+def test_row_guard_detects_a_call():
+    assert _calls(ast.parse("rows = character_block(ns, 0, 8, 3)"), "character_block")
+    assert _calls(ast.parse("psi = characters.vilenkin_on_cells(ns, 5)"), "vilenkin_on_cells")
+    assert not _calls(ast.parse("from .characters import character_block"), "character_block")
+
+
 def _tables_of_entries(radices, monkeypatch):
     # character entries the scan builds, in units of one M_N x M_N table
     ns = vk.number_system(radices)
-    real = kernels.character_block
+    real = verify.character_block
     entries = []
 
     def counted(ns, start, stop, resolution=None):
@@ -215,8 +234,7 @@ def _tables_of_entries(radices, monkeypatch):
         entries.append(out.size)
         return out
 
-    monkeypatch.setattr(verify, "character_block", counted)  # the rows of the streams
-    monkeypatch.setattr(kernels, "character_block", counted)  # and of the product form
+    monkeypatch.setattr(verify, "character_block", counted)  # the streams and product form
     verify.verify_dirichlet_recursions(ns)
     return sum(entries) / ns.cell_count ** 2
 

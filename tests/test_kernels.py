@@ -56,10 +56,28 @@ def test_recursion_report(ns):
 
 
 def test_dirichlet_strategies_agree(ns):
+    # the Paley recursion of kernels.dirichlet, and the product form the dirichlet suite checks
     T = oracles.dirichlet_table(ns, ns.cell_count)
+    rows = verify._product_rows(ns, 0, ns.cell_count, ns.resolution)
     for n in range(ns.cell_count + 1):
-        a = kernels.dirichlet_product(ns, n, resolution=ns.resolution)
+        a = kernels.dirichlet(ns, n, resolution=ns.resolution)
         assert np.max(np.abs(a.cells - T[n])) < 1e-11
+        if n < ns.cell_count:
+            assert np.max(np.abs(rows[n] - T[n])) < 1e-11
+
+
+def test_dirichlet_grid_and_dtype(ns):
+    # the natural grid carries min(n + 1, M_N) frequencies; a coarser one than n's raises
+    walsh = set(ns.radix.radices) == {2}
+    for n in range(ns.cell_count + 1):
+        k = transform.minimal_resolution(ns, n)
+        d = kernels.dirichlet(ns, n)
+        assert d.resolution == transform.minimal_resolution(ns, min(n + 1, ns.cell_count))
+        assert d.cells.dtype == (np.float64 if walsh else np.complex128)
+        assert kernels.dirichlet(ns, n, k).resolution == k
+        if k:
+            with pytest.raises(UsageError):
+                kernels.dirichlet(ns, n, k - 1)
 
 
 def test_dirichlet_rejects_bad_order(ns):

@@ -18,6 +18,12 @@ def random_f(ns, rng, real=False):
     return families.random_cells(ns, rng, real=real)
 
 
+def _cesaro_weights(n, alpha):
+    """(A_{n-1-nu}^{-alpha} for nu < n, A_{n-1}^{-alpha}): the order -alpha weights."""
+    t = binomials.cesaro_table(-alpha, n - 1)
+    return t.values[::-1], t.a(n - 1)
+
+
 def test_fast_matches_naive(ns, rng):
     f = random_f(ns, rng)
     fast = forward(f)
@@ -344,7 +350,7 @@ def test_cesaro_means_equal_cesaro_mean_per_order(ns, rng, staged_passes):
     assert len(levels) < len(orders) == len(means)
     for n, mean in zip(orders, means):
         assert mean.cells.tobytes() == transform.cesaro_mean(f, n, 0.4).cells.tobytes()
-        weights = transform.cesaro_weights(n, 0.4)
+        weights = _cesaro_weights(n, 0.4)
         assert mean.cells.tobytes() == _fold_multiplier(f, *weights).tobytes()
         assert _close(mean.cells, _full_resolution_multiplier(f, *weights))
 
@@ -512,7 +518,7 @@ def test_multiplier_matches_complex_expression(radices):
     coarse = families.random_cells(ns, rng, resolution=2)
     complex_w = rng.standard_normal(M // 2) + 1j * rng.standard_normal(M // 2)
     cases = [(np.ones(M - 3), 1.0), transform.fejer_weights(7),
-             transform.cesaro_weights(M // 3, 0.4), (rng.standard_normal(M), 2.5),
+             _cesaro_weights(M // 3, 0.4), (rng.standard_normal(M), 2.5),
              (complex_w, 1.0), (complex_w, 0.75)]
     for g in (f, coarse):
         for weights, denominator in cases:
@@ -592,7 +598,7 @@ def test_means_kernels_convolutions_match_character_sums(radices):
     fhat = oracles.forward(f).coeffs
     psi = characters.character_block(ns, 0, M, r)
     for n in sorted({1, 2, ns.M[1], ns.M[1] + 1, ns.M[2] - 1, ns.M[r - 1] + 1, M - 1, M}):
-        numerators, denominator = transform.cesaro_weights(n, 0.45)
+        numerators, denominator = _cesaro_weights(n, 0.45)
         w = numerators / denominator
         assert _close(partial_sum(f, n).cells, fhat[:n] @ psi[:n])
         assert _close(transform.fejer_mean(f, n).cells, fhat[:n] * (n - np.arange(n)) / n @ psi[:n])
