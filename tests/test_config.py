@@ -23,7 +23,13 @@ def test_schema_keys_match_defaults_and_parser():
     assert set(props) == set(config.DEFAULTS)
     for key in config._MERGE_KEYS:
         assert set(props[key]["properties"]) == set(config.DEFAULTS[key]), key
-    assert set(props["functions"]["items"]["properties"]) == set(config._SPEC_KEYS)
+    items = props["functions"]["items"]
+    assert items["properties"]["family"]["enum"] == list(config._FAMILY_KEYS)
+    assert set(items["properties"]) == {"family"}.union(*config._FAMILY_KEYS.values())
+    # each family's allOf branch closes its spec to the keys the parser lets it take
+    closed = {b["if"]["properties"]["family"]["const"]: b["then"]["propertyNames"]["enum"]
+              for b in items["allOf"]}
+    assert closed == {name: ["family", *keys] for name, keys in config._FAMILY_KEYS.items()}
     assert set(props["n_schedule"]["properties"]) == set(config._SCHEDULE_KEYS)
     forms = [set(form["properties"]) for form in props["radix"]["oneOf"] if "properties" in form]
     assert forms == [set(keys) for keys in config._RADIX_FORMS]
@@ -82,6 +88,11 @@ SCHEMA_AND_PARSE_CASES = {
                                                   "coeffs": [5.0]}]}, False),
     "indicator": ({"functions": [{"family": "digit_indicator", "level": 2}]}, True),
     "lipschitz": ({"functions": [{"family": "random_lipschitz"}]}, True),
+    # a key of another family is foreign, not dropped
+    "lipschitz_with_coeffs": ({"functions": [{"family": "random_lipschitz", "coeffs": [1.0]}]},
+                              False),
+    "indicator_with_bound": ({"functions": [{"family": "digit_indicator", "level": 1,
+                                             "bound": 2.0}]}, False),
     "stability_factor_zero": ({"thresholds": {"stability_factor": 0}}, False),
     "stability_factor_negative": ({"thresholds": {"stability_factor": -1}}, False),
     "stability_factor_small": ({"thresholds": {"stability_factor": 1e-9}}, True),
@@ -107,6 +118,27 @@ def test_schema_and_parse_agree(name, tmp_path, monkeypatch):
     except ConfigurationError:
         parse_valid = False
     assert schema_valid == parse_valid == valid
+
+
+def test_function_file_nested_too_deep_is_a_configuration_error(tmp_path):
+    # json.load raises RecursionError, not ValueError, past its nesting depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10000 + "]" * 10000, encoding="utf-8")
+    ns = config.parse(config.DEFAULTS, "converge").ns
+    with pytest.raises(ConfigurationError, match="cannot read function file"):
+        config.family_from_spec(ns, {"family": "file", "path": str(path)})
+
+
+@pytest.mark.parametrize("cells", ["x" * 10**5, [[0, 0]] * 7 + [list(range(10**5))]],
+                         ids=["cells_string", "cell_long"])
+def test_a_rejected_value_is_abridged(tmp_path, cells):
+    # a function file's bad value may be most of the file; the message names it, not prints it
+    ns = config.parse(dict(config.DEFAULTS, radix=[2, 2, 2]), "converge").ns
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"radix": [2, 2, 2], "resolution": 3, "cells": cells}))
+    with pytest.raises(ConfigurationError, match="cells") as err:
+        config.family_from_spec(ns, {"family": "file", "path": str(path)})
+    assert len(str(err.value)) < 200 + len(str(path))
 
 
 def test_parse_builds_no_function(monkeypatch):

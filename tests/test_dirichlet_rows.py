@@ -217,6 +217,36 @@ def test_fast_modules_build_no_reference_rows(module):
     assert [name for name in ("character_block", "vilenkin_on_cells") if _calls(tree, name)] == []
 
 
+def _imports(tree) -> set:
+    """Every dotted part of every module the module imports, and what a bare `from .` names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update(node.module.split(".") if node.module else
+                         (alias.name for alias in node.names))
+    return names
+
+
+# kernels synthesizes kernels and reads no oscillation functional; the file family's
+# format is parsed by config, so transform reads no JSON
+BANNED_IMPORTS = {"kernels": ("oscillation",), "transform": ("json", "sys")}
+
+
+@pytest.mark.parametrize("module", sorted(BANNED_IMPORTS))
+def test_fast_modules_import_no_functional_or_file_reader(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert sorted(_imports(tree) & set(BANNED_IMPORTS[module])) == []
+
+
+def test_import_guard_reads_every_form():
+    for src in ("from .oscillation import modulus_of_continuity", "from . import oscillation",
+                "import vilenkin.oscillation", "from vilenkin.oscillation import x"):
+        assert "oscillation" in _imports(ast.parse(src))
+    assert "oscillation" not in _imports(ast.parse("from .group import oscillation_free"))
+
+
 def test_row_guard_detects_a_call():
     assert _calls(ast.parse("rows = character_block(ns, 0, 8, 3)"), "character_block")
     assert _calls(ast.parse("psi = characters.vilenkin_on_cells(ns, 5)"), "vilenkin_on_cells")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import characters, families, oscillation
+from vilenkin import characters, config, families, oscillation
 from vilenkin.transform import (CoefficientVector, StepFunction, cesaro_means, convolve,
                                 forward, inverse, multiplier, synthesize)
 
@@ -107,4 +107,5 @@ def test_values_keep_their_kind(radices, tmp_path):
     path = tmp_path / "f.json"
     path.write_text('{"radix": %s, "resolution": 1, "cells": %s}'
                     % (list(radices), [[1.0, 0.0]] * radices[0]), encoding="utf-8")
-    assert vk.load_step(path.read_text()).cells.dtype == np.complex128
+    _, build = config.family_from_spec(ns, {"family": "file", "path": str(path)})
+    assert build(None).cells.dtype == np.complex128

@@ -14,10 +14,7 @@ import vilenkin
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ALLOWED = {
-    "low_block_ratio": "one of the kernel estimates the README inequality of ROADMAP "
-                       "item 1 is to be derived from, before converge gates on it",
-}
+ALLOWED = {}
 
 
 def _referenced_names() -> set:

@@ -3,7 +3,7 @@ import pytest
 
 import vilenkin as vk
 from vilenkin import binomials, characters, families, kernels, oracles, transform, verify
-from vilenkin.errors import DomainError, UsageError
+from vilenkin.errors import UsageError
 
 
 def test_dirichlet_zero_is_zero(ns):
@@ -91,7 +91,7 @@ def test_fejer_is_cesaro_order_one_mirror(ns, rng):
     # the Fejer kernel, the synthesized Fejer weights, averages the first n Dirichlet kernels
     T = oracles.dirichlet_table(ns, ns.cell_count)
     for n in (1, 3, ns.M[2], ns.cell_count):
-        numerators, denominator = transform.fejer_weights(n)
+        numerators, denominator = n - np.arange(n), n
         k = transform.synthesize(ns, numerators / denominator, ns.resolution)
         avg = T[1 : n + 1].mean(axis=0)
         assert np.max(np.abs(k.cells - avg)) < 1e-11
@@ -231,21 +231,3 @@ def test_coset_decay_rejects_bad_alpha(ns):
     with pytest.raises(UsageError):
         kernels.coset_decay_scan(ns, 1.5, 2)
 
-
-def test_low_block_ratio_lacunary(walsh):
-    f = families.lacunary(walsh, families.inverse_scale_coeffs(walsh))
-    for k in (2, 3, 4):
-        n = walsh.M[k]
-        ratio = kernels.low_block_ratio(f, n, k, 0.5)
-        assert np.isfinite(ratio)
-        assert ratio < 10.0
-
-
-def test_low_block_band_limited_raises(walsh):
-    # band-limited functions have zero fine-scale oscillation while the
-    # weighted low-block average stays nonzero, so the ratio is undefined
-    weights = np.zeros(walsh.cell_count, dtype=np.complex128)
-    weights[1] = 1.0
-    f = transform.synthesize(walsh, weights)
-    with pytest.raises(DomainError):
-        kernels.low_block_ratio(f, walsh.M[3], 3, 0.5)

@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import binomials, characters, families, kernels, oracles, transform
-from vilenkin.errors import UsageError, ValidationError
-from vilenkin.transform import (CoefficientVector, StepFunction, forward, inverse, load_step,
-                                partial_sum, sup_distance, synthesize)
+from vilenkin import binomials, characters, config, families, kernels, oracles, transform
+from vilenkin.errors import ConfigurationError, UsageError, ValidationError
+from vilenkin.transform import (CoefficientVector, StepFunction, forward, inverse, partial_sum,
+                                sup_distance, synthesize)
 
 
 def random_f(ns, rng, real=False):
@@ -437,9 +438,18 @@ def _step_json(f):
                        "cells": [[v.real, v.imag] for v in f.cells.tolist()]})
 
 
+def load_step(ns, text):
+    """The step function that config.family_from_spec reads from a file holding text on ns."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = pathlib.Path(folder) / "step.json"
+        path.write_text(text, encoding="utf-8")
+        _, build = config.family_from_spec(ns, {"family": "file", "path": str(path)})
+    return build(None)
+
+
 def test_serialization_round_trip(ns, rng):
     f = random_f(ns, rng)
-    back = load_step(_step_json(f))
+    back = load_step(ns, _step_json(f))
     assert back.ns == f.ns and back.resolution == f.resolution
     assert np.array_equal(back.cells, f.cells)
 
@@ -449,7 +459,7 @@ def test_serialization_round_trip(ns, rng):
 def test_serialization_bit_exact_hypothesis(vals):
     ns = vk.number_system([2, 3, 4, 2])
     f = StepFunction(ns, ns.resolution, np.array(vals, dtype=np.complex128))
-    assert np.array_equal(load_step(_step_json(f)).cells, f.cells)
+    assert np.array_equal(load_step(ns, _step_json(f)).cells, f.cells)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -466,14 +476,14 @@ def test_load_step_takes_no_field_it_would_convert(mixed, field, value):
         d[field] = value
         if field == "resolution":
             d["cells"] = d["cells"][: mixed.M[int(value)]]  # as many as a converting reader wants
-    with pytest.raises(ValidationError):
-        load_step(json.dumps(d))
+    with pytest.raises(ConfigurationError, match=f": {field}"):  # the message names it
+        load_step(mixed, json.dumps(d))
 
 
 def test_load_step_reads_int_cells(mixed):
     d = json.loads(_step_json(StepFunction(mixed, 4, np.arange(48) + 0.5j)))
     d["cells"][7] = [3, -1]
-    assert load_step(json.dumps(d)).cells[7] == 3 - 1j
+    assert load_step(mixed, json.dumps(d)).cells[7] == 3 - 1j
 
 
 def test_sup_distance_lifts(ns, rng):
@@ -517,7 +527,7 @@ def test_multiplier_matches_complex_expression(radices):
     f = families.random_cells(ns, rng)
     coarse = families.random_cells(ns, rng, resolution=2)
     complex_w = rng.standard_normal(M // 2) + 1j * rng.standard_normal(M // 2)
-    cases = [(np.ones(M - 3), 1.0), transform.fejer_weights(7),
+    cases = [(np.ones(M - 3), 1.0), (7 - np.arange(7), 7),
              _cesaro_weights(M // 3, 0.4), (rng.standard_normal(M), 2.5),
              (complex_w, 1.0), (complex_w, 0.75)]
     for g in (f, coarse):
