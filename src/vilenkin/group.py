@@ -9,7 +9,9 @@ characters act on that tensor, the transform on runs of adjacent axes. The coset
 I_k are the residues mod M_k: coset_rep_cells gives the cell of each Z_beta^(k),
 coset_key_table the beta of each cell. Tables are written from per-digit pieces, with no
 per-cell division. Every scan row reads coset_rep_cells and trailing_zero_digits, so they
-are cached; digit_matrix (reference code only) and coset_key_table never are: each call builds one.
+are cached, as the per-alpha pieces of a row are (binomials.cesaro_table, the weights of
+kernels.coset_decay_scan and oscillation.difference_conditions); digit_matrix (reference
+code only) and coset_key_table never are: each call builds one.
 """
 
 from __future__ import annotations

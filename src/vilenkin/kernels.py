@@ -11,6 +11,7 @@ of D_n they check, are the `verify` suites' (verify.py).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,25 @@ def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundS
     return out
 
 
+# Weights are cached for scales of at most this many cells: the 32 entries
+# then retain at most 1 MiB. A larger scale's row outweighs its weights.
+_CACHED_CELLS = 1 << 12
+
+
+@functools.lru_cache(maxsize=32, typed=True)  # typed: 1 - alpha keeps the type of alpha
+def _cached_decay_weights(ns: NumberSystem, k: int, alpha: float) -> np.ndarray:
+    decay = np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - alpha)
+    decay.setflags(write=False)
+    return decay
+
+
+def _decay_weights(ns: NumberSystem, k: int, alpha: float) -> np.ndarray:
+    """beta^{1-alpha} for beta = 1..M_k-1, read-only; cached while M_k <= _CACHED_CELLS."""
+    if ns.M[k] <= _CACHED_CELLS:
+        return _cached_decay_weights(ns, k, alpha)
+    return _cached_decay_weights.__wrapped__(ns, k, alpha)
+
+
 def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
                      n_values=None) -> list[BoundScanRecord]:
     """beta^{1-alpha} |K_n^{-alpha}(Z_beta^(k))| / M_k over beta = 1..M_k-1.
@@ -106,13 +126,16 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
 
     Each kernel is read at the representatives through the cached cell
     table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row.
-    The kernels come from one Cesaro table (_cesaro_kernels).
+    The kernels come from one Cesaro table (_cesaro_kernels), and the weights
+    beta^{1-alpha} are cached per (ns, k, alpha) up to _CACHED_CELLS cells
+    (_decay_weights), so a one-order call per row rebuilds neither.
     """
     if not 1 <= k <= ns.resolution:
         raise UsageError(f"scale {k} outside 1..{ns.resolution}")
     if n_values is None:
         n_values = range(ns.M[k - 1], ns.M[k] + 1)
-    decay = np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - alpha)
+    binomials.check_alphas(alpha)  # before a weight is cached under alpha
+    decay = _decay_weights(ns, k, alpha)
     out = []
     for n, _, K in _cesaro_kernels(ns, alpha, n_values):
         r = K.resolution

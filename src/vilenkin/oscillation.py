@@ -22,6 +22,7 @@ vanishing difference transforms to zero, so exact zeros stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ from .transform import StepFunction, _staged
 
 _IMAG_TOL = 1e-13
 _PAIR_BLOCK = 1 << 20
+# Weight spectra are cached for scales of at most this many cells: the 64
+# entries then retain at most 4 MiB. A larger scale's condition outweighs its weight.
+_CACHED_CELLS = 1 << 12
 
 
 def _coset_values(f: StepFunction, k: int) -> np.ndarray:
@@ -168,6 +172,22 @@ def difference_condition(f: StepFunction, k: int, alpha: float) -> float:
     return difference_conditions(f, k, [alpha])[0]
 
 
+@functools.lru_cache(maxsize=64, typed=True)  # typed: alpha - 1 keeps the type of alpha
+def _cached_weight_spectrum(ns, k: int, alpha: float) -> np.ndarray:
+    weight = np.zeros(ns.M[k])
+    weight[coset_rep_cells(ns, k, k)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)
+    spectrum = _staged(weight, ns, k, analysis=True)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def _weight_spectrum(ns, k: int, alpha: float) -> np.ndarray:
+    """Spectrum of W = beta^{alpha-1} on the cell of Z_beta^(k), read-only; cached up to the cap."""
+    if ns.M[k] <= _CACHED_CELLS:
+        return _cached_weight_spectrum(ns, k, alpha)
+    return _cached_weight_spectrum.__wrapped__(ns, k, alpha)
+
+
 def difference_conditions(f: StepFunction, k: int, alphas) -> list[float]:
     """difference_condition(f, k, alpha) for each alpha of the sequence alphas.
 
@@ -179,7 +199,8 @@ def difference_conditions(f: StepFunction, k: int, alphas) -> list[float]:
     alone: the staged passes run over the k low digits, and W is M_k values.
     d (f.translate(M_k)'s pairs, by one flat and one digit-0 slab difference)
     and its spectrum serve every alpha; each alpha adds one weight product
-    and one synthesis.
+    and one synthesis. The weight's spectrum depends on (ns, k, alpha) alone,
+    so it is cached up to _CACHED_CELLS cells (_weight_spectrum).
     """
     ns = f.ns
     if not 1 <= k < f.resolution:
@@ -193,9 +214,7 @@ def difference_conditions(f: StepFunction, k: int, alphas) -> list[float]:
     spectrum = _staged(np.abs(d), ns, k, analysis=True).reshape(-1, mk)
     out, product = [], np.empty_like(spectrum)  # one buffer for every alpha's product
     for alpha in alphas:
-        weight = np.zeros(mk)
-        weight[coset_rep_cells(ns, k, k)[1:]] = np.arange(1, mk, dtype=np.float64) ** (alpha - 1.0)
-        np.multiply(spectrum, _staged(weight, ns, k, analysis=True), out=product)
+        np.multiply(spectrum, _weight_spectrum(ns, k, alpha), out=product)
         acc = _staged(product.reshape(-1), ns, k, analysis=False)
         # a zero spectrum can synthesize -0.0 (0 times a negative root); + 0.0 makes it 0.0
         out.append(float(acc.real.max() / mk) + 0.0)

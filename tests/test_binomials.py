@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin import binomials, verify
-from vilenkin.errors import DomainError
+from vilenkin.errors import DomainError, UsageError
 
 
 def test_known_values():
@@ -76,3 +79,113 @@ def test_recurrence_vs_product(alpha, n):
     for j in range(1, n + 1):
         prod *= (alpha + j) / j
     assert t.a(n) == pytest.approx(prod, rel=1e-12, abs=1e-300)
+
+
+def _fresh(alpha, n_max):
+    """The recurrence term by term: the bytes a table built for this request alone holds."""
+    want = [1.0]
+    for n in range(1, n_max + 1):
+        want.append(want[-1] * ((alpha + n) / n))
+    return np.array(want)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_non_finite_order_rejected(alpha):
+    with pytest.raises(DomainError):
+        binomials.cesaro_table(alpha, 3)
+
+
+@pytest.mark.parametrize("n_max", [True, False, 2.5, 3.0, "3", None, np.float64(3)])
+def test_non_integral_length_rejected(n_max):
+    with pytest.raises(UsageError):
+        binomials.cesaro_table(-0.5, n_max)
+
+
+def test_numpy_integer_length_accepted():
+    for n_max in (np.int64(7), np.int32(7), np.uint8(7)):
+        assert np.array_equal(binomials.cesaro_table(-0.5, n_max).values, _fresh(-0.5, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=st.lists(st.tuples(st.sampled_from([-0.25, -0.5, -0.75, 0.3, 1.5, -1.25]),
+                                   st.integers(0, 3000)), min_size=1, max_size=12))
+def test_any_request_order_reads_a_fresh_build(requests):
+    # six alphas against four retained: hits, prefix views, growth and evictions
+    for alpha, n_max in requests:
+        t = binomials.cesaro_table(alpha, n_max)
+        assert t.alpha == alpha and t.values.dtype == np.float64
+        assert t.values.tobytes() == _fresh(alpha, n_max).tobytes()
+        assert not t.values.flags.writeable
+
+
+def test_descending_and_interleaved_requests_read_fresh_builds():
+    alphas = (-0.5, -0.25, 0.5, -0.75, 0.25, -0.9)
+    for n_max in (4000, 2500, 1000, 10, 0, 1, 3999, 4001, 9000):
+        for alpha in alphas:
+            assert np.array_equal(binomials.cesaro_table(alpha, n_max).values,
+                                  _fresh(alpha, n_max))
+
+
+def test_retained_tables_are_read_only():
+    t = binomials.cesaro_table(-0.5, 100)
+    with pytest.raises(ValueError):
+        t.values[0] = 2.0
+    with pytest.raises(ValueError):
+        t.values.setflags(write=True)
+    assert binomials.cesaro_table(-0.5, 100).a(0) == 1.0
+
+
+def test_ascending_run_rebuilds_logarithmically(monkeypatch):
+    builds = []
+    original = binomials._build
+
+    def counted(alpha, length):
+        builds.append(length)
+        return original(alpha, length)
+
+    monkeypatch.setattr(binomials, "_build", counted)
+    alpha = -0.4321  # an alpha no other test retains
+    for n_max in range(1, 4097):
+        assert binomials.cesaro_table(alpha, n_max).a(n_max) == _fresh(alpha, n_max)[-1]
+    # each build at least doubles the last, and is at most twice its request
+    assert builds == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
+
+
+def test_retained_memory_is_bounded():
+    for j in range(2 * binomials._RETAINED_ALPHAS):
+        binomials.cesaro_table(-0.01 * (j + 1), 3000)
+    long = binomials.cesaro_table(-0.5, binomials._RETAINED_ENTRIES)  # one past the bound
+    assert len(long.values) == binomials._RETAINED_ENTRIES + 1
+    retained = dict(binomials._retained)
+    assert len(retained) == binomials._RETAINED_ALPHAS
+    assert all(len(v) <= binomials._RETAINED_ENTRIES for v in retained.values())
+    assert -0.5 not in retained and -0.01 not in retained
+
+
+def test_threads_read_fresh_builds():
+    # the CLI's pool scans on threads; each table read must hold the bytes of a fresh build
+    alphas = (-0.15, -0.35, -0.55, -0.7, -0.85, -0.95)
+    want = {a: _fresh(a, 2000) for a in alphas}
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            alpha, n_max = alphas[rng.integers(len(alphas))], int(rng.integers(0, 2001))
+            if binomials.cesaro_table(alpha, n_max).values.tobytes() != \
+                    want[alpha][: n_max + 1].tobytes():
+                errors.append((alpha, n_max))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(binomials._retained) <= binomials._RETAINED_ALPHAS

@@ -8,14 +8,15 @@ largest reference value (test_transform._close), unless it says otherwise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vilenkin as vk
-from vilenkin import characters, families, kernels, oracles, transform
+from vilenkin import characters, families, kernels, oracles, oscillation, transform
 
 from test_dtype import _grids
 from test_kernels import _coset_decay_loop, _majorant_loop
+from test_oscillation import _difference_condition_loop, _difference_condition_translated
 from test_transform import _close, _oracle_rows
 
 
@@ -121,3 +122,31 @@ def test_bound_scans_match_their_loops(data):
         want, cells = _coset_decay_loop(ns, alpha, k, rec.n)
         assert rec.sup_ratio == pytest.approx(want.max(), rel=1e-12)
         assert rec.argmax_cell in cells[want >= want.max() * (1 - 1e-12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_difference_conditions_match_translate_and_loop(data):
+    # several alphas at any scale of f, with calls on other (group, scale, alphas) between
+    # them, so that cached weight spectra are hit and evicted
+    ns = vk.number_system(data.draw(_grids()))
+    assume(ns.resolution >= 2)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = families.random_cells(ns, rng, resolution=data.draw(st.integers(2, ns.resolution)),
+                              real=data.draw(st.booleans()))
+    k = data.draw(st.integers(1, f.resolution - 1))
+    alphas = data.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4))
+    others = data.draw(st.lists(st.tuples(_grids(), st.floats(0.05, 0.95)), max_size=3))
+
+    for step in range(2):  # the second pass reads the spectra the first one cached
+        for radices, alpha in others:
+            other = vk.number_system(radices)
+            if other.resolution >= 2:
+                g = families.random_cells(other, rng, real=True)
+                oscillation.difference_conditions(g, other.resolution - 1, [alpha, 1 - alpha])
+        if data.draw(st.booleans()):
+            oscillation._cached_weight_spectrum.cache_clear()
+        got = oscillation.difference_conditions(f, k, alphas)
+        assert got == [_difference_condition_translated(f, k, a) for a in alphas]
+    for value, alpha in zip(got, alphas):
+        assert value == pytest.approx(_difference_condition_loop(f, k, alpha), rel=1e-12)

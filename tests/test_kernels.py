@@ -231,3 +231,52 @@ def test_coset_decay_rejects_bad_alpha(ns):
     with pytest.raises(UsageError):
         kernels.coset_decay_scan(ns, 1.5, 2)
 
+
+
+def _scan_calls(grids):
+    """One-order coset-decay and majorant calls on every scale, each alpha, of each grid."""
+    calls = []
+    for ns in grids:
+        for alpha in (0.3, 0.6):
+            for k in range(1, ns.resolution + 1):
+                for n in (ns.M[k - 1], (ns.M[k - 1] + ns.M[k]) // 2, ns.M[k]):
+                    calls.append((kernels.coset_decay_scan, (ns, alpha, k, [n])))
+                    calls.append((kernels.majorant_ratio_scan, (ns, alpha, [n])))
+    return calls
+
+
+def _record_bytes(records):
+    return [(rec.kind, rec.n, rec.alpha, np.float64(rec.sup_ratio).tobytes(), rec.argmax_cell,
+             rec.resolution) for rec in records]
+
+
+def test_scans_read_fresh_builds_in_any_order(walsh, mixed):
+    calls = _scan_calls([walsh, mixed])
+    want = []
+    for scan, args in calls:  # each with every per-alpha cache empty: a first call
+        binomials._retained.clear()
+        kernels._cached_decay_weights.cache_clear()
+        want.append(_record_bytes(scan(*args)))
+    order = np.random.default_rng(3).permutation(len(calls))
+    for sequence in (range(len(calls)), range(len(calls) - 1, -1, -1), order):
+        for i in sequence:
+            scan, args = calls[i]
+            assert _record_bytes(scan(*args)) == want[i]
+
+
+def test_decay_weights_are_read_only_and_cached_up_to_the_cap(walsh):
+    big = vk.number_system([2] * 13)  # M_13 = 8192 cells, above the cap
+    for ns, cached in ((walsh, True), (big, False)):
+        k = ns.resolution
+        decay = kernels._decay_weights(ns, k, 0.4)
+        assert decay.tobytes() == (np.arange(1, ns.M[k], dtype=np.float64) ** (1.0 - 0.4)).tobytes()
+        assert not decay.flags.writeable
+        assert (kernels._decay_weights(ns, k, 0.4) is decay) == cached
+
+
+def test_decay_weights_keep_the_type_of_alpha(walsh):
+    # np.float32(2^-30) == 2^-30, but 1 - alpha rounds to 1 in float32
+    k = walsh.resolution
+    for alpha in (2.0 ** -30, np.float32(2.0 ** -30), 2.0 ** -30):
+        want = np.arange(1, walsh.M[k], dtype=np.float64) ** (1.0 - alpha)
+        assert kernels._decay_weights(walsh, k, alpha).tobytes() == want.tobytes()

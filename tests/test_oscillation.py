@@ -181,12 +181,16 @@ def test_difference_condition_exact_zero_when_constant_along_digit_k(radices):
 def test_difference_condition_transforms_only_low_digits(ns, rng, count_calls):
     f = families.random_cells(ns, rng)
     staged = count_calls("_staged", module=transform)
+    oscillation._cached_weight_spectrum.cache_clear()
     for k in range(1, ns.resolution):
         staged.clear()
         oscillation.difference_condition(f, k, 0.5)
         # forward of d and of W, one inverse: all over the k low digits
         assert [args[2] for args in staged] == [k, k, k]
         assert [len(args[0]) for args in staged] == [ns.cell_count, ns.M[k], ns.cell_count]
+        staged.clear()
+        oscillation.difference_condition(f, k, 0.5)  # W's spectrum is cached
+        assert [(args[2], len(args[0])) for args in staged] == [(k, ns.cell_count)] * 2
 
 
 def _difference_condition_translated(f, k, alpha):
@@ -412,3 +416,33 @@ def test_file_family_round_trip(ns, rng, tmp_path):
     label, build = config.family_from_spec(ns, {"family": "file", "path": str(path)})
     back = build(rng)
     assert np.array_equal(back.cells, f.cells)
+
+
+def test_difference_conditions_read_fresh_builds_in_any_order(walsh, mixed):
+    # interleaved groups, scales and alphas; then more keys than the cache holds, and again
+    rng = np.random.default_rng(12)
+    grids = [walsh, mixed] + [vk.number_system(r) for r in LOW_DIGIT_GRIDS[1:3]]
+    calls = [(f, k, alphas) for ns in grids for f in [families.random_cells(ns, rng)]
+             for k in range(1, ns.resolution) for alphas in ([0.3, 0.77], [0.5], [0.77, 0.3])]
+    want = [[_difference_condition_translated(f, k, a) for a in alphas] for f, k, alphas in calls]
+    tiny = families.random_cells(vk.number_system([2, 3]), rng)
+    for sequence in (range(len(calls)), rng.permutation(len(calls)), range(len(calls))[::-1]):
+        for i in sequence:
+            assert oscillation.difference_conditions(*calls[i]) == want[i]
+        for j in range(oscillation._cached_weight_spectrum.cache_info().maxsize + 1):
+            oscillation.difference_conditions(tiny, 1, [0.01 + j / 100])  # evicts every entry
+    ns, k = mixed, mixed.resolution - 1
+    spectrum = oscillation._weight_spectrum(ns, k, 0.5)
+    assert not spectrum.flags.writeable
+    assert oscillation._weight_spectrum(ns, k, 0.5) is spectrum
+    big = vk.number_system([2] * 14)  # M_13 above the cap: built per call, never retained
+    spectrum = oscillation._weight_spectrum(big, 13, 0.5)
+    assert oscillation._weight_spectrum(big, 13, 0.5) is not spectrum
+
+
+def test_weight_spectra_keep_the_type_of_alpha(mixed):
+    # np.float32(2^-30) == 2^-30, but alpha - 1 rounds to -1 in float32
+    k = mixed.resolution - 1
+    for alpha in (2.0 ** -30, np.float32(2.0 ** -30), 2.0 ** -30):
+        want = oscillation._cached_weight_spectrum.__wrapped__(mixed, k, alpha)
+        assert oscillation._weight_spectrum(mixed, k, alpha).tobytes() == want.tobytes()
