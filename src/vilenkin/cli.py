@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 
@@ -64,6 +65,15 @@ def write_run_meta(cfg: Config, command: str) -> None:
         "version": __version__,
     }
     write_json(os.path.join(cfg.out, "run_meta.json"), meta)
+
+
+def write_run_timings(out: str, t0: float) -> None:
+    """timings.json of converge, kernel-scan and oscillation: the run's wall time since t0
+    and the process's peak resident set in MiB (ru_maxrss is in KiB on Linux)."""
+    write_json(os.path.join(out, "timings.json"), {
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "wall_s": time.perf_counter() - t0,
+    })
 
 
 def _out_dir(cfg: Config) -> str:
@@ -147,6 +157,7 @@ def _converge_group(cfg: Config, label: str, f) -> list[list]:
 
 def run_converge(cfg: Config) -> int:
     """Write the sup errors of the Cesaro means of each function to converge.csv."""
+    t0 = time.perf_counter()
     out = _out_dir(cfg)
     rows = []
     for label, build in cfg.functions:
@@ -155,6 +166,7 @@ def run_converge(cfg: Config) -> int:
               "oscillation_partial", "difference_condition", "verdict"]
     write_csv(os.path.join(out, "converge.csv"), header, rows)
     write_run_meta(cfg, "converge")
+    write_run_timings(out, t0)
     finite = all(np.isfinite(float(r[4])) for r in rows)
     print(f"converge: {len(rows)} rows -> {out}/converge.csv")
     return 0 if finite else 1
@@ -177,6 +189,7 @@ def _scan_group(ns: NumberSystem, kind: str, alpha: float, level: int,
 
 def run_kernel_scan(cfg: Config) -> int:
     """Scan the kernel bound ratios and write their stability summary."""
+    t0 = time.perf_counter()
     ns = cfg.ns
     majorant_n = sorted(set(n_schedule(ns, {"kind": "scales_and_neighbors"}) + [1]
                             if cfg.scan_n is None else cfg.scan_n))
@@ -220,6 +233,7 @@ def run_kernel_scan(cfg: Config) -> int:
     summary["stability_factor"] = cfg.stability_factor
     write_json(os.path.join(out, "kernel_scan_summary.json"), summary)
     write_run_meta(cfg, "kernel-scan")
+    write_run_timings(out, t0)
     print(f"kernel-scan: {len(rows)} rows -> {out}/kernel_scan.csv "
           f"(stable={stable_all})")
     return 0 if (stable_all and finite_all) else 1
@@ -230,6 +244,7 @@ def run_kernel_scan(cfg: Config) -> int:
 
 def run_oscillation(cfg: Config) -> int:
     """Write the oscillation profile and series of each function to oscillation.csv."""
+    t0 = time.perf_counter()
     out = _out_dir(cfg)
     rows = []
     finite = True
@@ -244,6 +259,7 @@ def run_oscillation(cfg: Config) -> int:
               "omega", "total", "nu", "series_term"]
     write_csv(os.path.join(out, "oscillation.csv"), header, rows)
     write_run_meta(cfg, "oscillation")
+    write_run_timings(out, t0)
     print(f"oscillation: {len(rows)} rows -> {out}/oscillation.csv")
     return 0 if finite else 1
 

@@ -8,10 +8,10 @@ axis r-1-j (tensor_axis, digit_tensor, digit_axis); translation, reflection and 
 characters act on that tensor, the transform on runs of adjacent axes. The cosets of
 I_k are the residues mod M_k: coset_rep_cells gives the cell of each Z_beta^(k),
 coset_key_table the beta of each cell. Tables are written from per-digit pieces, with no
-per-cell division. Every scan row reads coset_rep_cells and trailing_zero_digits, so they
-are cached, as the per-alpha pieces of a row are (binomials.cesaro_table, the weights of
-kernels.coset_decay_scan and oscillation.difference_conditions); digit_matrix (reference
-code only) and coset_key_table never are: each call builds one.
+per-cell division. Every coset-decay scan row reads coset_rep_cells, so it is cached, as
+the per-alpha pieces of a row are (binomials.cesaro_table, the weights and terms of the
+kernels' bound scans and the weight spectra of oscillation.difference_conditions);
+digit_matrix (reference code only) and coset_key_table never are: each call builds one.
 """
 
 from __future__ import annotations
@@ -126,19 +126,6 @@ def coset_rep_cells(ns: NumberSystem, k: int, resolution: int) -> np.ndarray:
         cells = np.add.outer(cells, term).reshape(-1)
     cells.setflags(write=False)
     return cells
-
-
-@functools.lru_cache(maxsize=None)
-def trailing_zero_digits(ns: NumberSystem, resolution: int) -> np.ndarray:
-    """v(x) for every resolution-r cell x: how many of its low digits are 0 (r for x = 0).
-
-    x % M_l == 0 exactly when l <= v(x); the multiples of M_l are every M_l-th cell.
-    """
-    v = np.zeros(ns.cells_at(resolution), dtype=np.intp)
-    for l in range(1, resolution + 1):
-        v[:: ns.M[l]] += 1
-    v.setflags(write=False)
-    return v
 
 
 def tensor_axis(resolution: int, j: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import binomials
 from .errors import UsageError
-from .group import NumberSystem, coset_rep_cells, scale_of, trailing_zero_digits
+from .group import NumberSystem, coset_rep_cells, scale_of
 from .transform import StepFunction, minimal_resolution, partial_sum, synthesize
 
 
@@ -74,22 +74,35 @@ class BoundScanRecord:
     beta_ratios: np.ndarray | None = None
 
 
+@functools.lru_cache(maxsize=32, typed=True)  # typed: 1 - alpha keeps the type of alpha
+def _majorant_terms(ns: NumberSystem, alpha: float) -> np.ndarray:
+    """Running sums of M_l^{1-alpha} for l = 0..N, read-only; terms[0] = 1."""
+    terms = np.cumsum([ns.M[l] ** (1.0 - alpha) for l in range(ns.resolution + 1)])
+    terms.setflags(write=False)
+    return terms
+
+
 def majorant_ratio_scan(ns: NumberSystem, alpha: float, n_values) -> list[BoundScanRecord]:
     """|K_n^{-alpha}| |A_{n-1}^{-alpha}| against sum_{l<=A} M_l^{-alpha} D_{M_l}.
 
     The l = 0 term is identically 1, so the majorant never vanishes. Cell x
-    takes the terms l <= min(v(x), A), v(x) its trailing zero digits, so the
-    majorant is one gather from the running sums of M_l^{1-alpha}. Every
-    K_n and A_{n-1}^{-alpha} come from one Cesaro table (_cesaro_kernels).
+    takes the terms l <= min(v(x), A), v(x) its trailing zero digits, and x
+    is a multiple of M_l exactly when v(x) >= l. So with base = |K| |A|, the
+    multiples of M_l take base / terms[l] for l = 1..min(A, r) in turn, the
+    last l that divides x winning, and every other cell keeps base (terms[0]
+    = 1). The running sums of M_l^{1-alpha} are cached per (ns, alpha), and
+    every K_n and A_{n-1}^{-alpha} come from one Cesaro table (_cesaro_kernels).
     """
     out = []
     for n, a_n, K in _cesaro_kernels(ns, alpha, n_values):
+        terms = _majorant_terms(ns, alpha)  # alpha is checked once a kernel is out
         r = K.resolution
         A = scale_of(ns, n) if n < ns.cell_count else ns.resolution
-        top = min(A, r)
-        terms = np.cumsum([ns.M[l] ** (1.0 - alpha) for l in range(top + 1)])
-        majorant = terms[np.minimum(trailing_zero_digits(ns, r), top)]
-        ratios = np.abs(K.cells) * abs(a_n) / majorant
+        base = np.abs(K.cells)
+        base *= abs(a_n)
+        ratios = base.copy()
+        for l in range(1, min(A, r) + 1):
+            np.divide(base[:: ns.M[l]], terms[l], out=ratios[:: ns.M[l]])
         arg = int(np.argmax(ratios))
         out.append(BoundScanRecord(kind="majorant", n=n, alpha=alpha,
                                    sup_ratio=float(ratios[arg]), argmax_cell=arg,
@@ -125,7 +138,8 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
     therefore the top admissible block [M_{k-1}, M_k].
 
     Each kernel is read at the representatives through the cached cell
-    table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row.
+    table coset_rep_cells(ns, k, r): one gather of M_k - 1 cells per row,
+    which a real kernel's ratios then overwrite.
     The kernels come from one Cesaro table (_cesaro_kernels), and the weights
     beta^{1-alpha} are cached per (ns, k, alpha) up to _CACHED_CELLS cells
     (_decay_weights), so a one-order call per row rebuilds neither.
@@ -140,7 +154,10 @@ def coset_decay_scan(ns: NumberSystem, alpha: float, k: int,
     for n, _, K in _cesaro_kernels(ns, alpha, n_values):
         r = K.resolution
         cells_at = coset_rep_cells(ns, k, r)[1:]
-        ratios = np.abs(K.cells[cells_at]) * decay / ns.M[k]
+        ratios = K.cells[cells_at]
+        ratios = np.abs(ratios, out=None if ratios.dtype.kind == "c" else ratios)
+        ratios *= decay
+        ratios /= ns.M[k]
         arg = int(np.argmax(ratios))
         out.append(BoundScanRecord(kind="coset_decay", n=n, alpha=alpha,
                                    sup_ratio=float(ratios[arg]),

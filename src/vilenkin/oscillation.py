@@ -176,7 +176,7 @@ def difference_condition(f: StepFunction, k: int, alpha: float) -> float:
 def _cached_weight_spectrum(ns, k: int, alpha: float) -> np.ndarray:
     weight = np.zeros(ns.M[k])
     weight[coset_rep_cells(ns, k, k)[1:]] = np.arange(1, ns.M[k], dtype=np.float64) ** (alpha - 1.0)
-    spectrum = _staged(weight, ns, k, analysis=True)
+    spectrum = _staged(weight, ns, k, analysis=True, consume=True)
     spectrum.setflags(write=False)
     return spectrum
 
@@ -211,7 +211,8 @@ def difference_conditions(f: StepFunction, k: int, alphas) -> list[float]:
     np.subtract(cells[mk:], cells[:-mk], out=d[mk:])
     view, slab = cells.reshape(-1, ns.radix.radices[k], mk), d.reshape(-1, ns.radix.radices[k], mk)
     np.subtract(view[:, 0], view[:, -1], out=slab[:, 0])
-    spectrum = _staged(np.abs(d), ns, k, analysis=True).reshape(-1, mk)
+    d = np.abs(d)  # the signed difference is freed before the transform
+    spectrum = _staged(d, ns, k, analysis=True, consume=True).reshape(-1, mk)
     out, product = [], np.empty_like(spectrum)  # one buffer for every alpha's product
     for alpha in alphas:
         np.multiply(spectrum, _weight_spectrum(ns, k, alpha), out=product)

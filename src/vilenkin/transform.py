@@ -80,8 +80,9 @@ class StepFunction:
         """Re-express on the finer grid; values depend only on low digits."""
         if resolution < self.resolution:
             raise UsageError(f"cannot lift {self.resolution} down to {resolution}")
-        reps = self.ns.cells_at(resolution) // len(self.cells)
-        return StepFunction(self.ns, resolution, np.tile(self.cells, reps))
+        cells = np.empty(self.ns.cells_at(resolution), dtype=self.cells.dtype)
+        cells.reshape(-1, len(self.cells))[:] = self.cells
+        return StepFunction(self.ns, resolution, cells)
 
     def translate(self, t: int) -> "StepFunction":
         """g with g(x) = f(x - t), t a point given by its cell index 0 <= t < M_N.
@@ -158,17 +159,18 @@ def _kronecker(radices: tuple, analysis: bool) -> np.ndarray:
     return K
 
 
-def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: bool) -> np.ndarray:
+def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: bool,
+            consume: bool = False) -> np.ndarray:
     """Apply the per-digit DFTs as one Kronecker matrix per block of adjacent digits.
 
     For the block of digits j0 <= j < j1 the cell index splits as
     high * M_j1 + mid * M_j0 + low with 0 <= mid < P = M_j1 / M_j0, and the
     block's Kronecker matrix K acts on mid alone. values may hold several
-    rows of M_resolution cells back to back, each transformed alone, and
-    the result is a new array. Real values stay float64 on a Walsh grid
-    (every radix of ns is 2), where every K is real. On any other grid,
-    whatever the resolution, values are taken as complex once, here at the
-    entry, so a mean or kernel on a prefix of radix-2 digits is complex too.
+    rows of M_resolution cells back to back, each transformed alone. Real
+    values stay float64 on a Walsh grid (every radix of ns is 2), where every
+    K is real. On any other grid, whatever the resolution, values are taken
+    as complex once, here at the entry, so a mean or kernel on a prefix of
+    radix-2 digits is complex too.
 
     On a Walsh grid the cells reshaped to (M_r / M_j1, P, M_j0) take one
     real matmul K @ cells on the float64 view (rows, P, w M_j0), w floats
@@ -179,23 +181,42 @@ def _staged(values: np.ndarray, ns: NumberSystem, resolution: int, analysis: boo
     the top: the last block leaves the cells in natural order with the row
     index last, and one transpose restores the rows. On Walsh grids this
     rotation measured slower; elsewhere it beat stacked small matmuls.
+
+    Each pass writes into a spare buffer when one is free. A pass's input
+    becomes the spare only when the call owns it: with consume=True (the
+    caller gives values up), or when it is the copy made here to convert
+    the dtype. So an input the call does not own costs the result and one
+    scratch array, and the result is a new array sharing no memory with it;
+    a consumed input costs one scratch array, and may hold the result.
     """
     radices = ns.radix.radices[:resolution]
     walsh = ns.radix.max_radix == 2
     real = values.dtype.kind != "c" and walsh
     arr = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
+    owned = consume or arr is not values
     if resolution == 0:
-        return arr.copy()
+        return arr if owned else arr.copy()
+    spare = None
     for j0, j1 in _digit_blocks(radices):
         K = _kronecker(radices[j0:j1], analysis)
         low, p = ns.M[j0], ns.M[j1] // ns.M[j0]
+        out = np.empty_like(arr) if spare is None else spare
         if not walsh:
-            arr = K @ arr.reshape(-1, p).T
+            np.matmul(K, arr.reshape(-1, p).T, out=out.reshape(p, -1))
         elif low == 1:
-            arr = arr.reshape(-1, p) @ K.T
+            np.matmul(arr.reshape(-1, p), K.T, out=out.reshape(-1, p))
         else:
-            arr = _block_matmul(K, arr.reshape(-1, p, low))
-    return arr.reshape(-1) if walsh else arr.reshape(ns.M[resolution], -1).T.reshape(-1)
+            _block_matmul(K, arr.reshape(-1, p, low), out.reshape(-1, p, low))
+        spare = arr if owned else None
+        arr, owned = out, True
+    if walsh:
+        return arr.reshape(-1)
+    rows = arr.reshape(ns.M[resolution], -1).T
+    if rows.shape[0] <= 1:
+        return rows.reshape(-1)
+    out = np.empty_like(arr) if spare is None else spare
+    np.copyto(out.reshape(rows.shape), rows)
+    return out.reshape(-1)
 
 
 def forward(f: StepFunction) -> CoefficientVector:
@@ -212,8 +233,9 @@ def _spectrum(f: StepFunction, k: int) -> np.ndarray:
     resolution k and scaled once by 1/M_r. At k = r this is forward's
     spectrum, with no fold.
     """
-    cells = f.cells if k == f.resolution else f.cells.reshape(-1, f.ns.cells_at(k)).sum(axis=0)
-    coeffs = _staged(cells, f.ns, k, analysis=True)
+    fold = k < f.resolution  # a fold is this call's own array
+    cells = f.cells.reshape(-1, f.ns.cells_at(k)).sum(axis=0) if fold else f.cells
+    coeffs = _staged(cells, f.ns, k, analysis=True, consume=fold)
     _scale(coeffs, f.ns.cells_at(f.resolution))
     return coeffs
 
@@ -253,7 +275,7 @@ def synthesize(ns: NumberSystem, weights, resolution: int | None = None) -> Step
         raise UsageError(f"{len(w)} weights exceed M_{r} = {ns.cells_at(r)}")
     padded = np.zeros(ns.cells_at(k), dtype=w.dtype)
     padded[: len(w)] = w
-    return _lifted(inverse(CoefficientVector(ns, k, padded)), r)
+    return _lifted(StepFunction(ns, k, _staged(padded, ns, k, analysis=False, consume=True)), r)
 
 
 def synthesize_rows(ns: NumberSystem, weights: np.ndarray, resolution: int) -> np.ndarray:
@@ -274,25 +296,37 @@ def multiplier(f: StepFunction, weights, denominator: float = 1.0) -> StepFuncti
     Frequencies at or past len(weights) are dropped, so the sum is constant
     on the cosets of I_k for k = minimal_resolution(len(weights)): f is
     folded to resolution k (_spectrum), weighted, synthesized there and
-    lifted to f's resolution with one tile. At k = f.resolution there is no
-    fold and no lift. The division follows the product with fhat, so a mean
-    rounds as (fhat w) / A, not fhat (w / A). The product takes the result
-    type of fhat and the weights, so a real f and real weights on a Walsh
-    grid stay float64.
+    lifted to f's resolution. At k = f.resolution there is no fold and no
+    lift. The division follows the product with fhat, so a mean rounds as
+    (fhat w) / A, not fhat (w / A). The product takes the result type of
+    fhat and the weights, so a real f and real weights on a Walsh grid stay
+    float64. The spectrum is this call's own, so the product is written
+    into it when its dtype allows.
     """
     k = minimal_resolution(f.ns, min(len(weights), len(f.cells)))
     c = CoefficientVector(f.ns, k, _spectrum(f, k))
-    return _lifted(_weighted_inverse(c, weights, denominator), f.resolution)
+    return _lifted(_weighted_inverse(c, weights, denominator, consume=True), f.resolution)
 
 
-def _weighted_inverse(c: CoefficientVector, weights, denominator: float) -> StepFunction:
-    """The weight step and inverse of multiplier on a resolution-k spectrum, not lifted."""
+def _weighted_inverse(c: CoefficientVector, weights, denominator: float,
+                      consume: bool = False) -> StepFunction:
+    """The weight step and inverse of multiplier on a resolution-k spectrum, not lifted.
+
+    With consume=True the product overwrites c.coeffs, tail zeroed, when it
+    keeps their dtype; otherwise it goes to a new zero-filled array.
+    """
     cut = min(len(weights), len(c.coeffs))
     w = _values(weights[:cut])
-    out = np.zeros(len(c.coeffs), dtype=np.result_type(c.coeffs, w))
+    dtype = np.result_type(c.coeffs, w)
+    if consume and dtype == c.coeffs.dtype:
+        out = c.coeffs
+        out[cut:] = 0
+    else:
+        out = np.zeros(len(c.coeffs), dtype=dtype)
     np.multiply(c.coeffs[:cut], w, out=out[:cut])
     _scale(out[:cut], denominator)
-    return inverse(CoefficientVector(c.ns, c.resolution, out))
+    return StepFunction(c.ns, c.resolution, _staged(out, c.ns, c.resolution, analysis=False,
+                                                    consume=True))
 
 
 def _scale(values: np.ndarray, denominator: float) -> None:
@@ -344,11 +378,12 @@ def _partial_cells(g: np.ndarray, n: int, ns: NumberSystem, k: int) -> np.ndarra
     return _block_matmul(S[:, :len(X)], X).reshape(-1)
 
 
-def _block_matmul(K: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """K @ values, a real K meeting complex values on their float64 view (no upcast of K)."""
+def _block_matmul(K: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """K @ values (into out if given), a real K meeting complex values on their float64 view."""
     if K.dtype.kind == "c" or values.dtype.kind != "c":
-        return K @ values
-    return (K @ values.view(np.float64)).view(np.complex128)
+        return np.matmul(K, values, out=out)
+    parts = None if out is None else out.view(np.float64)
+    return np.matmul(K, values.view(np.float64), out=parts).view(np.complex128)
 
 
 def fejer_mean(f: StepFunction, n: int) -> StepFunction:

@@ -69,9 +69,9 @@ def staged_passes(monkeypatch):
     original = transform._staged
     calls = []
 
-    def counted(values, ns, resolution, analysis):
+    def counted(values, ns, resolution, analysis, **kwargs):
         calls.append((resolution, analysis))
-        return original(values, ns, resolution, analysis)
+        return original(values, ns, resolution, analysis, **kwargs)
 
     monkeypatch.setattr(transform, "_staged", counted)
     return calls

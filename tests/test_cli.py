@@ -332,10 +332,10 @@ def test_converge_evaluates_each_condition_once(tmp_path, small_cfg, monkeypatch
         calls.append((id(f), k, tuple(alphas)))
         return original(f, k, alphas)
 
-    def counted_staged(values, ns, resolution, analysis):
+    def counted_staged(values, ns, resolution, analysis, **kwargs):
         if analysis and len(values) == ns.cell_count:  # the spectrum of |f - f(. - e_k)|
             spectra.append(resolution)
-        return staged(values, ns, resolution, analysis)
+        return staged(values, ns, resolution, analysis, **kwargs)
 
     monkeypatch.setattr(cli, "difference_conditions", counted)
     monkeypatch.setattr(oscillation, "_staged", counted_staged)
@@ -513,6 +513,35 @@ def test_byte_identical_reruns(tmp_path, small_cfg):
         a = (tmp_path / "r1" / rel).read_bytes()
         b = (tmp_path / "r2" / rel).read_bytes()
         assert a == b, rel
+
+
+@pytest.mark.parametrize("command, artifacts", [
+    ("converge", ["converge.csv", "run_meta.json"]),
+    ("kernel-scan", ["kernel_scan.csv", "kernel_scan_summary.json", "run_meta.json"]),
+    ("oscillation", ["oscillation.csv", "run_meta.json"]),
+])
+def test_runs_write_timings_beside_unchanged_artifacts(tmp_path, small_cfg, monkeypatch,
+                                                       command, artifacts):
+    # timings.json holds the wall time and the peak RSS, and adds no byte to another artifact
+    assert run([command, "--config", small_cfg, "--out", str(tmp_path / "a")]) == 0
+    assert sorted(os.listdir(tmp_path / "a")) == sorted(artifacts + ["timings.json"])
+    timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+    assert sorted(timings) == ["peak_rss_mib", "wall_s"]
+    assert timings["wall_s"] > 0 and timings["peak_rss_mib"] > 1
+    monkeypatch.setattr(cli, "write_run_timings", lambda out, t0: None)
+    assert run([command, "--config", small_cfg, "--out", str(tmp_path / "b")]) == 0
+    assert sorted(os.listdir(tmp_path / "b")) == sorted(artifacts)
+    for name in artifacts:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_verify_and_bench_timings_keep_their_shape(tmp_path, small_cfg):
+    # verify's timings.json maps each suite to its seconds, and nothing else
+    assert run(["verify", "--config", small_cfg, "--suites", "binomials,routes",
+                "--out", str(tmp_path / "v")]) == 0
+    timings = json.loads((tmp_path / "v" / "timings.json").read_text())
+    assert sorted(timings) == ["binomials", "routes"]
+    assert all(isinstance(v, float) for v in timings.values())
 
 
 def test_scientific_notation_for_small_values():
